@@ -16,17 +16,19 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import claims as claims_mod
 from .containment import (
+    Conjecture,
+    ConjectureInstance,
+    ConjectureVerdict,
     ContainmentEngine,
     check_els,
     chudnovsky_check,
     demailly_check,
     harbourne_huneke_scan,
+    iter_resurgence_cells,
     resurgence_region,
     stable_harbourne_scan,
 )
@@ -51,6 +53,7 @@ from .errors import (
 from .monomials import dump_monomials
 from .symbolic import (
     DEFAULT_GENERATOR_CAP,
+    Budget,
     alpha_table,
     complement_ideal,
     cover_ideal,
@@ -63,52 +66,44 @@ EXIT_IO = 3
 EXIT_RESOURCE = 4
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved resource settings shared by the long-running commands."""
+def _budget(args) -> Budget:
+    """The Budget of a long command: its limit flags, else their environment defaults.
 
-    generator_cap: int
-    time_cap: float | None
-    threads: int
-    progress_interval: float
+    The time cap starts counting here, before the input is loaded.
+    """
+    cap = args.generator_cap
+    if cap is None:
+        cap = int(os.environ.get("STEINERIDEALS_GENERATOR_CAP", DEFAULT_GENERATOR_CAP))
+    tcap = args.time_cap
+    if tcap is None:
+        env = os.environ.get("STEINERIDEALS_TIME_CAP")
+        tcap = float(env) if env else None
+    if cap < 1:
+        raise ValueError("generator cap must be positive")
+    if tcap is not None and tcap <= 0:
+        raise ValueError("time cap must be positive")
+    deadline = None if tcap is None else time.monotonic() + tcap
+    return Budget(cap, deadline, _progress_printer(args.progress_interval))
 
-    @classmethod
-    def from_args(cls, args) -> "RunConfig":
-        cap = args.generator_cap
-        if cap is None:
-            cap = int(os.environ.get("STEINERIDEALS_GENERATOR_CAP", DEFAULT_GENERATOR_CAP))
-        tcap = args.time_cap
-        if tcap is None:
-            env = os.environ.get("STEINERIDEALS_TIME_CAP")
-            tcap = float(env) if env else None
-        if cap < 1:
-            raise ValueError("generator cap must be positive")
-        if tcap is not None and tcap <= 0:
-            raise ValueError("time cap must be positive")
-        threads = getattr(args, "threads", 1)
-        if threads < 1:
-            raise ValueError("threads must be positive")
-        return cls(cap, tcap, threads, getattr(args, "progress_interval", 0.0))
 
-    def deadline(self) -> float | None:
-        return None if self.time_cap is None else time.monotonic() + self.time_cap
+def _progress_printer(interval: float):
+    """A progress sink printing at most one stderr line per interval seconds."""
+    if interval <= 0:
+        return None
+    last = 0.0
 
-    def progress_fn(self):
-        if self.progress_interval <= 0:
-            return None
-        state = {"last": 0.0}
+    def fn(step: int, total: int, kept: int) -> None:
+        nonlocal last
+        now = time.monotonic()
+        if now - last >= interval:
+            last = now
+            print(
+                f"progress: folded {step}/{total} supports, {kept} generators",
+                file=sys.stderr,
+                flush=True,
+            )
 
-        def fn(step: int, total: int, kept: int) -> None:
-            now = time.monotonic()
-            if now - state["last"] >= self.progress_interval:
-                state["last"] = now
-                print(
-                    f"progress: folded {step}/{total} supports, {kept} generators",
-                    file=sys.stderr,
-                    flush=True,
-                )
-
-        return fn
+    return fn
 
 
 def _emit(doc: dict, output: str | None = None) -> None:
@@ -219,15 +214,9 @@ def cmd_coverability(args) -> int:
 
 
 def cmd_symbolic(args) -> int:
-    config = RunConfig.from_args(args)
+    budget = _budget(args)
     P = _decomposition(args)
-    ideal = symbolic_power(
-        P,
-        args.m,
-        generator_cap=config.generator_cap,
-        deadline=config.deadline(),
-        progress=config.progress_fn(),
-    )
+    ideal = symbolic_power(P, args.m, budget=budget)
     out_path = args.generators_out
     if out_path:
         dump_monomials(out_path, ideal)
@@ -243,63 +232,38 @@ def cmd_symbolic(args) -> int:
 
 
 def cmd_alpha(args) -> int:
-    config = RunConfig.from_args(args)
+    budget = _budget(args)
     P = _decomposition(args)
-    table = alpha_table(P, args.max_m)
+    table = alpha_table(P, args.max_m, budget=budget)
     _emit(table.to_dict())
     return EXIT_OK
 
 
 def cmd_containment(args) -> int:
-    config = RunConfig.from_args(args)
-    P = _decomposition(args)
-    engine = ContainmentEngine(
-        P,
-        generator_cap=config.generator_cap,
-        time_budget=config.time_cap,
-        progress=config.progress_fn(),
-    )
+    budget = _budget(args)
+    engine = ContainmentEngine(_decomposition(args), budget=budget)
     report = engine.check(args.m, args.r, args.slack, audit=args.audit)
     _emit(report.to_dict())
     return EXIT_OK
 
 
 def cmd_scan(args) -> int:
-    config = RunConfig.from_args(args)
+    budget = _budget(args)
     P = _decomposition(args)
-    engine = ContainmentEngine(
-        P,
-        generator_cap=config.generator_cap,
-        time_budget=config.time_cap,
-        progress=config.progress_fn(),
-    )
-    cells = [
-        (m, r)
-        for r in range(1, args.r_max + 1)
-        for m in range(r + 1, args.m_max + 1)
-    ]
-
-    def run_cell(cell):
-        m, r = cell
-        return engine.check(m, r, 0)
-
-    failures = []
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            reports = list(pool.map(run_cell, cells))
-    else:
-        reports = [run_cell(c) for c in cells]
+    engine = ContainmentEngine(P, budget=budget)
+    # every cell is computed before any is printed, so a capped scan
+    # prints only the resource-limit report
+    reports = list(iter_resurgence_cells(P, args.m_max, args.r_max, engine=engine))
     for rep in reports:
         _emit(rep.to_dict())
-        if not rep.holds:
-            failures.append(rep)
+    failures = [rep for rep in reports if not rep.holds]
     best = max((Fraction(f.m, f.r) for f in failures), default=None)
     _emit(
         {
             "summary": {
                 "m_max": args.m_max,
                 "r_max": args.r_max,
-                "cells": len(cells),
+                "cells": len(reports),
                 "failures": len(failures),
                 "max_ratio": _frac(best),
             }
@@ -326,56 +290,43 @@ def cmd_resurgence_region(args) -> int:
     return EXIT_OK
 
 
+def _els_verdict(P, r_lo: int, r_hi: int, engine: ContainmentEngine) -> ConjectureVerdict:
+    """ELS instances for r in [r_lo, r_hi]; check_els raises on any failure."""
+    reports = [check_els(P, r, engine=engine) for r in range(r_lo, r_hi + 1)]
+    instances = tuple(ConjectureInstance({"r": rep.r, "m": rep.m}, rep.holds) for rep in reports)
+    return ConjectureVerdict(Conjecture.ELS, instances, all(i.holds for i in instances))
+
+
+# conjecture family -> verdict from (decomposition, parsed args, engine),
+# in the order "applicable" runs them
+_CONJECTURES = {
+    "stable-harbourne": lambda P, a, e: stable_harbourne_scan(P, a.r_lo, a.r_hi, engine=e),
+    "harbourne-huneke-1": lambda P, a, e: harbourne_huneke_scan(P, a.r_lo, a.r_hi, 1, engine=e),
+    "harbourne-huneke-2": lambda P, a, e: harbourne_huneke_scan(P, a.r_lo, a.r_hi, 2, engine=e),
+    "els": lambda P, a, e: _els_verdict(P, a.r_lo, a.r_hi, e),
+    "chudnovsky": lambda P, a, e: chudnovsky_check(P, a.h_max, a.ambient_dim, engine=e),
+    "demailly": lambda P, a, e: demailly_check(P, a.m, a.h_max, a.ambient_dim, engine=e),
+}
+_NEEDS_AMBIENT = ("chudnovsky", "demailly")
+
+
 def cmd_conjectures(args) -> int:
-    config = RunConfig.from_args(args)
+    budget = _budget(args)
     P = _decomposition(args)
-    engine = ContainmentEngine(
-        P,
-        generator_cap=config.generator_cap,
-        time_budget=config.time_cap,
-        progress=config.progress_fn(),
-    )
-    which = args.which
-    if which == "applicable":
-        names = ["stable-harbourne", "harbourne-huneke-1", "harbourne-huneke-2", "els"]
-        if P.steiner is not None or args.ambient_dim is not None:
-            names += ["chudnovsky", "demailly"]
-        else:
-            print(
-                "note: skipping chudnovsky/demailly (no Steiner provenance; "
-                "pass --ambient-dim to include them)",
-                file=sys.stderr,
-            )
+    engine = ContainmentEngine(P, budget=budget)
+    if args.which != "applicable":
+        names = [args.which]
+    elif P.steiner is not None or args.ambient_dim is not None:
+        names = list(_CONJECTURES)
     else:
-        names = [which]
-    r_lo, r_hi = args.r_lo, args.r_hi
+        names = [n for n in _CONJECTURES if n not in _NEEDS_AMBIENT]
+        print(
+            "note: skipping chudnovsky/demailly (no Steiner provenance; "
+            "pass --ambient-dim to include them)",
+            file=sys.stderr,
+        )
     for name in names:
-        if name == "stable-harbourne":
-            verdict = stable_harbourne_scan(P, r_lo, r_hi, engine=engine)
-        elif name == "harbourne-huneke-1":
-            verdict = harbourne_huneke_scan(P, r_lo, r_hi, 1, engine=engine)
-        elif name == "harbourne-huneke-2":
-            verdict = harbourne_huneke_scan(P, r_lo, r_hi, 2, engine=engine)
-        elif name == "els":
-            for r in range(r_lo, r_hi + 1):
-                check_els(P, r, engine=engine)
-            verdict = None
-            _emit(
-                {
-                    "conjecture": "els",
-                    "all_hold": True,
-                    "instances": [
-                        {"params": {"r": r, "m": P.big_height * r}, "holds": True}
-                        for r in range(r_lo, r_hi + 1)
-                    ],
-                }
-            )
-        elif name == "chudnovsky":
-            verdict = chudnovsky_check(P, args.h_max, args.ambient_dim, engine=engine)
-        else:
-            verdict = demailly_check(P, args.m, args.h_max, args.ambient_dim, engine=engine)
-        if verdict is not None:
-            _emit(verdict.to_dict())
+        _emit(_CONJECTURES[name](P, args, engine).to_dict())
     return EXIT_OK
 
 
@@ -398,7 +349,7 @@ def cmd_reproduce(args) -> int:
     return EXIT_OK if passed == len(rows) else 1
 
 
-def _add_limits(p: argparse.ArgumentParser, threads: bool = False) -> None:
+def _add_limits(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--generator-cap",
         type=int,
@@ -418,10 +369,6 @@ def _add_limits(p: argparse.ArgumentParser, threads: bool = False) -> None:
         default=0.0,
         help="seconds between stderr progress lines (0 disables)",
     )
-    if threads:
-        p.add_argument(
-            "--threads", type=int, default=1, help="worker threads for scan cells"
-        )
 
 
 def _add_source(p: argparse.ArgumentParser) -> None:
@@ -491,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_source(p)
     p.add_argument("--m-max", type=int, required=True)
     p.add_argument("--r-max", type=int, required=True)
-    _add_limits(p, threads=True)
+    _add_limits(p)
     p.set_defaults(fn=cmd_scan)
 
     p = sub.add_parser(
@@ -508,15 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--which",
         default="applicable",
-        choices=(
-            "applicable",
-            "stable-harbourne",
-            "harbourne-huneke-1",
-            "harbourne-huneke-2",
-            "els",
-            "chudnovsky",
-            "demailly",
-        ),
+        choices=("applicable", *_CONJECTURES),
     )
     p.add_argument("--r-lo", type=int, default=1)
     p.add_argument("--r-hi", type=int, default=2)

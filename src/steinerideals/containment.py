@@ -25,7 +25,6 @@ is small enough.  Exact rational arithmetic throughout; no floats.
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass
 from enum import Enum
@@ -34,14 +33,10 @@ from itertools import combinations_with_replacement
 from math import ceil, comb
 from typing import Iterator
 
-from .errors import (
-    DegenerateRegion,
-    InternalInconsistency,
-    ResourceLimit,
-)
+from .errors import DegenerateRegion, InternalInconsistency
 from .monomials import Monomial, MonomialIdeal, member_of_power, power
 from .symbolic import (
-    DEFAULT_GENERATOR_CAP,
+    Budget,
     PrimeDecomposition,
     initial_degree,
     member_of_symbolic,
@@ -50,24 +45,6 @@ from .symbolic import (
 )
 
 _NAIVE_RECHECK_CAP = 250_000  # multiset count below which the brute recheck runs
-
-
-@dataclass(frozen=True)
-class ContainmentQuery:
-    """Parameters of one containment question I^(m) <= M^slack * I^r."""
-
-    decomposition: PrimeDecomposition
-    m: int
-    r: int
-    slack: int = 0
-
-    def __post_init__(self):
-        if self.m < 1:
-            raise ValueError("m must be >= 1")
-        if self.r < 1:
-            raise ValueError("r must be >= 1")
-        if self.slack < 0:
-            raise ValueError("slack must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -153,25 +130,14 @@ class ConjectureVerdict:
 class ContainmentEngine:
     """Shared state for repeated containment checks on one decomposition.
 
-    Caches symbolic powers, initial degrees and the base ideal behind a
-    lock, so scans and thread pools reuse instead of recomputing.  The
-    generator cap and optional wall-clock budget apply to every symbolic
-    power the engine materializes.
+    Caches symbolic powers, initial degrees and the base ideal, so scans
+    reuse instead of recomputing.  The budget applies to every symbolic
+    power, initial-degree search and membership scan the engine runs.
     """
 
-    def __init__(
-        self,
-        decomposition: PrimeDecomposition,
-        *,
-        generator_cap: int = DEFAULT_GENERATOR_CAP,
-        time_budget: float | None = None,
-        progress=None,
-    ):
+    def __init__(self, decomposition: PrimeDecomposition, *, budget: Budget | None = None):
         self.decomposition = decomposition
-        self.generator_cap = generator_cap
-        self.deadline = None if time_budget is None else time.monotonic() + time_budget
-        self.progress = progress
-        self._lock = threading.Lock()
+        self.budget = budget or Budget()
         self._symbolic: dict[int, MonomialIdeal] = {}
         self._alpha: dict[int, int] = {}
         self._ordinary: dict[int, MonomialIdeal] = {}
@@ -179,17 +145,10 @@ class ContainmentEngine:
     # cached building blocks
 
     def symbolic(self, m: int) -> MonomialIdeal:
-        with self._lock:
-            hit = self._symbolic.get(m)
+        hit = self._symbolic.get(m)
         if hit is not None:
             return hit
-        ideal = symbolic_power(
-            self.decomposition,
-            m,
-            generator_cap=self.generator_cap,
-            deadline=self.deadline,
-            progress=self.progress,
-        )
+        ideal = symbolic_power(self.decomposition, m, budget=self.budget)
         alpha = self.alpha(m)
         got = ideal.min_degree()
         if got != alpha:
@@ -197,31 +156,26 @@ class ContainmentEngine:
                 f"symbolic power m={m}: min generator degree {got} "
                 f"!= bound-and-search alpha {alpha}"
             )
-        with self._lock:
-            self._symbolic.setdefault(m, ideal)
+        self._symbolic[m] = ideal
         return ideal
 
     def base_ideal(self) -> MonomialIdeal:
         return self.symbolic(1)
 
     def alpha(self, m: int) -> int:
-        with self._lock:
-            hit = self._alpha.get(m)
+        hit = self._alpha.get(m)
         if hit is not None:
             return hit
-        val = initial_degree(self.decomposition, m)
-        with self._lock:
-            self._alpha.setdefault(m, val)
+        val = initial_degree(self.decomposition, m, budget=self.budget)
+        self._alpha[m] = val
         return val
 
     def ordinary_power(self, r: int) -> MonomialIdeal:
-        with self._lock:
-            hit = self._ordinary.get(r)
+        hit = self._ordinary.get(r)
         if hit is not None:
             return hit
         val = power(self.base_ideal(), r)
-        with self._lock:
-            self._ordinary.setdefault(r, val)
+        self._ordinary[r] = val
         return val
 
     def omega_r(self, r: int, audit: bool = False) -> int:
@@ -295,7 +249,7 @@ class ContainmentEngine:
 
         # degree obstruction: too little degree to lie in M^slack * I^r
         if alpha_m < alpha_r + slack:
-            witness = min_degree_generators(P, m)[0]
+            witness = min_degree_generators(P, m, budget=self.budget)[0]
             self._confirm_witness(witness, m, r, slack)
             return report(False, witness, "degree-obstruction")
 
@@ -314,41 +268,19 @@ class ContainmentEngine:
         sym = self.symbolic(m)
         base = self.base_ideal()
         for idx, g in enumerate(sym.generators):
-            if self.deadline is not None and time.monotonic() > self.deadline:
-                raise ResourceLimit(
-                    "membership-scan",
-                    f"time budget exhausted at generator {idx} of {sym.generator_count}",
-                    {
-                        "m": m,
-                        "r": r,
-                        "slack": slack,
-                        "generators_checked": idx,
-                        "generators_total": sym.generator_count,
-                        "holds_so_far": True,
-                    },
-                )
+            partial = {
+                "m": m,
+                "r": r,
+                "slack": slack,
+                "generators_checked": idx,
+                "generators_total": sym.generator_count,
+                "holds_so_far": True,
+            }
+            self.budget.check("membership-scan", partial)
             if not member_of_power(g, base, r, slack):
                 self._confirm_witness(g, m, r, slack)
                 return report(False, g, "generator-scan")
         return report(True, None, "generator-scan")
-
-
-def check_containment(
-    query: ContainmentQuery,
-    *,
-    engine: ContainmentEngine | None = None,
-    audit: bool = False,
-    generator_cap: int = DEFAULT_GENERATOR_CAP,
-    time_budget: float | None = None,
-) -> ContainmentReport:
-    """Decide the query; convenience wrapper around ContainmentEngine."""
-    if engine is None:
-        engine = ContainmentEngine(
-            query.decomposition, generator_cap=generator_cap, time_budget=time_budget
-        )
-    elif engine.decomposition != query.decomposition:
-        raise ValueError("engine was built for a different decomposition")
-    return engine.check(query.m, query.r, query.slack, audit=audit)
 
 
 def check_els(
@@ -356,8 +288,6 @@ def check_els(
     r: int,
     *,
     engine: ContainmentEngine | None = None,
-    generator_cap: int = DEFAULT_GENERATOR_CAP,
-    time_budget: float | None = None,
 ) -> ContainmentReport:
     """Sanity check I^(h*r) <= I^r, h the big height; always a theorem.
 
@@ -366,7 +296,7 @@ def check_els(
     InternalInconsistency to flag the implementation bug.
     """
     if engine is None:
-        engine = ContainmentEngine(P, generator_cap=generator_cap, time_budget=time_budget)
+        engine = ContainmentEngine(P)
     report = engine.check(P.big_height * r, r, 0, audit=True)
     if not report.holds:
         raise InternalInconsistency(
@@ -382,8 +312,6 @@ def stable_harbourne_scan(
     r_hi: int,
     *,
     engine: ContainmentEngine | None = None,
-    generator_cap: int = DEFAULT_GENERATOR_CAP,
-    time_budget: float | None = None,
 ) -> ConjectureVerdict:
     """Check I^(h*r - h + 1) <= I^r for r in [r_lo, r_hi].
 
@@ -394,7 +322,7 @@ def stable_harbourne_scan(
     if not (1 <= r_lo <= r_hi):
         raise ValueError("need 1 <= r_lo <= r_hi")
     if engine is None:
-        engine = ContainmentEngine(P, generator_cap=generator_cap, time_budget=time_budget)
+        engine = ContainmentEngine(P)
     h = P.big_height
     instances = []
     for r in range(r_lo, r_hi + 1):
@@ -423,8 +351,6 @@ def harbourne_huneke_scan(
     form: int,
     *,
     engine: ContainmentEngine | None = None,
-    generator_cap: int = DEFAULT_GENERATOR_CAP,
-    time_budget: float | None = None,
 ) -> ConjectureVerdict:
     """Slack containments of Harbourne-Huneke type over an r range.
 
@@ -436,7 +362,7 @@ def harbourne_huneke_scan(
     if not (1 <= r_lo <= r_hi):
         raise ValueError("need 1 <= r_lo <= r_hi")
     if engine is None:
-        engine = ContainmentEngine(P, generator_cap=generator_cap, time_budget=time_budget)
+        engine = ContainmentEngine(P)
     h = P.big_height
     instances = []
     for r in range(r_lo, r_hi + 1):
@@ -638,8 +564,6 @@ def iter_resurgence_cells(
     r_max: int,
     *,
     engine: ContainmentEngine | None = None,
-    generator_cap: int = DEFAULT_GENERATOR_CAP,
-    time_budget: float | None = None,
 ) -> Iterator[ContainmentReport]:
     """Yield per-cell reports over the scan box, smallest r first.
 
@@ -649,7 +573,7 @@ def iter_resurgence_cells(
     if m_max < 1 or r_max < 1:
         raise ValueError("m_max and r_max must be >= 1")
     if engine is None:
-        engine = ContainmentEngine(P, generator_cap=generator_cap, time_budget=time_budget)
+        engine = ContainmentEngine(P)
     for r in range(1, r_max + 1):
         seen_hold = False
         for m in range(r + 1, m_max + 1):
@@ -671,20 +595,11 @@ def resurgence_search(
     r_max: int,
     *,
     engine: ContainmentEngine | None = None,
-    generator_cap: int = DEFAULT_GENERATOR_CAP,
-    time_budget: float | None = None,
 ) -> ResurgenceScan:
     """Collect all failures in the scan box; see iter_resurgence_cells."""
     failures = [
         rep
-        for rep in iter_resurgence_cells(
-            P,
-            m_max,
-            r_max,
-            engine=engine,
-            generator_cap=generator_cap,
-            time_budget=time_budget,
-        )
+        for rep in iter_resurgence_cells(P, m_max, r_max, engine=engine)
         if not rep.holds
     ]
     best = max((Fraction(f.m, f.r) for f in failures), default=None)

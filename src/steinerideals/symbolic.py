@@ -46,6 +46,32 @@ DEFAULT_GENERATOR_CAP = 2_000_000
 ProgressFn = Callable[[int, int, int], None]
 
 
+@dataclass
+class Budget:
+    """Resource limits shared by every long computation.
+
+    ``generator_cap`` bounds the candidate rows of one symbolic-power fold
+    step; ``deadline`` is a ``time.monotonic()`` value or None; ``progress``
+    receives (supports folded, supports total, generators kept) after each
+    fold step.  Long loops call ``check`` as they go.
+    """
+
+    generator_cap: int = DEFAULT_GENERATOR_CAP
+    deadline: float | None = None
+    progress: ProgressFn | None = None
+
+    def check(self, stage: str, partial: dict, candidate: int = 0) -> None:
+        """Raise ResourceLimit for ``stage`` with ``partial`` once a limit is passed."""
+        if candidate > self.generator_cap:
+            raise ResourceLimit(
+                stage,
+                f"candidate generator count {candidate} exceeds cap {self.generator_cap}",
+                partial,
+            )
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            raise ResourceLimit(stage, "time budget exhausted", partial)
+
+
 @dataclass(frozen=True)
 class PrimeDecomposition:
     """Antichain of prime supports over {1, ..., variable_count}.
@@ -157,12 +183,7 @@ def _compositions(total: int, parts: int) -> np.ndarray:
 
 
 def symbolic_power(
-    P: PrimeDecomposition,
-    m: int,
-    *,
-    generator_cap: int = DEFAULT_GENERATOR_CAP,
-    deadline: float | None = None,
-    progress: ProgressFn | None = None,
+    P: PrimeDecomposition, m: int, *, budget: Budget | None = None
 ) -> MonomialIdeal:
     """Minimal generators of I^(m) as a MonomialIdeal.
 
@@ -173,34 +194,22 @@ def symbolic_power(
     d, these are g plus the weak compositions of d over sigma.  That is
     much tighter than generic pairwise lcms.
 
-    Raises ResourceLimit when the candidate row count would exceed
-    generator_cap or the monotonic-clock deadline passes; the exception's
+    Raises ResourceLimit when the candidate row count would exceed the
+    budget's generator cap or its deadline passes; the exception's
     ``partial`` dict records how far the fold got.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
+    budget = budget or Budget()
     nv = P.variable_count
     total = len(P.supports)
     # seed with the first prime power; supports are already sorted by
     # size, i.e. ascending prime-power generator count
     sups = [tuple(i - 1 for i in s) for s in P.supports]
 
-    def check_limits(step: int, kept_rows: int, candidate: int) -> None:
-        if candidate > generator_cap:
-            raise ResourceLimit(
-                "symbolic-power",
-                f"candidate generator count {candidate} exceeds cap {generator_cap}",
-                {"supports_folded": step, "supports_total": total, "kept": kept_rows},
-            )
-        if deadline is not None and time.monotonic() > deadline:
-            raise ResourceLimit(
-                "symbolic-power",
-                "time budget exhausted",
-                {"supports_folded": step, "supports_total": total, "kept": kept_rows},
-            )
-
     first = sups[0]
-    check_limits(0, 0, comb(m + len(first) - 1, m))
+    partial = {"supports_folded": 0, "supports_total": total, "kept": 0}
+    budget.check("symbolic-power", partial, comb(m + len(first) - 1, m))
     rows = np.zeros((comb(m + len(first) - 1, m), nv), dtype=np.int64)
     rows[:, list(first)] = _compositions(m, len(first))
     rows = rows[np.lexsort(tuple(rows[:, j] for j in range(nv - 1, -1, -1)))]
@@ -214,7 +223,8 @@ def symbolic_power(
         candidate = len(ok) + int(
             sum(comb(int(d) + len(idx) - 1, int(d)) for d in deficits)
         )
-        check_limits(step, len(rows), candidate)
+        partial = {"supports_folded": step, "supports_total": total, "kept": len(rows)}
+        budget.check("symbolic-power", partial, candidate)
         pieces = [ok]
         for d in sorted(set(int(x) for x in deficits)):
             group = todo[deficits == d]
@@ -223,8 +233,8 @@ def symbolic_power(
             expanded = (group[:, None, :] + comps[None, :, :]).reshape(-1, nv)
             pieces.append(expanded)
         rows = _minimal_rows(np.vstack(pieces))
-        if progress is not None:
-            progress(step + 1, total, len(rows))
+        if budget.progress is not None:
+            budget.progress(step + 1, total, len(rows))
     return MonomialIdeal.from_rows(nv, rows)
 
 
@@ -270,20 +280,31 @@ def _greedy_feasible(P: PrimeDecomposition, m: int) -> list[int]:
         a[best] += 1
 
 
-def _search_total(P: PrimeDecomposition, m: int, budget: int, collect: bool):
-    """Feasible vectors with total degree <= budget, natural variable order.
+def _search_total(
+    P: PrimeDecomposition,
+    m: int,
+    degree: int,
+    collect: bool,
+    budget: Budget,
+    upper_bound: int,
+):
+    """Feasible vectors with total degree <= degree, natural variable order.
 
     collect=False: return True as soon as one exists.
     collect=True: return every feasible vector of total degree exactly
-    budget (used for minimal-generator extraction at budget = alpha).
+    degree (used for minimal-generator extraction at degree = alpha).
+    Every search node checks the budget; upper_bound only feeds the
+    partial report.
     """
     sups = _support_arrays(P)
     nv = P.variable_count
     last_var = [max(s) for s in sups]
     found: list[tuple[int, ...]] = []
     a = [0] * nv
+    partial = {"m": m, "degree_tried": degree, "upper_bound": upper_bound}
 
     def dfs(idx: int, left: int) -> bool:
+        budget.check("initial-degree", partial)
         needs = [m - sum(a[i] for i in s) for s in sups]
         for need, lv in zip(needs, last_var):
             if need > 0 and lv < idx:
@@ -304,35 +325,41 @@ def _search_total(P: PrimeDecomposition, m: int, budget: int, collect: bool):
             a[idx] = 0
         return False
 
-    hit = dfs(0, budget)
+    hit = dfs(0, degree)
     return found if collect else hit
 
 
-def initial_degree(P: PrimeDecomposition, m: int) -> int:
+def initial_degree(P: PrimeDecomposition, m: int, *, budget: Budget | None = None) -> int:
     """alpha(I^(m)): least degree of a monomial in the symbolic power.
 
     Runs bound-and-search between the counting lower bound and a greedy
-    upper bound; never enumerates the generating set.
+    upper bound; never enumerates the generating set.  Raises
+    ResourceLimit (stage "initial-degree") when the budget's deadline
+    passes mid-search.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
+    budget = budget or Budget()
     lo = _counting_lower_bound(P, m)
     hi = sum(_greedy_feasible(P, m))
-    for budget in range(lo, hi):
-        if _search_total(P, m, budget, collect=False):
-            return budget
+    for degree in range(lo, hi):
+        if _search_total(P, m, degree, False, budget, hi):
+            return degree
     return hi
 
 
-def min_degree_generators(P: PrimeDecomposition, m: int) -> tuple[Monomial, ...]:
+def min_degree_generators(
+    P: PrimeDecomposition, m: int, *, budget: Budget | None = None
+) -> tuple[Monomial, ...]:
     """All minimal generators of I^(m) of degree alpha, canonical order.
 
     A feasible vector of least total degree cannot strictly dominate
     another member, so these are exactly the degree-alpha minimal
     generators of the symbolic power.
     """
-    alpha = initial_degree(P, m)
-    vecs = _search_total(P, m, alpha, collect=True)
+    budget = budget or Budget()
+    alpha = initial_degree(P, m, budget=budget)
+    vecs = _search_total(P, m, alpha, True, budget, alpha)
     vecs.sort(key=lambda t: tuple(-x for x in t))
     return tuple(Monomial(v) for v in vecs)
 
@@ -423,11 +450,11 @@ class AlphaTable:
         }
 
 
-def alpha_table(P: PrimeDecomposition, M: int) -> AlphaTable:
+def alpha_table(P: PrimeDecomposition, M: int, *, budget: Budget | None = None) -> AlphaTable:
     """Table of alpha(I^(m)) for m = 1..M with Waldschmidt bounds."""
     if M < 1:
         raise ValueError("M must be >= 1")
-    entries = tuple((m, initial_degree(P, m)) for m in range(1, M + 1))
+    entries = tuple((m, initial_degree(P, m, budget=budget)) for m in range(1, M + 1))
     if P.steiner is not None:
         _, n, v = P.steiner
         for m, a in entries:

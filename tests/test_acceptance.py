@@ -12,6 +12,7 @@ from math import comb
 from random import Random
 
 from steinerideals import (
+    Budget,
     ContainmentEngine,
     Monomial,
     ResourceLimit,
@@ -84,7 +85,8 @@ def test_criterion_03_waldschmidt():
 
 
 def test_criterion_04_slack_containment_instances():
-    engine = ContainmentEngine(complement_ideal(builtin_fano()), time_budget=600.0)
+    budget = Budget(deadline=time.monotonic() + 600.0)
+    engine = ContainmentEngine(complement_ideal(builtin_fano()), budget=budget)
     r1 = engine.check(3, 1, slack=3)
     if not r1.holds:
         _report("4-slack-containment", False, "I^(3) in M^3*I reported false")

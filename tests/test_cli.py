@@ -1,16 +1,21 @@
 """End-to-end CLI tests: JSON output, exit codes, determinism."""
 
 import json
+import re
+import time
 
 import pytest
 
 from steinerideals import (
+    ContainmentEngine,
     Monomial,
+    ResourceLimit,
     builtin_fano,
     complement_ideal,
     load_monomials,
     member_of_symbolic,
 )
+from steinerideals.claims import run_claims
 from steinerideals.cli import main
 from steinerideals.designs import FANO_BLOCKS
 
@@ -32,6 +37,48 @@ def jsonl(out):
 
 def without_timing(doc):
     return {k: v for k, v in doc.items() if k != "elapsed_ms"}
+
+
+# exact stdout of two commands, pinned before the scan and conjecture
+# commands were routed through the library; the scan lines have their
+# elapsed_ms fields stripped
+CONJECTURES_FANO_COMPLEMENT_R2 = (
+    '{"conjecture":"stable-harbourne","all_hold":true,"instances":[{"params":{"r":1,"m":1,"slack":0},"holds":true},{"params":{"r":2,"m":4,"slack":0},"holds":true}],"threshold":"7/2"}',
+    '{"conjecture":"harbourne-huneke-1","all_hold":true,"instances":[{"params":{"r":1,"m":3,"slack":2},"holds":true},{"params":{"r":2,"m":6,"slack":4},"holds":true}]}',
+    '{"conjecture":"harbourne-huneke-2","all_hold":true,"instances":[{"params":{"r":1,"m":1,"slack":0},"holds":true},{"params":{"r":2,"m":4,"slack":2},"holds":true}]}',
+    '{"conjecture":"els","all_hold":true,"instances":[{"params":{"r":1,"m":3},"holds":true},{"params":{"r":2,"m":6},"holds":true}]}',
+    '{"conjecture":"chudnovsky","all_hold":true,"instances":[{"params":{"h":1,"lhs":"4","rhs":"2","ambient_dim":3},"holds":true},{"params":{"h":2,"lhs":"3","rhs":"2","ambient_dim":3},"holds":true},{"params":{"h":3,"lhs":"7/3","rhs":"2","ambient_dim":3},"holds":true},{"params":{"h":4,"lhs":"11/4","rhs":"2","ambient_dim":3},"holds":true},{"params":{"h":5,"lhs":"13/5","rhs":"2","ambient_dim":3},"holds":true},{"params":{"h":6,"lhs":"7/3","rhs":"2","ambient_dim":3},"holds":true}]}',
+    '{"conjecture":"demailly","all_hold":true,"instances":[{"params":{"h":1,"m":2,"lhs":"4","rhs":"2","ambient_dim":3},"holds":true},{"params":{"h":2,"m":2,"lhs":"3","rhs":"2","ambient_dim":3},"holds":true},{"params":{"h":3,"m":2,"lhs":"7/3","rhs":"2","ambient_dim":3},"holds":true},{"params":{"h":4,"m":2,"lhs":"11/4","rhs":"2","ambient_dim":3},"holds":true},{"params":{"h":5,"m":2,"lhs":"13/5","rhs":"2","ambient_dim":3},"holds":true},{"params":{"h":6,"m":2,"lhs":"7/3","rhs":"2","ambient_dim":3},"holds":true}]}',
+)
+
+SCAN_FANO_COVER_M6_R4 = (
+    '{"m":2,"r":1,"slack":0,"holds":true,"witness":null,"alpha_m":6,"alpha_r":3,"omega_r":3,"method":"symbolic-descent"}',
+    '{"m":3,"r":1,"slack":0,"holds":true,"witness":null,"alpha_m":7,"alpha_r":3,"omega_r":3,"method":"symbolic-descent"}',
+    '{"m":4,"r":1,"slack":0,"holds":true,"witness":null,"alpha_m":10,"alpha_r":3,"omega_r":3,"method":"symbolic-descent"}',
+    '{"m":5,"r":1,"slack":0,"holds":true,"witness":null,"alpha_m":13,"alpha_r":3,"omega_r":3,"method":"symbolic-descent"}',
+    '{"m":6,"r":1,"slack":0,"holds":true,"witness":null,"alpha_m":14,"alpha_r":3,"omega_r":3,"method":"symbolic-descent"}',
+    '{"m":3,"r":2,"slack":0,"holds":false,"witness":"1 1 1 1 1 1 1","alpha_m":7,"alpha_r":6,"omega_r":6,"method":"generator-scan"}',
+    '{"m":4,"r":2,"slack":0,"holds":true,"witness":null,"alpha_m":10,"alpha_r":6,"omega_r":6,"method":"generator-scan"}',
+    '{"m":5,"r":2,"slack":0,"holds":true,"witness":null,"alpha_m":13,"alpha_r":6,"omega_r":6,"method":"generator-scan"}',
+    '{"m":6,"r":2,"slack":0,"holds":true,"witness":null,"alpha_m":14,"alpha_r":6,"omega_r":6,"method":"generator-scan"}',
+    '{"m":4,"r":3,"slack":0,"holds":false,"witness":"2 2 2 1 1 1 1","alpha_m":10,"alpha_r":9,"omega_r":9,"method":"generator-scan"}',
+    '{"m":5,"r":3,"slack":0,"holds":true,"witness":null,"alpha_m":13,"alpha_r":9,"omega_r":9,"method":"generator-scan"}',
+    '{"m":6,"r":3,"slack":0,"holds":true,"witness":null,"alpha_m":14,"alpha_r":9,"omega_r":9,"method":"generator-scan"}',
+    '{"m":5,"r":4,"slack":0,"holds":false,"witness":"3 3 3 1 1 1 1","alpha_m":13,"alpha_r":12,"omega_r":12,"method":"generator-scan"}',
+    '{"m":6,"r":4,"slack":0,"holds":true,"witness":null,"alpha_m":14,"alpha_r":12,"omega_r":12,"method":"generator-scan"}',
+    '{"summary":{"m_max":6,"r_max":4,"cells":14,"failures":3,"max_ratio":"3/2"}}',
+)
+
+
+@pytest.fixture
+def sts13_file(tmp_path):
+    """The cyclic STS(13): {0,1,4} and {0,2,7} developed mod 13, points = residue + 1."""
+    blocks = sorted(
+        sorted((x + k) % 13 + 1 for x in base) for base in ((0, 1, 4), (0, 2, 7)) for k in range(13)
+    )
+    path = tmp_path / "sts13.json"
+    path.write_text(json.dumps({"v": 13, "n": 3, "t": 2, "blocks": blocks}))
+    return str(path)
 
 
 @pytest.fixture
@@ -286,13 +333,45 @@ def test_scan_jsonl(capsys):
     assert [(d["m"], d["r"]) for d in failing] == [(3, 2)]
 
 
-def test_scan_threads_match_single(capsys):
-    base = ("scan", "builtin:fano", "--source", "cover", "--m-max", "4", "--r-max", "2")
-    _, out1, _ = run(capsys, *base)
-    _, out2, _ = run(capsys, *base, "--threads", "2")
-    assert [without_timing(d) for d in jsonl(out1)] == [without_timing(d) for d in jsonl(out2)]
-    code, _, _ = run(capsys, *base, "--threads", "0")
-    assert code == 2
+def test_scan_golden_stdout(capsys):
+    code, out, _ = run(
+        capsys,
+        "scan", "builtin:fano", "--source", "cover", "--m-max", "6", "--r-max", "4",
+    )
+    assert code == 0
+    stripped = re.sub(r',"elapsed_ms":[0-9.e+-]+', "", out)
+    assert stripped.splitlines() == list(SCAN_FANO_COVER_M6_R4)
+
+
+def test_scan_rejects_an_empty_box(capsys):
+    code, out, err = run(
+        capsys,
+        "scan", "builtin:fano", "--source", "cover", "--m-max", "0", "--r-max", "2",
+    )
+    assert code == 2 and out == "" and "m_max" in err
+
+
+# resource caps on the long commands
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("alpha", "{sts13}", "--source", "complement", "-M", "1"),
+        ("containment", "{sts13}", "--source", "complement", "4", "1"),
+    ],
+)
+def test_time_cap_stops_the_alpha_search(capsys, sts13_file, argv):
+    argv = [sts13_file if a == "{sts13}" else a for a in argv]
+    t0 = time.monotonic()
+    code, out, _ = run(capsys, *argv, "--time-cap", "0.3")
+    wall = time.monotonic() - t0
+    assert code == 4
+    assert '"stage":"initial-degree"' in out
+    doc = json.loads(out)
+    assert doc["error"] == "resource-limit"
+    assert set(doc["partial"]) == {"m", "degree_tried", "upper_bound"}
+    assert wall < 2.0
 
 
 # resurgence region
@@ -335,6 +414,15 @@ def test_conjectures_applicable_with_provenance(capsys):
     ]
     assert all(d["all_hold"] for d in docs)
     assert docs[0]["threshold"] == "7/2"
+
+
+def test_conjectures_golden_stdout(capsys):
+    code, out, _ = run(
+        capsys,
+        "conjectures", "builtin:fano", "--source", "complement", "--r-hi", "2",
+    )
+    assert code == 0
+    assert out.splitlines() == list(CONJECTURES_FANO_COMPLEMENT_R2)
 
 
 def test_conjectures_skips_alpha_bounds_without_ambient(capsys):
@@ -388,6 +476,23 @@ def test_reproduce_single_claim(capsys):
 def test_reproduce_unknown_claim(capsys):
     code, _, err = run(capsys, "reproduce", "--only", "nope")
     assert code == 3 and "unknown claim" in err
+
+
+def test_hh_fano_fails_when_the_budget_stops_it(monkeypatch):
+    real_check = ContainmentEngine.check
+    calls = []
+
+    def check(self, *args, **kwargs):
+        calls.append(args)
+        if len(calls) == 2:
+            raise ResourceLimit("membership-scan", "time budget exhausted", {"generators_checked": 5})
+        return real_check(self, *args, **kwargs)
+
+    monkeypatch.setattr(ContainmentEngine, "check", check)
+    ((cid, _, ok, detail, _),) = run_claims("hh-fano")
+    assert cid == "hh-fano" and len(calls) == 2
+    assert ok is False
+    assert "generators_checked" in detail
 
 
 def test_reproduce_all_claims_pass(capsys):

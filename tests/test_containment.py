@@ -6,14 +6,13 @@ from fractions import Fraction
 import pytest
 
 from steinerideals import (
+    Budget,
     ContainmentEngine,
-    ContainmentQuery,
     DegenerateRegion,
     Monomial,
     ResourceLimit,
     builtin_fano,
     builtin_sqs8,
-    check_containment,
     check_els,
     chudnovsky_check,
     complement_ideal,
@@ -148,25 +147,14 @@ def test_omega_formula_and_audit(fano_c, fano_j):
     assert fano_j.omega_r(1) == fano_j.base_ideal().max_degree()
 
 
-def test_check_containment_wrapper():
-    P = complement_ideal(builtin_fano())
-    query = ContainmentQuery(P, 4, 2)
-    assert check_containment(query).holds
-    engine = ContainmentEngine(cover_ideal(builtin_fano().hypergraph()))
-    with pytest.raises(ValueError):
-        check_containment(query, engine=engine)
-    with pytest.raises(ValueError):
-        ContainmentQuery(P, 0, 1)
-    with pytest.raises(ValueError):
-        ContainmentQuery(P, 1, 1, -2)
-
-
 # resource limits
 
 
 def test_time_budget_stops_symbolic_materialization():
     P = complement_ideal(builtin_fano())
-    engine = ContainmentEngine(P, time_budget=0.0)
+    engine = ContainmentEngine(P)
+    engine.alpha(1), engine.alpha(4)  # the alpha search obeys the budget too
+    engine.budget.deadline = time.monotonic()
     with pytest.raises(ResourceLimit) as ei:
         engine.check(4, 2, audit=True)
     assert ei.value.stage == "symbolic-power"
@@ -176,7 +164,7 @@ def test_time_budget_stops_membership_scan():
     P = complement_ideal(builtin_fano())
     engine = ContainmentEngine(P)
     assert engine.check(3, 1, slack=3).holds  # warm the caches
-    engine.deadline = time.monotonic() - 1.0
+    engine.budget.deadline = time.monotonic() - 1.0
     with pytest.raises(ResourceLimit) as ei:
         engine.check(3, 1, slack=3)
     exc = ei.value

@@ -9,6 +9,7 @@ import pytest
 
 from steinerideals import (
     AlphaTable,
+    Budget,
     ComplementEmpty,
     InternalInconsistency,
     MixedAmbient,
@@ -208,20 +209,35 @@ def test_symbolic_power_on_random_supports():
 def test_symbolic_power_resource_limits():
     P = fano_complement()
     with pytest.raises(ResourceLimit) as ei:
-        symbolic_power(P, 2, generator_cap=1)
+        symbolic_power(P, 2, budget=Budget(generator_cap=1))
     exc = ei.value
     assert exc.stage == "symbolic-power"
     assert exc.partial["supports_total"] == 28
     assert set(exc.partial) == {"supports_folded", "supports_total", "kept"}
     with pytest.raises(ResourceLimit):
-        symbolic_power(P, 2, deadline=time.monotonic() - 1.0)
+        symbolic_power(P, 2, budget=Budget(deadline=time.monotonic() - 1.0))
     with pytest.raises(ValueError):
         symbolic_power(P, 0)
 
 
+def test_initial_degree_search_obeys_the_budget():
+    P = fano_complement()
+    expired = Budget(deadline=time.monotonic() - 1.0)
+    for search in (initial_degree, min_degree_generators):
+        with pytest.raises(ResourceLimit) as ei:
+            search(P, 4, budget=expired)
+        exc = ei.value
+        assert exc.stage == "initial-degree"
+        assert exc.partial == {"m": 4, "degree_tried": 10, "upper_bound": 16}
+    with pytest.raises(ResourceLimit):
+        alpha_table(P, 2, budget=expired)
+    assert initial_degree(P, 4, budget=Budget(deadline=time.monotonic() + 600)) == 11
+
+
 def test_symbolic_power_progress_callback():
     calls = []
-    symbolic_power(fano_complement(), 2, progress=lambda s, t, k: calls.append((s, t, k)))
+    budget = Budget(progress=lambda s, t, k: calls.append((s, t, k)))
+    symbolic_power(fano_complement(), 2, budget=budget)
     assert calls
     assert calls[-1] == (28, 28, 14)
 
