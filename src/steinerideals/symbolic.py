@@ -98,14 +98,21 @@ class PrimeDecomposition:
             if vs[0] < 1 or vs[-1] > self.variable_count:
                 raise ValueError(f"support {vs} outside 1..{self.variable_count}")
             seen.add(vs)
-        sups = sorted(seen, key=lambda s: (len(s), s))
+        # Equal-size supports cannot nest, so each support is only tested,
+        # as a bitmask, against the kept supports of strictly smaller size.
         minimal = []
-        for s in sups:
-            sset = set(s)
-            if any(set(t) <= sset for t in minimal):
+        smaller: list[int] = []
+        same_size: list[int] = []
+        for s in sorted(seen, key=lambda s: (len(s), s)):
+            if minimal and len(s) > len(minimal[-1]):
+                smaller += same_size
+                same_size = []
+            mask = sum(1 << i for i in s)
+            if any(t & mask == t for t in smaller):
                 logger.info("normalized away embedded support %s", s)
                 continue
             minimal.append(s)
+            same_size.append(mask)
         object.__setattr__(self, "supports", tuple(minimal))
         if self.steiner is not None:
             t, n, v = self.steiner
@@ -295,35 +302,54 @@ def _search_total(
     degree (used for minimal-generator extraction at degree = alpha).
     Every search node checks the budget; upper_bound only feeds the
     partial report.
+
+    Support deficits are kept incrementally: ``need[k]`` is m minus the
+    k-th support's degree under the current partial assignment.  Raising
+    a[idx] by one lowers ``need`` on the supports incident to idx, and
+    the loop gives it back on return.  A node prunes when some support
+    still needs more than the degree left, or when a support whose last
+    variable was just assigned (``closing[idx - 1]``) is still deficient;
+    supports closed earlier were checked at an ancestor and cannot change.
     """
     sups = _support_arrays(P)
     nv = P.variable_count
-    last_var = [max(s) for s in sups]
+    incident: list[list[int]] = [[] for _ in range(nv)]
+    closing: list[list[int]] = [[] for _ in range(nv)]
+    for k, s in enumerate(sups):
+        for i in s:
+            incident[i].append(k)
+        closing[max(s)].append(k)
+    need = [m] * len(sups)
     found: list[tuple[int, ...]] = []
     a = [0] * nv
     partial = {"m": m, "degree_tried": degree, "upper_bound": upper_bound}
 
     def dfs(idx: int, left: int) -> bool:
         budget.check("initial-degree", partial)
-        needs = [m - sum(a[i] for i in s) for s in sups]
-        for need, lv in zip(needs, last_var):
-            if need > 0 and lv < idx:
-                return False  # support fully assigned yet deficient
-            if need > left:
-                return False
+        if idx and any(need[k] > 0 for k in closing[idx - 1]):
+            return False  # support fully assigned yet deficient
+        if max(need) > left:
+            return False
         if idx == nv:
             if collect:
                 if left == 0:
                     found.append(tuple(a))
                 return False
             return True
+        inc = incident[idx]
+        feasible = False
         for e in range(0, left + 1):
+            if e:
+                for k in inc:
+                    need[k] -= 1
             a[idx] = e
             if dfs(idx + 1, left - e):
-                a[idx] = 0
-                return True
-            a[idx] = 0
-        return False
+                feasible = True
+                break
+        for k in inc:
+            need[k] += a[idx]
+        a[idx] = 0
+        return feasible
 
     hit = dfs(0, degree)
     return found if collect else hit

@@ -357,7 +357,7 @@ def test_scan_rejects_an_empty_box(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ("alpha", "{sts13}", "--source", "complement", "-M", "1"),
+        ("alpha", "{sts13}", "--source", "complement", "-M", "4"),
         ("containment", "{sts13}", "--source", "complement", "4", "1"),
     ],
 )

@@ -50,6 +50,37 @@ def tiny_complement():
     return complement_ideal(validate_steiner(4, 2, 1, [(1, 2), (3, 4)]))
 
 
+def ag23():
+    """AG(2,3) = STS(9): the lines {p + k*d} of GF(3)^2, point (x, y) = 3x + y + 1."""
+    pts = [(x, y) for x in range(3) for y in range(3)]
+    lines = {
+        tuple(sorted(3 * ((p[0] + k * d[0]) % 3) + (p[1] + k * d[1]) % 3 + 1 for k in range(3)))
+        for p in pts
+        for d in ((0, 1), (1, 0), (1, 1), (1, 2))
+    }
+    return validate_steiner(9, 3, 2, sorted(lines))
+
+
+def cyclic_sts13():
+    """The cyclic STS(13): {0,1,4} and {0,2,7} developed mod 13, points = residue + 1."""
+    blocks = {
+        tuple(sorted((x + k) % 13 + 1 for x in base))
+        for base in ((0, 1, 4), (0, 2, 7))
+        for k in range(13)
+    }
+    return validate_steiner(13, 3, 2, sorted(blocks))
+
+
+class CountingBudget(Budget):
+    """A Budget that counts its checks: one per alpha-search node."""
+
+    calls = 0
+
+    def check(self, stage, partial, candidate=0):
+        self.calls += 1
+        super().check(stage, partial, candidate)
+
+
 def _variable_prime(nv, support):
     gens = []
     for i in support:
@@ -102,6 +133,20 @@ def test_embedded_supports_are_normalized_away(caplog):
     for w in oracles.iter_monomials(4, 4):
         want = all(sum(w[i - 1] for i in s) >= 2 for s in raw)
         assert member_of_symbolic(Monomial(w), P, 2) == want
+
+
+def test_antichain_matches_the_quadratic_filter(caplog):
+    rng = Random(5)
+    for _ in range(60):
+        nv, sups = oracles.random_supports(rng, max_vars=7, max_supports=12)
+        distinct = sorted(set(sups), key=lambda s: (len(s), s))
+        naive = tuple(s for s in distinct if not any(set(t) < set(s) for t in distinct))
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="steinerideals.symbolic"):
+            P = PrimeDecomposition(nv, tuple(sups))
+        assert P.supports == naive
+        dropped = [r for r in caplog.records if "normalized away" in r.getMessage()]
+        assert len(dropped) == len(distinct) - len(naive)
 
 
 def test_decomposition_rejects_bad_input():
@@ -297,6 +342,36 @@ def test_min_degree_generators_match_symbolic_power():
         assert min_degree_generators(P, m) == head
 
 
+def test_min_degree_generators_match_brute_force():
+    rng = Random(17)
+    for _ in range(25):
+        nv, sups = oracles.random_supports(rng)
+        P = PrimeDecomposition(nv, tuple(sups))
+        for m in (1, 2, 3):
+            degree = 0
+            while not (want := oracles.brute_symbolic_members(P.supports, nv, m, degree)):
+                degree += 1
+            gens = min_degree_generators(P, m)
+            assert [g.exponents for g in gens] == sorted(want, key=lambda w: tuple(-e for e in w))
+
+
+def test_alpha_search_tree_is_pinned():
+    # one budget check per search node: these counts fix the node count
+    # and so the shape of the search tree
+    cases = (
+        (lambda b: alpha_table(fano_complement(), 6, budget=b), 6262),
+        (lambda b: alpha_table(sqs8_complement(), 6, budget=b), 17217),
+    )
+    for run, nodes in cases:
+        budget = CountingBudget()
+        run(budget)
+        assert budget.calls == nodes
+    budget = CountingBudget()
+    gens = min_degree_generators(cover_ideal(builtin_sqs8().hypergraph()), 3, budget=budget)
+    assert len(gens) == 8
+    assert budget.calls == 1563
+
+
 # Waldschmidt tables
 
 
@@ -331,6 +406,16 @@ def test_tiny_alpha_table():
     assert [a for _, a in table.entries] == [2, 4, 6, 8]
     assert table.waldschmidt_upper == Fraction(2)
     assert table.attained_at() == (1, 2, 3, 4)
+
+
+def test_alpha_search_matches_the_closed_form_on_the_ladder():
+    # alpha_table raises InternalInconsistency when the search and
+    # complement_alpha_formula disagree
+    for S, M in ((ag23(), 5), (cyclic_sts13(), 3)):
+        table = alpha_table(complement_ideal(S), M)
+        assert table.entries == tuple(
+            (m, complement_alpha_formula(S.v, S.n, m)) for m in range(1, M + 1)
+        )
 
 
 def test_alpha_table_rejects_inconsistent_data():
