@@ -249,7 +249,7 @@ class ContainmentEngine:
 
         # degree obstruction: too little degree to lie in M^slack * I^r
         if alpha_m < alpha_r + slack:
-            witness = min_degree_generators(P, m, budget=self.budget)[0]
+            witness = min_degree_generators(P, m, budget=self.budget, alpha=alpha_m)[0]
             self._confirm_witness(witness, m, r, slack)
             return report(False, witness, "degree-obstruction")
 

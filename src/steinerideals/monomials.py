@@ -100,42 +100,67 @@ def _canonical_order(rows: np.ndarray) -> np.ndarray:
     return np.lexsort(keys)
 
 
+# _minimal_rows tests blocks of at most _BLOCK rows against chunks of at
+# most _CHUNK candidates, so each temporary holds at most _BLOCK x _CHUNK
+# bits or bytes whatever the row count and the exponent sizes.
+_BLOCK = 4096
+_CHUNK = 1024
+# Padding value for the rows that fill a block up to whole uint64 words:
+# no candidate value reaches it, so a padding row dominates nothing.
+_NEVER = np.iinfo(np.int64).max
+
+
 def _minimal_rows(rows: np.ndarray) -> np.ndarray:
     """Minimal rows under componentwise <=, canonically ordered.
 
-    Works degree group by degree group: a row can only be dominated by a
-    row of strictly smaller degree (equal degree and <= means equal, and
-    duplicates were removed), so each group is tested against the kept
-    set in chunks.
+    One canonical sort (degree ascending) puts equal rows side by side,
+    so duplicates drop by comparing neighbours.  Two distinct rows x <= c
+    have deg x < deg c, so a row is dominated iff a row of strictly
+    smaller degree, hence earlier in that order, is <= it.  Testing only
+    strictly smaller degrees also keeps a row from dominating itself; the
+    degree enters the test as one more column, compared with deg c - 1.
+
+    The rows are split into blocks.  Each block's still-kept rows are
+    tested against every still-kept row of higher degree, in chunks of
+    candidates.  For each column j, a chunk gets one bitset over the
+    block per distinct candidate value e: bit i is set iff the block's
+    row i has row[j] <= e (np.packbits, viewed as uint64 words).  A
+    candidate is dominated iff the AND of its column bitsets is nonzero.
+    Rows found dominated later in the same block still act as dominators,
+    which cannot change the answer: whatever lies above them lies above
+    the rows that dominate them.
     """
     if len(rows) == 0:
         return rows.reshape(0, rows.shape[1])
-    rows = np.unique(rows, axis=0)
+    rows = rows[_canonical_order(rows)]
+    rows = rows[np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)]]
     deg = rows.sum(axis=1)
-    order = np.argsort(deg, kind="stable")
-    rows, deg = rows[order], deg[order]
-    kept = []
-    start = 0
-    while start < len(rows):
-        stop = start
-        while stop < len(rows) and deg[stop] == deg[start]:
-            stop += 1
-        group = rows[start:stop]
-        if kept:
-            K = np.vstack(kept)
-            keep_mask = np.ones(len(group), dtype=bool)
-            for lo in range(0, len(group), 256):
-                chunk = group[lo : lo + 256]
-                dominated = (K[None, :, :] <= chunk[:, None, :]).all(axis=2).any(axis=1)
-                keep_mask[lo : lo + len(chunk)] &= ~dominated
-            group = group[keep_mask]
-        if len(group):
-            kept.append(group)
-        start = stop
-    if not kept:
-        return rows.reshape(0, rows.shape[1])
-    out = np.vstack(kept)
-    return out[_canonical_order(out)]
+    ext = np.column_stack([rows, deg])
+    keep = np.ones(len(rows), dtype=bool)
+    for lo in range(0, len(rows), _BLOCK):
+        first = np.searchsorted(deg, deg[lo], side="right")
+        cand = np.flatnonzero(keep[first:]) + first
+        if len(cand) == 0:
+            break
+        block = ext[lo : lo + _BLOCK][keep[lo : lo + _BLOCK]]
+        pad = np.full((-len(block) % 64, ext.shape[1]), _NEVER)
+        columns = np.vstack([block, pad]).T.copy()
+        for c0 in range(0, len(cand), _CHUNK):
+            idx = cand[c0 : c0 + _CHUNK]
+            chunk = ext[idx]
+            chunk[:, -1] -= 1
+            # distinct values of each chunk column, from one sort
+            srt = np.sort(chunk, axis=0)
+            fresh = np.ones(srt.shape, dtype=bool)
+            fresh[1:] = srt[1:] != srt[:-1]
+            acc = None
+            for j, col in enumerate(columns):
+                values = srt[fresh[:, j], j]
+                bits = np.packbits(col <= values[:, None], axis=1).view(np.uint64)
+                bits = bits[np.searchsorted(values, chunk[:, j])]
+                acc = bits if acc is None else np.bitwise_and(acc, bits, out=acc)
+            keep[idx[np.bitwise_or.reduce(acc, axis=1) != 0]] = False
+    return rows[keep]
 
 
 @dataclass(frozen=True)
@@ -165,8 +190,12 @@ class MonomialIdeal:
     @classmethod
     def from_rows(cls, variable_count: int, rows: np.ndarray) -> "MonomialIdeal":
         rows = np.asarray(rows, dtype=np.int64).reshape(-1, variable_count)
-        rows = _minimal_rows(rows)
-        gens = tuple(Monomial(tuple(int(x) for x in r)) for r in rows)
+        return cls._from_canonical(variable_count, _minimal_rows(rows))
+
+    @classmethod
+    def _from_canonical(cls, variable_count: int, rows: np.ndarray) -> "MonomialIdeal":
+        """The ideal whose generators are rows, already a canonical antichain."""
+        gens = tuple(Monomial(tuple(r)) for r in rows.tolist())
         return cls(variable_count, gens)
 
     @cached_property

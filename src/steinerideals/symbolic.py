@@ -37,7 +37,7 @@ from .errors import (
     MixedAmbient,
     ResourceLimit,
 )
-from .monomials import Monomial, MonomialIdeal, _minimal_rows
+from .monomials import Monomial, MonomialIdeal, _canonical_order, _minimal_rows
 
 logger = logging.getLogger(__name__)
 
@@ -90,6 +90,8 @@ class PrimeDecomposition:
     def __post_init__(self):
         if self.variable_count < 1:
             raise ValueError("variable_count must be >= 1")
+        if not self.supports:
+            raise ValueError("a prime decomposition needs at least one support")
         seen = set()
         for s in self.supports:
             vs = tuple(sorted(set(int(x) for x in s)))
@@ -211,7 +213,9 @@ def symbolic_power(
     nv = P.variable_count
     total = len(P.supports)
     # seed with the first prime power; supports are already sorted by
-    # size, i.e. ascending prime-power generator count
+    # size, i.e. ascending prime-power generator count.  Its rows are
+    # distinct and of one degree, so sorting them is all the
+    # minimalization they need.
     sups = [tuple(i - 1 for i in s) for s in P.supports]
 
     first = sups[0]
@@ -219,7 +223,7 @@ def symbolic_power(
     budget.check("symbolic-power", partial, comb(m + len(first) - 1, m))
     rows = np.zeros((comb(m + len(first) - 1, m), nv), dtype=np.int64)
     rows[:, list(first)] = _compositions(m, len(first))
-    rows = rows[np.lexsort(tuple(rows[:, j] for j in range(nv - 1, -1, -1)))]
+    rows = rows[_canonical_order(rows)]
 
     for step, sup in enumerate(sups[1:], start=1):
         idx = list(sup)
@@ -242,7 +246,7 @@ def symbolic_power(
         rows = _minimal_rows(np.vstack(pieces))
         if budget.progress is not None:
             budget.progress(step + 1, total, len(rows))
-    return MonomialIdeal.from_rows(nv, rows)
+    return MonomialIdeal._from_canonical(nv, rows)
 
 
 # Initial degree alpha(I^(m)) = least total degree of a member, computed
@@ -375,16 +379,22 @@ def initial_degree(P: PrimeDecomposition, m: int, *, budget: Budget | None = Non
 
 
 def min_degree_generators(
-    P: PrimeDecomposition, m: int, *, budget: Budget | None = None
+    P: PrimeDecomposition,
+    m: int,
+    *,
+    budget: Budget | None = None,
+    alpha: int | None = None,
 ) -> tuple[Monomial, ...]:
     """All minimal generators of I^(m) of degree alpha, canonical order.
 
     A feasible vector of least total degree cannot strictly dominate
     another member, so these are exactly the degree-alpha minimal
-    generators of the symbolic power.
+    generators of the symbolic power.  ``alpha`` is alpha(I^(m)) when the
+    caller already knows it; by default it is searched for here.
     """
     budget = budget or Budget()
-    alpha = initial_degree(P, m, budget=budget)
+    if alpha is None:
+        alpha = initial_degree(P, m, budget=budget)
     vecs = _search_total(P, m, alpha, True, budget, alpha)
     vecs.sort(key=lambda t: tuple(-x for x in t))
     return tuple(Monomial(v) for v in vecs)

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from steinerideals import symbolic
 from steinerideals import (
     Budget,
     ContainmentEngine,
@@ -54,6 +55,17 @@ def test_degree_obstruction_failure(fano_c):
     assert (rep.alpha_m, rep.alpha_r, rep.omega_r) == (6, 8, 8)
     assert rep.witness == min_degree_generators(fano_c.decomposition, 2)[0]
     assert rep.witness.degree == 6
+
+
+def test_degree_obstruction_reuses_the_cached_alpha(monkeypatch):
+    engine = ContainmentEngine(complement_ideal(builtin_fano()))
+    first = engine.check(2, 2)
+    calls = []
+    real = symbolic.initial_degree
+    monkeypatch.setattr(symbolic, "initial_degree", lambda *a, **k: calls.append(a) or real(*a, **k))
+    again = engine.check(2, 2)
+    assert again.method == "degree-obstruction" and again.witness == first.witness
+    assert calls == []
 
 
 def test_regularity_threshold_shortcut(fano_c):

@@ -3,6 +3,7 @@
 import io
 from random import Random
 
+import numpy as np
 import pytest
 
 from steinerideals import (
@@ -18,7 +19,8 @@ from steinerideals import (
     multiply,
     power,
 )
-from steinerideals.monomials import EXPONENT_LIMIT
+from steinerideals import monomials
+from steinerideals.monomials import EXPONENT_LIMIT, _minimal_rows
 
 import oracles
 
@@ -61,6 +63,73 @@ def test_minimalize_and_canonical_order():
         minimalize([])
     with pytest.raises(MixedAmbient):
         minimalize([M(1, 0), M(1, 0, 0)])
+
+
+def _reference_minimal(rows):
+    """Keep r unless some other row s is <= r; canonical order."""
+    distinct = set(map(tuple, rows.tolist()))
+    kept = [
+        r
+        for r in distinct
+        if not any(s != r and all(a <= b for a, b in zip(s, r)) for s in distinct)
+    ]
+    return sorted(kept, key=lambda r: (sum(r), tuple(-e for e in r)))
+
+
+def _check_kernel(rows):
+    rows = np.array(rows, dtype=np.int64).reshape(len(rows), -1)
+    got = _minimal_rows(rows)
+    assert got.shape[1] == rows.shape[1]
+    assert list(map(tuple, got.tolist())) == _reference_minimal(rows)
+
+
+def _random_rows(rng, n, nv, top):
+    rows = [[rng.randint(0, top) for _ in range(nv)] for _ in range(n)]
+    return rows + [rng.choice(rows) for _ in range(n // 4)]  # duplicates
+
+
+def _layered_rows(nv, low, high):
+    """All rows of degrees low..high with entries <= 2: long equal-degree runs."""
+    return [w for w in oracles.iter_monomials(nv, high) if low <= sum(w) and max(w) <= 2]
+
+
+def test_minimal_rows_matches_the_quadratic_filter():
+    rng = Random(41)
+    for _ in range(40):
+        _check_kernel(_random_rows(rng, rng.randint(1, 150), rng.randint(1, 6), 3))
+    _check_kernel([[3], [1], [1], [2]])
+    _check_kernel(_random_rows(rng, 30, 1, 9))
+    empty = _minimal_rows(np.zeros((0, 4), dtype=np.int64))
+    assert empty.shape == (0, 4)
+    big = [0, EXPONENT_LIMIT - 1, EXPONENT_LIMIT, 2 * EXPONENT_LIMIT]
+    _check_kernel([[rng.choice(big) for _ in range(4)] for _ in range(120)])
+
+
+def test_minimal_rows_across_block_chunk_and_word_boundaries(monkeypatch):
+    # Small blocks and chunks put many boundaries inside inputs the
+    # quadratic filter can still check; 70 rows per block also splits
+    # each block's bitsets across two uint64 words.
+    monkeypatch.setattr(monomials, "_BLOCK", 70)
+    monkeypatch.setattr(monomials, "_CHUNK", 9)
+    rng = Random(43)
+    for n in (63, 64, 65, 69, 70, 71, 139, 140, 141, 400):
+        _check_kernel(_random_rows(rng, n, 5, 2))
+    _check_kernel(_layered_rows(6, 3, 7))  # degree runs longer than a block
+    _check_kernel(_layered_rows(5, 0, 6))  # the unit row dominates everything
+
+
+def test_minimal_rows_at_full_block_size():
+    # one degree run of 4368 incomparable rows crosses the 4096-row block
+    # and several 1024-candidate chunks, with a dominated layer above it
+    layer = [w for w in oracles.iter_monomials(6, 11) if sum(w) == 11]
+    rng = Random(47)
+    above = [list(w) for w in rng.sample(layer, 600)]
+    for w in above:
+        w[rng.randrange(6)] += 1
+    rows = np.array(layer + above + layer[:50], dtype=np.int64)
+    got = _minimal_rows(rows)
+    want = sorted(layer, key=lambda r: tuple(-e for e in r))
+    assert list(map(tuple, got.tolist())) == want
 
 
 def test_minimalize_idempotent_on_random_input():

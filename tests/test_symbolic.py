@@ -151,6 +151,8 @@ def test_antichain_matches_the_quadratic_filter(caplog):
 
 def test_decomposition_rejects_bad_input():
     with pytest.raises(ValueError):
+        PrimeDecomposition(3, ())
+    with pytest.raises(ValueError):
         PrimeDecomposition(3, ((),))
     with pytest.raises(ValueError):
         PrimeDecomposition(3, ((1, 4),))
@@ -235,6 +237,10 @@ def test_generators_are_members_and_minimal():
         for j, h in enumerate(gens):
             if i != j:
                 assert not g.divides(h)
+    # canonical order, also when a single support seeds the whole fold
+    for P, m in ((fano_complement(), 3), (PrimeDecomposition(4, ((2, 3, 4),)), 2)):
+        gens = symbolic_power(P, m).generators
+        assert list(gens) == sorted(gens, key=lambda g: (g.degree, [-e for e in g.exponents]))
 
 
 def test_symbolic_power_on_random_supports():
