@@ -29,9 +29,11 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, islice
 from math import ceil, comb
 from typing import Iterator
+
+import numpy as np
 
 from .errors import DegenerateRegion, InternalInconsistency
 from .monomials import Monomial, MonomialIdeal, member_of_power, power
@@ -45,6 +47,7 @@ from .symbolic import (
 )
 
 _NAIVE_RECHECK_CAP = 250_000  # multiset count below which the brute recheck runs
+_RECHECK_CHUNK = 4096  # generator picks per vectorized step of that recheck
 
 
 @dataclass(frozen=True)
@@ -210,18 +213,22 @@ class ContainmentEngine:
             raise InternalInconsistency(
                 f"witness {w} is not in the symbolic power m={m}"
             )
-        base = self.base_ideal()
-        k = base.generator_count
-        if comb(k + r - 1, r) <= _NAIVE_RECHECK_CAP:
-            for combo in combinations_with_replacement(base.generators, r):
-                prod = combo[0]
-                for g in combo[1:]:
-                    prod = prod.times(g)
-                if prod.divides(w) and w.degree - prod.degree >= slack:
-                    raise InternalInconsistency(
-                        f"witness {w} is divisible by a generator product; "
-                        f"membership search disagrees with enumeration"
-                    )
+        rows = self.base_ideal().rows
+        total = comb(len(rows) + r - 1, r)
+        if total > _NAIVE_RECHECK_CAP:
+            return
+        # all r-multisets of base rows, about _RECHECK_CHUNK picks per step
+        step = max(1, _RECHECK_CHUNK // r)
+        combos = combinations_with_replacement(range(len(rows)), r)
+        target = np.array(w.exponents, dtype=np.int64)
+        for _ in range(0, total, step):
+            prods = rows[np.array(list(islice(combos, step)))].sum(axis=1)
+            fits = (prods <= target).all(axis=1) & (prods.sum(axis=1) <= w.degree - slack)
+            if fits.any():
+                raise InternalInconsistency(
+                    f"witness {w} is divisible by a generator product; "
+                    f"membership search disagrees with enumeration"
+                )
 
     # the main decision procedure
 

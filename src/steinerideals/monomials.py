@@ -1,14 +1,15 @@
 """Exact arithmetic on monomials and squarefree-or-not monomial ideals.
 
-Monomials are integer exponent vectors over a fixed variable count.
-A MonomialIdeal is stored by its unique minimal generating set in a
-canonical order: degree ascending, then exponent tuple descending, so
-within one degree the generator with the largest power of x1 comes
-first.  That order makes first-reported witnesses deterministic.
+A MonomialIdeal is stored as one read-only int64 matrix: the exponent
+rows of its unique minimal generating set in a canonical order, degree
+ascending, then exponent tuple descending (within one degree the largest
+power of x1 comes first), which makes first-reported witnesses
+deterministic.  Every operation here works on those rows; Monomial
+objects (validated exponent vectors) appear only at the API edge.
 
-Kernels work on numpy int64 exponent rows.  Inputs are capped at
-EXPONENT_LIMIT per exponent and the operation entry points bound degree
-growth, which provably keeps every intermediate far below int64 range.
+Exponents are capped at EXPONENT_LIMIT and the operation entry points
+bound degree growth, which provably keeps every intermediate far below
+int64 range.
 """
 
 from __future__ import annotations
@@ -58,21 +59,10 @@ class Monomial:
     def is_one(self) -> bool:
         return self.degree == 0
 
-    def _check_ambient(self, other: "Monomial") -> None:
+    def divides(self, other: "Monomial") -> bool:
         if len(self.exponents) != len(other.exponents):
             raise MixedAmbient(len(self.exponents), len(other.exponents))
-
-    def divides(self, other: "Monomial") -> bool:
-        self._check_ambient(other)
         return all(a <= b for a, b in zip(self.exponents, other.exponents))
-
-    def times(self, other: "Monomial") -> "Monomial":
-        self._check_ambient(other)
-        return Monomial(tuple(a + b for a, b in zip(self.exponents, other.exponents)))
-
-    def lcm(self, other: "Monomial") -> "Monomial":
-        self._check_ambient(other)
-        return Monomial(tuple(max(a, b) for a, b in zip(self.exponents, other.exponents)))
 
     def exponent_string(self) -> str:
         """Space-separated exponents, the plain-text exchange form."""
@@ -163,71 +153,78 @@ def _minimal_rows(rows: np.ndarray) -> np.ndarray:
     return rows[keep]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MonomialIdeal:
     """A monomial ideal, stored by its canonical minimal generating set.
 
-    Build instances with minimalize / from_rows (or zero / unit); the
-    constructor trusts its input to already be a canonical antichain.
+    ``rows``, one read-only int64 exponent row per minimal generator in
+    canonical order, is the only stored form; ``generators`` builds the
+    Monomial objects on first read.  The constructor copies rows and
+    checks shape and range but trusts them to be a canonical antichain;
+    build from arbitrary rows with from_rows / minimalize.
     """
 
     variable_count: int
-    generators: tuple[Monomial, ...]
+    rows: np.ndarray
 
     def __post_init__(self):
-        for g in self.generators:
-            if g.variable_count != self.variable_count:
-                raise MixedAmbient(self.variable_count, g.variable_count)
+        rows = np.array(self.rows, dtype=np.int64)
+        if rows.ndim != 2 or rows.shape[1] != self.variable_count:
+            raise ValueError(f"rows of shape {rows.shape} for {self.variable_count} variables")
+        if rows.size and rows.min() < 0:
+            raise ValueError("negative exponent in generator rows")
+        if rows.size and rows.max() > EXPONENT_LIMIT:
+            raise OverflowError(f"exponent {rows.max()} exceeds limit {EXPONENT_LIMIT}")
+        rows.flags.writeable = False  # a view of it can never be made writeable
+        object.__setattr__(self, "rows", rows.view())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, MonomialIdeal):
+            return NotImplemented
+        return self.variable_count == other.variable_count and np.array_equal(self.rows, other.rows)
 
     @classmethod
     def zero(cls, variable_count: int) -> "MonomialIdeal":
-        return cls(variable_count, ())
+        return cls(variable_count, np.zeros((0, variable_count), dtype=np.int64))
 
     @classmethod
     def unit(cls, variable_count: int) -> "MonomialIdeal":
-        return cls(variable_count, (Monomial.one(variable_count),))
+        return cls(variable_count, np.zeros((1, variable_count), dtype=np.int64))
 
     @classmethod
     def from_rows(cls, variable_count: int, rows: np.ndarray) -> "MonomialIdeal":
         rows = np.asarray(rows, dtype=np.int64).reshape(-1, variable_count)
-        return cls._from_canonical(variable_count, _minimal_rows(rows))
-
-    @classmethod
-    def _from_canonical(cls, variable_count: int, rows: np.ndarray) -> "MonomialIdeal":
-        """The ideal whose generators are rows, already a canonical antichain."""
-        gens = tuple(Monomial(tuple(r)) for r in rows.tolist())
-        return cls(variable_count, gens)
+        return cls(variable_count, _minimal_rows(rows))
 
     @cached_property
-    def _rows(self) -> np.ndarray:
-        if not self.generators:
-            return np.zeros((0, self.variable_count), dtype=np.int64)
-        return np.array([g.exponents for g in self.generators], dtype=np.int64)
+    def generators(self) -> tuple[Monomial, ...]:
+        """The minimal generators as Monomial objects, in canonical order."""
+        return tuple(Monomial(tuple(r)) for r in self.rows.tolist())
 
     @property
     def is_zero(self) -> bool:
-        return not self.generators
+        return len(self.rows) == 0
 
     @property
     def is_unit(self) -> bool:
-        return len(self.generators) == 1 and self.generators[0].is_one
+        return len(self.rows) == 1 and not self.rows[0].any()
 
     @property
     def generator_count(self) -> int:
-        return len(self.generators)
+        return len(self.rows)
 
     def min_degree(self) -> int | None:
         """Initial degree (least generator degree); None for the zero ideal."""
-        return self.generators[0].degree if self.generators else None
+        return int(self.rows[0].sum()) if len(self.rows) else None
 
     def max_degree(self) -> int | None:
         """Largest minimal-generator degree; None for the zero ideal."""
-        return self.generators[-1].degree if self.generators else None
+        return int(self.rows[-1].sum()) if len(self.rows) else None
 
     def contains(self, w: Monomial) -> bool:
         if w.variable_count != self.variable_count:
             raise MixedAmbient(self.variable_count, w.variable_count)
-        return any(g.divides(w) for g in self.generators)
+        return bool((self.rows <= np.array(w.exponents)).all(axis=1).any())
 
 
 def minimalize(
@@ -239,18 +236,15 @@ def minimalize(
     generator to read the ambient ring from).
     """
     gens = tuple(gens)
-    if not gens:
-        if variable_count is None:
+    if variable_count is None:
+        if not gens:
             raise ValueError("variable_count required for an empty generating set")
-        return MonomialIdeal.zero(variable_count)
-    nv = gens[0].variable_count
-    for g in gens[1:]:
-        if g.variable_count != nv:
-            raise MixedAmbient(nv, g.variable_count)
-    if variable_count is not None and variable_count != nv:
-        raise MixedAmbient(variable_count, nv)
+        variable_count = gens[0].variable_count
+    for g in gens:
+        if g.variable_count != variable_count:
+            raise MixedAmbient(variable_count, g.variable_count)
     rows = np.array([g.exponents for g in gens], dtype=np.int64)
-    return MonomialIdeal.from_rows(nv, rows)
+    return MonomialIdeal.from_rows(variable_count, rows)
 
 
 def _check_same_ring(I: MonomialIdeal, J: MonomialIdeal) -> None:
@@ -267,7 +261,7 @@ def intersect(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
         return J
     if J.is_unit:
         return I
-    A, B = I._rows, J._rows
+    A, B = I.rows, J.rows
     chunks = []
     for lo in range(0, len(A), 128):
         part = np.maximum(A[lo : lo + 128, None, :], B[None, :, :])
@@ -284,7 +278,7 @@ def multiply(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
         return J
     if J.is_unit:
         return I
-    A, B = I._rows, J._rows
+    A, B = I.rows, J.rows
     if int(A.max()) + int(B.max()) > EXPONENT_LIMIT * _FOLD_LIMIT:
         raise OverflowError("product exponents exceed supported range")
     chunks = []
@@ -324,7 +318,7 @@ def member_of_power(w: Monomial, I: MonomialIdeal, r: int, slack: int = 0) -> bo
         return w.degree >= slack
     if I.is_zero:
         return False
-    rows = I._rows
+    rows = I.rows
     deg = rows.sum(axis=1)
     order = np.argsort(deg, kind="stable")[::-1]  # try big generators first
     rows, deg = rows[order], deg[order]
@@ -360,13 +354,13 @@ def member_of_power(w: Monomial, I: MonomialIdeal, r: int, slack: int = 0) -> bo
 
 def dump_monomials(target: str | TextIO, monomials: Sequence[Monomial] | MonomialIdeal) -> None:
     if isinstance(monomials, MonomialIdeal):
-        nv, items = monomials.variable_count, monomials.generators
+        nv, rows = monomials.variable_count, monomials.rows.tolist()
     else:
         items = tuple(monomials)
         if not items:
             raise ValueError("cannot dump an empty monomial list (no variable count)")
-        nv = items[0].variable_count
-    lines = [f"vars: {nv}"] + [m.exponent_string() for m in items]
+        nv, rows = items[0].variable_count, [m.exponents for m in items]
+    lines = [f"vars: {nv}"] + [" ".join(map(str, r)) for r in rows]
     text = "\n".join(lines) + "\n"
     if hasattr(target, "write"):
         target.write(text)

@@ -216,8 +216,7 @@ def symbolic_power(
     # size, i.e. ascending prime-power generator count.  Its rows are
     # distinct and of one degree, so sorting them is all the
     # minimalization they need.
-    sups = [tuple(i - 1 for i in s) for s in P.supports]
-
+    sups = _support_arrays(P)
     first = sups[0]
     partial = {"supports_folded": 0, "supports_total": total, "kept": 0}
     budget.check("symbolic-power", partial, comb(m + len(first) - 1, m))
@@ -246,7 +245,7 @@ def symbolic_power(
         rows = _minimal_rows(np.vstack(pieces))
         if budget.progress is not None:
             budget.progress(step + 1, total, len(rows))
-    return MonomialIdeal._from_canonical(nv, rows)
+    return MonomialIdeal(nv, rows)
 
 
 # Initial degree alpha(I^(m)) = least total degree of a member, computed

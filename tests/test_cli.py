@@ -189,6 +189,42 @@ def test_coverability_uncolourable_is_invalid_input(capsys, tmp_path):
 # symbolic and alpha
 
 
+# the generator file of `symbolic builtin:fano --source complement -m 3`,
+# captured before ideals were stored as row matrices
+FANO_COMPLEMENT_M3_GENERATORS = (
+    "vars: 7\n"
+    "1 1 1 1 1 1 1\n"
+    "2 2 1 2 2 1 0\n"
+    "2 2 1 2 2 0 1\n"
+    "2 2 1 1 0 2 2\n"
+    "2 2 1 0 1 2 2\n"
+    "2 2 0 2 2 1 1\n"
+    "2 2 0 1 1 2 2\n"
+    "2 1 2 2 1 2 0\n"
+    "2 1 2 2 0 2 1\n"
+    "2 1 2 1 2 0 2\n"
+    "2 1 2 0 2 1 2\n"
+    "2 0 2 2 1 2 1\n"
+    "2 0 2 1 2 1 2\n"
+    "1 2 2 2 1 0 2\n"
+    "1 2 2 2 0 1 2\n"
+    "1 2 2 1 2 2 0\n"
+    "1 2 2 0 2 2 1\n"
+    "1 1 0 2 2 2 2\n"
+    "1 0 1 2 2 2 2\n"
+    "0 2 2 2 1 1 2\n"
+    "0 2 2 1 2 2 1\n"
+    "0 1 1 2 2 2 2\n"
+    "3 3 0 3 3 0 0\n"
+    "3 3 0 0 0 3 3\n"
+    "3 0 3 3 0 3 0\n"
+    "3 0 3 0 3 0 3\n"
+    "0 3 3 3 0 0 3\n"
+    "0 3 3 0 3 3 0\n"
+    "0 0 0 3 3 3 3\n"
+)
+
+
 def test_symbolic_command(capsys, tmp_path):
     code, doc, _ = run_json(
         capsys, "symbolic", "builtin:fano", "--source", "complement", "-m", "2"
@@ -206,6 +242,21 @@ def test_symbolic_command(capsys, tmp_path):
     assert nv == 7 and len(monos) == 14
     P = complement_ideal(builtin_fano())
     assert all(member_of_symbolic(g, P, 2) for g in monos)
+
+
+def test_symbolic_generators_out_builds_no_monomials(capsys, tmp_path, monkeypatch):
+    built = []
+    real = Monomial.__post_init__
+    monkeypatch.setattr(Monomial, "__post_init__", lambda self: built.append(self) or real(self))
+    gen_file = tmp_path / "F"
+    code, doc, _ = run_json(
+        capsys,
+        "symbolic", "builtin:fano", "--source", "complement", "-m", "3",
+        "--generators-out", str(gen_file),
+    )
+    assert code == 0 and doc["generator_count"] == 29
+    assert built == []
+    assert gen_file.read_text() == FANO_COMPLEMENT_M3_GENERATORS
 
 
 def test_symbolic_cover_source(capsys):

@@ -5,12 +5,14 @@ from fractions import Fraction
 
 import pytest
 
-from steinerideals import symbolic
+from steinerideals import containment, symbolic
 from steinerideals import (
     Budget,
     ContainmentEngine,
     DegenerateRegion,
+    InternalInconsistency,
     Monomial,
+    PrimeDecomposition,
     ResourceLimit,
     builtin_fano,
     builtin_sqs8,
@@ -113,6 +115,46 @@ def test_sqs8_cover_noncontainment_witnesses(sqs8_j):
     rep = sqs8_j.check(4, 3)
     assert not rep.holds
     assert rep.witness == Monomial((1,) * 8)
+
+
+# the witness check: membership predicate, then exhaustive enumeration
+
+
+@pytest.fixture
+def triangle():
+    # I = (x1x2, x1x3, x2x3); its 2-multisets run from (x1x2)^2 to (x2x3)^2
+    engine = ContainmentEngine(PrimeDecomposition(3, ((1, 2), (2, 3), (1, 3))))
+    assert engine.base_ideal().rows.tolist() == [[1, 1, 0], [1, 0, 1], [0, 1, 1]]
+    return engine
+
+
+def test_confirm_witness_rejects_a_candidate_outside_the_symbolic_power(triangle):
+    with pytest.raises(InternalInconsistency, match="not in the symbolic power"):
+        triangle._confirm_witness(Monomial((0, 2, 2)), 3, 2, 0)
+
+
+@pytest.mark.parametrize(
+    ("w", "slack"),
+    [((2, 2, 0), 0), ((0, 2, 2), 0), ((1, 2, 1), 0), ((0, 3, 2), 1), ((1, 3, 3), 2)],
+)
+def test_confirm_witness_rejects_a_candidate_divisible_by_a_product(triangle, w, slack):
+    with pytest.raises(InternalInconsistency, match="divisible by a generator product"):
+        triangle._confirm_witness(Monomial(w), 2, 2, slack)
+
+
+def test_confirm_witness_accepts_a_product_without_enough_slack(triangle):
+    # (x2x3)^2 divides x2^3*x3^2 with one degree to spare, not two
+    triangle._confirm_witness(Monomial((0, 3, 2)), 2, 2, 2)
+
+
+@pytest.mark.parametrize("chunk", [1, 8, 10])
+def test_confirm_witness_enumerates_the_last_chunk(triangle, monkeypatch, chunk):
+    # (0, 2, 2) is divisible only by (x2x3)^2, the last of the six
+    # multisets; chunks of 1, 8 and 10 picks hold 1, 4 and 5 of them,
+    # so that multiset comes last in a full or a short last chunk
+    monkeypatch.setattr(containment, "_RECHECK_CHUNK", chunk)
+    with pytest.raises(InternalInconsistency, match="divisible by a generator product"):
+        triangle._confirm_witness(Monomial((0, 2, 2)), 2, 2, 0)
 
 
 def test_report_dict_schema(fano_c):

@@ -1,6 +1,7 @@
 """Monomial ideal arithmetic cross-checked against exhaustive oracles."""
 
 import io
+from dataclasses import FrozenInstanceError
 from random import Random
 
 import numpy as np
@@ -11,6 +12,7 @@ from steinerideals import (
     MixedAmbient,
     Monomial,
     MonomialIdeal,
+    PrimeDecomposition,
     dump_monomials,
     intersect,
     load_monomials,
@@ -18,6 +20,7 @@ from steinerideals import (
     minimalize,
     multiply,
     power,
+    symbolic_power,
 )
 from steinerideals import monomials
 from steinerideals.monomials import EXPONENT_LIMIT, _minimal_rows
@@ -38,8 +41,6 @@ def test_monomial_basics():
     assert str(Monomial.one(3)) == "1"
     assert M(0, 1, 1).divides(m) is False
     assert M(1, 0, 1).divides(m)
-    assert M(1, 1, 0).times(M(0, 1, 2)) == M(1, 2, 2)
-    assert M(2, 0, 1).lcm(M(1, 1, 1)) == M(2, 1, 1)
 
 
 def test_monomial_rejects_bad_exponents():
@@ -48,7 +49,7 @@ def test_monomial_rejects_bad_exponents():
     with pytest.raises(OverflowError):
         M(EXPONENT_LIMIT + 1)
     with pytest.raises(MixedAmbient):
-        M(1, 0).times(M(1, 0, 0))
+        M(1, 0).divides(M(1, 0, 0))
 
 
 def test_minimalize_and_canonical_order():
@@ -63,6 +64,86 @@ def test_minimalize_and_canonical_order():
         minimalize([])
     with pytest.raises(MixedAmbient):
         minimalize([M(1, 0), M(1, 0, 0)])
+
+
+def _assert_canonical(I):
+    """rows is a read-only int64 antichain in canonical order."""
+    assert I.rows.dtype == np.int64 and I.rows.shape == (I.generator_count, I.variable_count)
+    assert not I.rows.flags.writeable
+    assert list(map(tuple, I.rows.tolist())) == _reference_minimal(I.rows)
+    assert I.generators == tuple(Monomial(tuple(r)) for r in I.rows.tolist())
+
+
+def test_rows_are_the_read_only_stored_form():
+    src = np.array([[0, 3], [2, 0], [1, 1], [2, 1]])
+    I = MonomialIdeal.from_rows(2, src)
+    assert I.rows.tolist() == [[2, 0], [1, 1], [0, 3]]
+    with pytest.raises(ValueError):
+        I.rows[0, 0] = 5
+    with pytest.raises(ValueError):
+        I.rows.flags.writeable = True
+    with pytest.raises(FrozenInstanceError):
+        I.rows = np.zeros((0, 2), dtype=np.int64)
+    # the constructor keeps its own copy
+    raw = np.array([[1, 1]])
+    J = MonomialIdeal(2, raw)
+    raw[0, 0] = 7
+    assert J.rows.tolist() == [[1, 1]]
+    for bad, err in (
+        ([[1, -1]], ValueError),
+        ([[EXPONENT_LIMIT + 1, 0]], OverflowError),
+        ([1, 1], ValueError),
+        ([[1, 1, 0]], ValueError),
+    ):
+        with pytest.raises(err):
+            MonomialIdeal(2, np.array(bad))
+
+
+def test_rows_are_canonical_on_every_route():
+    rng = Random(17)
+    for nv in (1, 3):
+        _assert_canonical(MonomialIdeal.zero(nv))
+        _assert_canonical(MonomialIdeal.unit(nv))
+    for _ in range(30):
+        nv, gA = oracles.random_generators(rng)
+        _, gB = oracles.random_generators(rng, max_vars=nv)
+        gB = [g[:nv] + (0,) * (nv - len(g)) for g in gB]
+        I = MonomialIdeal.from_rows(nv, np.array(gA))
+        J = minimalize(oracles.as_monomials(gB))
+        for K in (I, J, multiply(I, J), intersect(I, J)):
+            _assert_canonical(K)
+    for _ in range(10):
+        nv, sups = oracles.random_supports(rng, max_vars=5, max_supports=4)
+        for m in (1, 2, 3):
+            _assert_canonical(symbolic_power(PrimeDecomposition(nv, tuple(sups)), m))
+
+
+def test_equality_across_construction_routes():
+    rng = Random(19)
+    for _ in range(20):
+        nv, gens = oracles.random_generators(rng)
+        rows = np.array(gens + gens[:2])
+        I = MonomialIdeal.from_rows(nv, rows)
+        assert I == minimalize(oracles.as_monomials(gens))
+        assert I == MonomialIdeal.from_rows(nv, rows[::-1])
+        assert I == MonomialIdeal(nv, I.rows)
+        assert I == intersect(I, I) == multiply(I, MonomialIdeal.unit(nv))
+        assert I != MonomialIdeal.zero(nv) and I != I.generators
+    # same rows, different rings
+    assert MonomialIdeal.zero(2) != MonomialIdeal.zero(3)
+
+
+def test_zero_and_unit_ideals():
+    Z, U = MonomialIdeal.zero(3), MonomialIdeal.unit(3)
+    assert Z.is_zero and not Z.is_unit and Z.generator_count == 0
+    assert Z.min_degree() is None and Z.max_degree() is None
+    assert Z.generators == () and not Z.contains(M(0, 0, 0)) and not Z.contains(M(4, 4, 4))
+    assert U.is_unit and not U.is_zero and U.generator_count == 1
+    assert U.min_degree() == 0 and U.max_degree() == 0
+    assert U.generators == (Monomial.one(3),) and U.contains(M(0, 0, 0)) and U.contains(M(0, 5, 1))
+    assert not minimalize([M(0, 0, 1)]).is_unit
+    with pytest.raises(MixedAmbient):
+        U.contains(M(0, 0))
 
 
 def _reference_minimal(rows):

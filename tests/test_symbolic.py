@@ -215,6 +215,12 @@ def test_symbolic_power_agrees_with_generic_intersection():
     tiny = tiny_complement()
     for m in (1, 2, 3):
         assert symbolic_power(tiny, m) == _generic_fold(tiny, m)
+    rng = Random(19)
+    for _ in range(10):
+        nv, sups = oracles.random_supports(rng, max_vars=5, max_supports=4)
+        P = PrimeDecomposition(nv, tuple(sups))
+        for m in (1, 2, 3):
+            assert symbolic_power(P, m) == _generic_fold(P, m)
 
 
 def test_symbolic_membership_equals_predicate():
