@@ -11,11 +11,12 @@ import time
 from fractions import Fraction
 from typing import Callable
 
+from .budget import Budget
 from .containment import (
     ContainmentEngine,
-    check_els,
     chudnovsky_check,
     demailly_check,
+    els_scan,
     harbourne_huneke_scan,
     resurgence_region,
     stable_harbourne_scan,
@@ -28,7 +29,7 @@ from .designs import (
     is_coverable,
 )
 from .errors import ResourceLimit
-from .symbolic import Budget, alpha_table, complement_ideal, cover_ideal
+from .symbolic import alpha_table, complement_ideal, cover_ideal
 
 ClaimFn = Callable[[], tuple[bool, str]]
 
@@ -103,11 +104,13 @@ def _hh_fano():
 @_claim("els-fano", "ELS containments hold: Fano cover r=1,2 and Fano complement r=1")
 def _els_fano():
     S = builtin_fano()
-    J = cover_ideal(S.hypergraph())
-    P = complement_ideal(S)
-    reps = [check_els(J, 1), check_els(J, 2), check_els(P, 1)]
-    ok = all(r.holds for r in reps)
-    return ok, "; ".join(f"h*r={r.m},r={r.r}:{'ok' if r.holds else 'FAIL'}" for r in reps)
+    cover = els_scan(ContainmentEngine(cover_ideal(S.hypergraph())), 1, 2)
+    comp = els_scan(ContainmentEngine(complement_ideal(S)), 1, 1)
+    insts = cover.instances + comp.instances
+    ok = all(i.holds for i in insts)
+    return ok, "; ".join(
+        f"h*r={i.params['m']},r={i.params['r']}:{'ok' if i.holds else 'FAIL'}" for i in insts
+    )
 
 
 @_claim("colouring-fano", "Fano plane: chromatic number 3, not weakly 2-colourable")
@@ -164,34 +167,31 @@ def _noncontainment_sqs8():
 
 @_claim("stable-harbourne-fano", "Stable Harbourne instances hold for r=2,3; threshold 7/2")
 def _stable_harbourne_fano():
-    P = complement_ideal(builtin_fano())
-    verdict = stable_harbourne_scan(P, 2, 3)
+    verdict = stable_harbourne_scan(ContainmentEngine(complement_ideal(builtin_fano())), 2, 3)
     ok = verdict.all_hold and verdict.threshold == Fraction(7, 2)
     return ok, f"all_hold={verdict.all_hold} threshold={verdict.threshold}"
 
 
 @_claim("harbourne-huneke-fano", "Harbourne-Huneke form 1 and 2 instances hold for r=1,2")
 def _harbourne_huneke_fano():
-    P = complement_ideal(builtin_fano())
-    engine = ContainmentEngine(P)
-    v1 = harbourne_huneke_scan(P, 1, 2, 1, engine=engine)
-    v2 = harbourne_huneke_scan(P, 1, 2, 2, engine=engine)
+    engine = ContainmentEngine(complement_ideal(builtin_fano()))
+    v1 = harbourne_huneke_scan(engine, 1, 2, 1)
+    v2 = harbourne_huneke_scan(engine, 1, 2, 2)
     return v1.all_hold and v2.all_hold, f"form1={v1.all_hold} form2={v2.all_hold}"
 
 
 @_claim("chudnovsky-fano", "Chudnovsky bound holds for the Fano complement up to h=6")
 def _chudnovsky_fano():
-    verdict = chudnovsky_check(complement_ideal(builtin_fano()), 6)
+    verdict = chudnovsky_check(ContainmentEngine(complement_ideal(builtin_fano())), 6)
     return verdict.all_hold, f"all_hold={verdict.all_hold} (h<=6, rhs=(4+3-1)/3=2)"
 
 
 @_claim("demailly-fano", "Demailly bound holds for the Fano complement, m in {1,3,4,6}, h<=6")
 def _demailly_fano():
-    P = complement_ideal(builtin_fano())
-    engine = ContainmentEngine(P)
+    engine = ContainmentEngine(complement_ideal(builtin_fano()))
     bad = []
     for m in (1, 3, 4, 6):
-        verdict = demailly_check(P, m, 6, engine=engine)
+        verdict = demailly_check(engine, m, 6)
         if not verdict.all_hold:
             bad.append(m)
     return not bad, f"failing_m={bad}" if bad else "all m in {1,3,4,6} hold for h<=6"

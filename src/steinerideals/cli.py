@@ -19,17 +19,15 @@ import time
 from fractions import Fraction
 
 from . import claims as claims_mod
+from .budget import DEFAULT_GENERATOR_CAP, Budget
 from .containment import (
-    Conjecture,
-    ConjectureInstance,
-    ConjectureVerdict,
     ContainmentEngine,
-    check_els,
     chudnovsky_check,
     demailly_check,
+    els_scan,
     harbourne_huneke_scan,
-    iter_resurgence_cells,
     resurgence_region,
+    resurgence_search,
     stable_harbourne_scan,
 )
 from .designs import (
@@ -52,8 +50,6 @@ from .errors import (
 )
 from .monomials import dump_monomials
 from .symbolic import (
-    DEFAULT_GENERATOR_CAP,
-    Budget,
     alpha_table,
     complement_ideal,
     cover_ideal,
@@ -249,23 +245,20 @@ def cmd_containment(args) -> int:
 
 def cmd_scan(args) -> int:
     budget = _budget(args)
-    P = _decomposition(args)
-    engine = ContainmentEngine(P, budget=budget)
+    engine = ContainmentEngine(_decomposition(args), budget=budget)
     # every cell is computed before any is printed, so a capped scan
     # prints only the resource-limit report
-    reports = list(iter_resurgence_cells(P, args.m_max, args.r_max, engine=engine))
-    for rep in reports:
+    scan = resurgence_search(engine, args.m_max, args.r_max)
+    for rep in scan.cells:
         _emit(rep.to_dict())
-    failures = [rep for rep in reports if not rep.holds]
-    best = max((Fraction(f.m, f.r) for f in failures), default=None)
     _emit(
         {
             "summary": {
-                "m_max": args.m_max,
-                "r_max": args.r_max,
-                "cells": len(reports),
-                "failures": len(failures),
-                "max_ratio": _frac(best),
+                "m_max": scan.m_max,
+                "r_max": scan.r_max,
+                "cells": len(scan.cells),
+                "failures": len(scan.failures),
+                "max_ratio": _frac(scan.max_ratio),
             }
         }
     )
@@ -290,33 +283,25 @@ def cmd_resurgence_region(args) -> int:
     return EXIT_OK
 
 
-def _els_verdict(P, r_lo: int, r_hi: int, engine: ContainmentEngine) -> ConjectureVerdict:
-    """ELS instances for r in [r_lo, r_hi]; check_els raises on any failure."""
-    reports = [check_els(P, r, engine=engine) for r in range(r_lo, r_hi + 1)]
-    instances = tuple(ConjectureInstance({"r": rep.r, "m": rep.m}, rep.holds) for rep in reports)
-    return ConjectureVerdict(Conjecture.ELS, instances, all(i.holds for i in instances))
-
-
-# conjecture family -> verdict from (decomposition, parsed args, engine),
-# in the order "applicable" runs them
+# conjecture family -> verdict from (engine, parsed args), in the order
+# "applicable" runs them
 _CONJECTURES = {
-    "stable-harbourne": lambda P, a, e: stable_harbourne_scan(P, a.r_lo, a.r_hi, engine=e),
-    "harbourne-huneke-1": lambda P, a, e: harbourne_huneke_scan(P, a.r_lo, a.r_hi, 1, engine=e),
-    "harbourne-huneke-2": lambda P, a, e: harbourne_huneke_scan(P, a.r_lo, a.r_hi, 2, engine=e),
-    "els": lambda P, a, e: _els_verdict(P, a.r_lo, a.r_hi, e),
-    "chudnovsky": lambda P, a, e: chudnovsky_check(P, a.h_max, a.ambient_dim, engine=e),
-    "demailly": lambda P, a, e: demailly_check(P, a.m, a.h_max, a.ambient_dim, engine=e),
+    "stable-harbourne": lambda e, a: stable_harbourne_scan(e, a.r_lo, a.r_hi),
+    "harbourne-huneke-1": lambda e, a: harbourne_huneke_scan(e, a.r_lo, a.r_hi, 1),
+    "harbourne-huneke-2": lambda e, a: harbourne_huneke_scan(e, a.r_lo, a.r_hi, 2),
+    "els": lambda e, a: els_scan(e, a.r_lo, a.r_hi),
+    "chudnovsky": lambda e, a: chudnovsky_check(e, a.h_max, a.ambient_dim),
+    "demailly": lambda e, a: demailly_check(e, a.m, a.h_max, a.ambient_dim),
 }
 _NEEDS_AMBIENT = ("chudnovsky", "demailly")
 
 
 def cmd_conjectures(args) -> int:
     budget = _budget(args)
-    P = _decomposition(args)
-    engine = ContainmentEngine(P, budget=budget)
+    engine = ContainmentEngine(_decomposition(args), budget=budget)
     if args.which != "applicable":
         names = [args.which]
-    elif P.steiner is not None or args.ambient_dim is not None:
+    elif engine.decomposition.steiner is not None or args.ambient_dim is not None:
         names = list(_CONJECTURES)
     else:
         names = [n for n in _CONJECTURES if n not in _NEEDS_AMBIENT]
@@ -326,7 +311,7 @@ def cmd_conjectures(args) -> int:
             file=sys.stderr,
         )
     for name in names:
-        _emit(_CONJECTURES[name](P, args, engine).to_dict())
+        _emit(_CONJECTURES[name](engine, args).to_dict())
     return EXIT_OK
 
 

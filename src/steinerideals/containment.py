@@ -31,15 +31,16 @@ from enum import Enum
 from fractions import Fraction
 from itertools import combinations_with_replacement, islice
 from math import ceil, comb
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
+from .budget import Budget
 from .errors import DegenerateRegion, InternalInconsistency
 from .monomials import Monomial, MonomialIdeal, member_of_power, power
 from .symbolic import (
-    Budget,
     PrimeDecomposition,
+    complement_alpha_formula,
     initial_degree,
     member_of_symbolic,
     min_degree_generators,
@@ -133,9 +134,12 @@ class ConjectureVerdict:
 class ContainmentEngine:
     """Shared state for repeated containment checks on one decomposition.
 
-    Caches symbolic powers, initial degrees and the base ideal, so scans
-    reuse instead of recomputing.  The budget applies to every symbolic
-    power, initial-degree search and membership scan the engine runs.
+    Caches symbolic powers, initial degrees, ordinary powers and the base
+    ideal, so scans reuse instead of recomputing.  The conjecture families
+    and resurgence scans take the engine as their first argument and read
+    the decomposition from it.  The budget applies to every symbolic
+    power, initial-degree search, ordinary power, membership scan and
+    witness enumeration the engine runs.
     """
 
     def __init__(self, decomposition: PrimeDecomposition, *, budget: Budget | None = None):
@@ -177,7 +181,7 @@ class ContainmentEngine:
         hit = self._ordinary.get(r)
         if hit is not None:
             return hit
-        val = power(self.base_ideal(), r)
+        val = power(self.base_ideal(), r, budget=self.budget)
         self._ordinary[r] = val
         return val
 
@@ -221,7 +225,15 @@ class ContainmentEngine:
         step = max(1, _RECHECK_CHUNK // r)
         combos = combinations_with_replacement(range(len(rows)), r)
         target = np.array(w.exponents, dtype=np.int64)
-        for _ in range(0, total, step):
+        for done in range(0, total, step):
+            partial = {
+                "m": m,
+                "r": r,
+                "slack": slack,
+                "multisets_checked": done,
+                "multisets_total": total,
+            }
+            self.budget.check("witness-enumeration", partial)
             prods = rows[np.array(list(islice(combos, step)))].sum(axis=1)
             fits = (prods <= target).all(axis=1) & (prods.sum(axis=1) <= w.degree - slack)
             if fits.any():
@@ -290,163 +302,129 @@ class ContainmentEngine:
         return report(True, None, "generator-scan")
 
 
-def check_els(
-    P: PrimeDecomposition,
-    r: int,
-    *,
-    engine: ContainmentEngine | None = None,
-) -> ContainmentReport:
-    """Sanity check I^(h*r) <= I^r, h the big height; always a theorem.
-
-    Runs in audit mode so the real membership machinery is exercised; a
-    False outcome is impossible mathematics and raises
-    InternalInconsistency to flag the implementation bug.
-    """
-    if engine is None:
-        engine = ContainmentEngine(P)
-    report = engine.check(P.big_height * r, r, 0, audit=True)
-    if not report.holds:
-        raise InternalInconsistency(
-            f"ELS containment I^({P.big_height * r}) <= I^{r} reported false; "
-            f"witness {report.witness}"
-        )
-    return report
-
-
-def stable_harbourne_scan(
-    P: PrimeDecomposition,
+def _r_family(
+    engine: ContainmentEngine,
+    name: Conjecture,
     r_lo: int,
     r_hi: int,
+    rule: Callable[[int], tuple[int, int]],
     *,
-    engine: ContainmentEngine | None = None,
+    audit: bool = False,
+    threshold: Fraction | None = None,
 ) -> ConjectureVerdict:
+    """Check I^(m) <= M^slack * I^r with (m, slack) = rule(r) for r in [r_lo, r_hi].
+
+    audit=True is for a family that is a theorem: every check runs in
+    audit mode so the real membership machinery is exercised, a False
+    outcome raises InternalInconsistency, and instances report only r
+    and m (the slack is always 0).
+    """
+    if not (1 <= r_lo <= r_hi):
+        raise ValueError("need 1 <= r_lo <= r_hi")
+    instances = []
+    for r in range(r_lo, r_hi + 1):
+        m, slack = rule(r)
+        rep = engine.check(m, r, slack, audit=audit)
+        if not audit:
+            params = {"r": r, "m": m, "slack": slack}
+            instances.append(ConjectureInstance(params, rep.holds, rep.witness))
+        elif rep.holds:
+            instances.append(ConjectureInstance({"r": r, "m": m}, True))
+        else:
+            raise InternalInconsistency(
+                f"{name.value} containment I^({m}) <= I^{r} reported false; "
+                f"witness {rep.witness}"
+            )
+    return ConjectureVerdict(name, tuple(instances), all(i.holds for i in instances), threshold)
+
+
+def els_scan(engine: ContainmentEngine, r_lo: int, r_hi: int) -> ConjectureVerdict:
+    """Sanity check I^(h*r) <= I^r for r in [r_lo, r_hi], h the big height.
+
+    Always a theorem, so it runs in audit mode and a failure raises
+    InternalInconsistency to flag the implementation bug.
+    """
+    h = engine.decomposition.big_height
+    return _r_family(engine, Conjecture.ELS, r_lo, r_hi, lambda r: (h * r, 0), audit=True)
+
+
+def stable_harbourne_scan(engine: ContainmentEngine, r_lo: int, r_hi: int) -> ConjectureVerdict:
     """Check I^(h*r - h + 1) <= I^r for r in [r_lo, r_hi].
 
     For Steiner complements the verdict carries the analytic threshold
     v / (n - 1): every r at or above it is guaranteed by the regularity
     bound, so scans beyond the threshold only confirm.
     """
-    if not (1 <= r_lo <= r_hi):
-        raise ValueError("need 1 <= r_lo <= r_hi")
-    if engine is None:
-        engine = ContainmentEngine(P)
+    P = engine.decomposition
     h = P.big_height
-    instances = []
-    for r in range(r_lo, r_hi + 1):
-        m = h * r - h + 1
-        rep = engine.check(m, r, 0)
-        instances.append(
-            ConjectureInstance({"r": r, "m": m, "slack": 0}, rep.holds, rep.witness)
-        )
     threshold = None
-    if P.steiner is not None:
+    if P.steiner is not None and P.steiner[1] >= 2:
         _, n, v = P.steiner
-        if n >= 2:
-            threshold = Fraction(v, n - 1)
-    return ConjectureVerdict(
+        threshold = Fraction(v, n - 1)
+    return _r_family(
+        engine,
         Conjecture.STABLE_HARBOURNE,
-        tuple(instances),
-        all(i.holds for i in instances),
-        threshold,
+        r_lo,
+        r_hi,
+        lambda r: (h * r - h + 1, 0),
+        threshold=threshold,
     )
 
 
 def harbourne_huneke_scan(
-    P: PrimeDecomposition,
-    r_lo: int,
-    r_hi: int,
-    form: int,
-    *,
-    engine: ContainmentEngine | None = None,
+    engine: ContainmentEngine, r_lo: int, r_hi: int, form: int
 ) -> ConjectureVerdict:
     """Slack containments of Harbourne-Huneke type over an r range.
 
     form 1: I^(h*r) <= M^(r*(h-1)) * I^r
     form 2: I^(h*r - h + 1) <= M^((r-1)*(h-1)) * I^r
     """
-    if form not in (1, 2):
+    h = engine.decomposition.big_height
+    if form == 1:
+        name, rule = Conjecture.HARBOURNE_HUNEKE_1, lambda r: (h * r, r * (h - 1))
+    elif form == 2:
+        name, rule = Conjecture.HARBOURNE_HUNEKE_2, lambda r: (h * r - h + 1, (r - 1) * (h - 1))
+    else:
         raise ValueError("form must be 1 or 2")
-    if not (1 <= r_lo <= r_hi):
-        raise ValueError("need 1 <= r_lo <= r_hi")
-    if engine is None:
-        engine = ContainmentEngine(P)
-    h = P.big_height
-    instances = []
-    for r in range(r_lo, r_hi + 1):
-        if form == 1:
-            m, slack = h * r, r * (h - 1)
-        else:
-            m, slack = h * r - h + 1, (r - 1) * (h - 1)
-        rep = engine.check(m, r, slack)
-        instances.append(
-            ConjectureInstance({"r": r, "m": m, "slack": slack}, rep.holds, rep.witness)
-        )
-    name = Conjecture.HARBOURNE_HUNEKE_1 if form == 1 else Conjecture.HARBOURNE_HUNEKE_2
-    return ConjectureVerdict(name, tuple(instances), all(i.holds for i in instances))
+    return _r_family(engine, name, r_lo, r_hi, rule)
 
 
 def chudnovsky_check(
-    P: PrimeDecomposition,
-    h_max: int,
-    ambient_dim: int | None = None,
-    *,
-    engine: ContainmentEngine | None = None,
+    engine: ContainmentEngine, h_max: int, ambient_dim: int | None = None
 ) -> ConjectureVerdict:
     """Chudnovsky-type bound alpha(I^(h))/h >= (alpha(I) + N - 1)/N.
 
-    N is the ambient dimension: the block size for Steiner complements,
-    otherwise it must be passed explicitly.  Exact rationals throughout.
+    This is the Demailly bound at m = 1, computed by demailly_check;
+    only the family name and the instance parameters (no m) differ.
     """
-    N = _resolve_ambient(P, ambient_dim)
-    if h_max < 1:
-        raise ValueError("h_max must be >= 1")
-    if engine is None:
-        engine = ContainmentEngine(P)
-    rhs = Fraction(engine.alpha(1) + N - 1, N)
-    instances = []
-    for h in range(1, h_max + 1):
-        lhs = Fraction(engine.alpha(h), h)
-        instances.append(
-            ConjectureInstance(
-                {"h": h, "lhs": str(lhs), "rhs": str(rhs), "ambient_dim": N},
-                lhs >= rhs,
-            )
-        )
-    return ConjectureVerdict(
-        Conjecture.CHUDNOVSKY, tuple(instances), all(i.holds for i in instances)
+    demailly = demailly_check(engine, 1, h_max, ambient_dim)
+    instances = tuple(
+        ConjectureInstance({k: v for k, v in inst.params.items() if k != "m"}, inst.holds)
+        for inst in demailly.instances
     )
+    return ConjectureVerdict(Conjecture.CHUDNOVSKY, instances, demailly.all_hold)
 
 
 def demailly_check(
-    P: PrimeDecomposition,
-    m: int,
-    h_max: int,
-    ambient_dim: int | None = None,
-    *,
-    engine: ContainmentEngine | None = None,
+    engine: ContainmentEngine, m: int, h_max: int, ambient_dim: int | None = None
 ) -> ConjectureVerdict:
     """Demailly-type bound alpha(I^(h))/h >= (alpha(I^(m)) + N - 1)/(m + N - 1).
 
-    m = 1 recovers the Chudnovsky bound.  For Steiner complements the
-    right-hand side is cross-checked against its closed form derived from
-    the alpha formula (three cases by m mod n); a mismatch raises
-    InternalInconsistency.
+    N is the ambient dimension: the block size for Steiner complements,
+    otherwise it must be passed explicitly.  m = 1 is the Chudnovsky
+    bound.  For Steiner complements with N the block size, the right
+    side is cross-checked against the one the closed-form alpha gives
+    (complement_alpha_formula); a mismatch raises InternalInconsistency.
+    Exact rationals throughout.
     """
+    P = engine.decomposition
     N = _resolve_ambient(P, ambient_dim)
     if h_max < 1 or m < 1:
         raise ValueError("h_max and m must be >= 1")
-    if engine is None:
-        engine = ContainmentEngine(P)
     rhs = Fraction(engine.alpha(m) + N - 1, m + N - 1)
-    if P.steiner is not None:
+    if P.steiner is not None and P.steiner[1] == N:
         _, n, v = P.steiner
-        p, q = divmod(m, n)
-        if q == 0:
-            expect = Fraction(p * v + n - 1, p * n + n - 1)
-        elif q == 1:
-            expect = Fraction((p + 1) * v - 1, (p + 1) * n)
-        else:
-            expect = Fraction((p + 1) * v + q - 1, (p + 1) * n + q - 1)
+        expect = Fraction(complement_alpha_formula(v, n, m) + n - 1, m + n - 1)
         if rhs != expect:
             raise InternalInconsistency(
                 f"Demailly right side {rhs} disagrees with closed form {expect} at m={m}"
@@ -543,18 +521,26 @@ def resurgence_region(
 
 @dataclass(frozen=True)
 class ResurgenceScan:
-    """Failures found in the box 1 <= r <= r_max, r < m <= m_max.
+    """Every cell of the box 1 <= r <= r_max, r < m <= m_max.
 
     Cells with m <= r are skipped: such ratios m/r <= 1 never improve a
     resurgence lower bound (rho >= 1 always), and symbolic-over-ordinary
-    failures there carry no region information.  max_ratio is the best
-    m/r over failures, None when everything held.
+    failures there carry no region information.  ``cells`` are in scan
+    order (see iter_resurgence_cells); max_ratio is the best m/r over
+    failures, None when everything held.
     """
 
     m_max: int
     r_max: int
-    failures: tuple[ContainmentReport, ...]
-    max_ratio: Fraction | None
+    cells: tuple[ContainmentReport, ...]
+
+    @property
+    def failures(self) -> tuple[ContainmentReport, ...]:
+        return tuple(rep for rep in self.cells if not rep.holds)
+
+    @property
+    def max_ratio(self) -> Fraction | None:
+        return max((Fraction(f.m, f.r) for f in self.failures), default=None)
 
     def to_dict(self) -> dict:
         return {
@@ -566,11 +552,7 @@ class ResurgenceScan:
 
 
 def iter_resurgence_cells(
-    P: PrimeDecomposition,
-    m_max: int,
-    r_max: int,
-    *,
-    engine: ContainmentEngine | None = None,
+    engine: ContainmentEngine, m_max: int, r_max: int
 ) -> Iterator[ContainmentReport]:
     """Yield per-cell reports over the scan box, smallest r first.
 
@@ -579,8 +561,6 @@ def iter_resurgence_cells(
     """
     if m_max < 1 or r_max < 1:
         raise ValueError("m_max and r_max must be >= 1")
-    if engine is None:
-        engine = ContainmentEngine(P)
     for r in range(1, r_max + 1):
         seen_hold = False
         for m in range(r + 1, m_max + 1):
@@ -596,18 +576,6 @@ def iter_resurgence_cells(
             yield rep
 
 
-def resurgence_search(
-    P: PrimeDecomposition,
-    m_max: int,
-    r_max: int,
-    *,
-    engine: ContainmentEngine | None = None,
-) -> ResurgenceScan:
-    """Collect all failures in the scan box; see iter_resurgence_cells."""
-    failures = [
-        rep
-        for rep in iter_resurgence_cells(P, m_max, r_max, engine=engine)
-        if not rep.holds
-    ]
-    best = max((Fraction(f.m, f.r) for f in failures), default=None)
-    return ResurgenceScan(m_max, r_max, tuple(failures), best)
+def resurgence_search(engine: ContainmentEngine, m_max: int, r_max: int) -> ResurgenceScan:
+    """Check every cell of the scan box; see iter_resurgence_cells."""
+    return ResurgenceScan(m_max, r_max, tuple(iter_resurgence_cells(engine, m_max, r_max)))

@@ -324,15 +324,21 @@ def _witness_partition(H: Hypergraph, k: int, mode: str) -> Partition | None:
     """Decision search in degree order, then canonical witness extraction.
 
     The decision pass prunes faster on unsatisfiable instances; when a
-    partition exists, a second complete search in natural vertex order
-    returns the lexicographically smallest label vector, which is the
-    deterministic witness reported everywhere.
+    partition exists, a complete search in natural vertex order returns
+    the lexicographically smallest label vector, which is the
+    deterministic witness reported everywhere.  When the two orders
+    coincide (every Steiner system is vertex-regular), the decision
+    pass already found that vector and is not repeated.
     """
-    if _search_partition(H, k, mode, _degree_order(H)) is None:
+    order = _degree_order(H)
+    assign = _search_partition(H, k, mode, order)
+    if assign is None:
         return None
-    assign = _search_partition(H, k, mode, range(H.vertex_count))
-    if assign is None:  # pragma: no cover - both searches are complete
-        raise AssertionError("decision and witness searches disagree")
+    natural = list(range(H.vertex_count))
+    if order != natural:
+        assign = _search_partition(H, k, mode, natural)
+        if assign is None:  # pragma: no cover - both searches are complete
+            raise AssertionError("decision and witness searches disagree")
     return Partition.from_assignment(assign)
 
 

@@ -20,6 +20,7 @@ from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
+from .budget import Budget
 from .errors import FormatError, MixedAmbient
 
 # Exponents up to 2^20 and at most 2^20 fold steps keep any sum below
@@ -288,8 +289,12 @@ def multiply(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
     return MonomialIdeal.from_rows(I.variable_count, np.vstack(chunks))
 
 
-def power(I: MonomialIdeal, r: int) -> MonomialIdeal:
-    """r-th power of the ideal; power(I, 0) is the unit ideal."""
+def power(I: MonomialIdeal, r: int, *, budget: Budget | None = None) -> MonomialIdeal:
+    """r-th power of the ideal; power(I, 0) is the unit ideal.
+
+    The budget, if given, is checked before every multiply step (stage
+    "ordinary-power"; ``factors_done`` counts the factors multiplied so far).
+    """
     if r < 0:
         raise ValueError("power exponent must be >= 0")
     if r > _FOLD_LIMIT:
@@ -297,7 +302,9 @@ def power(I: MonomialIdeal, r: int) -> MonomialIdeal:
     if r == 0:
         return MonomialIdeal.unit(I.variable_count)
     out = I
-    for _ in range(r - 1):
+    for done in range(1, r):
+        if budget is not None:
+            budget.check("ordinary-power", {"r": r, "factors_done": done})
         out = multiply(out, I)
     return out
 

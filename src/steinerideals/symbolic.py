@@ -22,55 +22,23 @@ from __future__ import annotations
 
 import itertools
 import logging
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
+from .budget import Budget
 from .designs import Hypergraph, SteinerSystem, complement_blocks
 from .errors import (
     ComplementEmpty,
     InternalInconsistency,
     MixedAmbient,
-    ResourceLimit,
 )
 from .monomials import Monomial, MonomialIdeal, _canonical_order, _minimal_rows
 
 logger = logging.getLogger(__name__)
-
-DEFAULT_GENERATOR_CAP = 2_000_000
-
-ProgressFn = Callable[[int, int, int], None]
-
-
-@dataclass
-class Budget:
-    """Resource limits shared by every long computation.
-
-    ``generator_cap`` bounds the candidate rows of one symbolic-power fold
-    step; ``deadline`` is a ``time.monotonic()`` value or None; ``progress``
-    receives (supports folded, supports total, generators kept) after each
-    fold step.  Long loops call ``check`` as they go.
-    """
-
-    generator_cap: int = DEFAULT_GENERATOR_CAP
-    deadline: float | None = None
-    progress: ProgressFn | None = None
-
-    def check(self, stage: str, partial: dict, candidate: int = 0) -> None:
-        """Raise ResourceLimit for ``stage`` with ``partial`` once a limit is passed."""
-        if candidate > self.generator_cap:
-            raise ResourceLimit(
-                stage,
-                f"candidate generator count {candidate} exceeds cap {self.generator_cap}",
-                partial,
-            )
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            raise ResourceLimit(stage, "time budget exhausted", partial)
-
 
 @dataclass(frozen=True)
 class PrimeDecomposition:

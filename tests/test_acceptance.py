@@ -19,11 +19,11 @@ from steinerideals import (
     alpha_table,
     builtin_fano,
     builtin_sqs8,
-    check_els,
     chromatic_number,
     complement_blocks,
     complement_ideal,
     cover_ideal,
+    els_scan,
     intersect,
     is_colourable,
     is_coverable,
@@ -115,7 +115,7 @@ def test_criterion_05_els_sanity():
         (cover_ideal(fano_h), 2),
         (complement_ideal(builtin_fano()), 1),
     ):
-        outcomes.append(check_els(P, r).holds)
+        outcomes.append(els_scan(ContainmentEngine(P), r, r).all_hold)
     _report("5-els-sanity", all(outcomes), f"holds for (cover,1),(cover,2),(complement,1): {outcomes}")
 
 
@@ -251,7 +251,7 @@ def test_criterion_10_property_suites():
                 assert is_colourable(H, c) is not None
                 implication += 1
 
-    verdict = stable_harbourne_scan(complement_ideal(builtin_fano()), 1, 3)
+    verdict = stable_harbourne_scan(ContainmentEngine(complement_ideal(builtin_fano())), 1, 3)
     threshold_ok = verdict.threshold == Fraction(7, 2) and verdict.all_hold
 
     _report(

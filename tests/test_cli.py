@@ -1,8 +1,12 @@
 """End-to-end CLI tests: JSON output, exit codes, determinism."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -49,6 +53,18 @@ CONJECTURES_FANO_COMPLEMENT_R2 = (
     '{"conjecture":"els","all_hold":true,"instances":[{"params":{"r":1,"m":3},"holds":true},{"params":{"r":2,"m":6},"holds":true}]}',
     '{"conjecture":"chudnovsky","all_hold":true,"instances":[{"params":{"h":1,"lhs":"4","rhs":"2","ambient_dim":3},"holds":true},{"params":{"h":2,"lhs":"3","rhs":"2","ambient_dim":3},"holds":true},{"params":{"h":3,"lhs":"7/3","rhs":"2","ambient_dim":3},"holds":true},{"params":{"h":4,"lhs":"11/4","rhs":"2","ambient_dim":3},"holds":true},{"params":{"h":5,"lhs":"13/5","rhs":"2","ambient_dim":3},"holds":true},{"params":{"h":6,"lhs":"7/3","rhs":"2","ambient_dim":3},"holds":true}]}',
     '{"conjecture":"demailly","all_hold":true,"instances":[{"params":{"h":1,"m":2,"lhs":"4","rhs":"2","ambient_dim":3},"holds":true},{"params":{"h":2,"m":2,"lhs":"3","rhs":"2","ambient_dim":3},"holds":true},{"params":{"h":3,"m":2,"lhs":"7/3","rhs":"2","ambient_dim":3},"holds":true},{"params":{"h":4,"m":2,"lhs":"11/4","rhs":"2","ambient_dim":3},"holds":true},{"params":{"h":5,"m":2,"lhs":"13/5","rhs":"2","ambient_dim":3},"holds":true},{"params":{"h":6,"m":2,"lhs":"7/3","rhs":"2","ambient_dim":3},"holds":true}]}',
+)
+
+# exact stdout of the non-Steiner conjecture path (no threshold, ELS on a
+# cover ideal, Chudnovsky and Demailly with an explicit ambient dimension),
+# pinned before the conjecture families shared one code path
+CONJECTURES_FANO_COVER_R2_N3 = (
+    '{"conjecture":"stable-harbourne","all_hold":true,"instances":[{"params":{"r":1,"m":1,"slack":0},"holds":true},{"params":{"r":2,"m":4,"slack":0},"holds":true}]}',
+    '{"conjecture":"harbourne-huneke-1","all_hold":true,"instances":[{"params":{"r":1,"m":3,"slack":2},"holds":true},{"params":{"r":2,"m":6,"slack":4},"holds":true}]}',
+    '{"conjecture":"harbourne-huneke-2","all_hold":true,"instances":[{"params":{"r":1,"m":1,"slack":0},"holds":true},{"params":{"r":2,"m":4,"slack":2},"holds":true}]}',
+    '{"conjecture":"els","all_hold":true,"instances":[{"params":{"r":1,"m":3},"holds":true},{"params":{"r":2,"m":6},"holds":true}]}',
+    '{"conjecture":"chudnovsky","all_hold":true,"instances":[{"params":{"h":1,"lhs":"3","rhs":"5/3","ambient_dim":3},"holds":true},{"params":{"h":2,"lhs":"3","rhs":"5/3","ambient_dim":3},"holds":true},{"params":{"h":3,"lhs":"7/3","rhs":"5/3","ambient_dim":3},"holds":true},{"params":{"h":4,"lhs":"5/2","rhs":"5/3","ambient_dim":3},"holds":true},{"params":{"h":5,"lhs":"13/5","rhs":"5/3","ambient_dim":3},"holds":true},{"params":{"h":6,"lhs":"7/3","rhs":"5/3","ambient_dim":3},"holds":true}]}',
+    '{"conjecture":"demailly","all_hold":true,"instances":[{"params":{"h":1,"m":2,"lhs":"3","rhs":"2","ambient_dim":3},"holds":true},{"params":{"h":2,"m":2,"lhs":"3","rhs":"2","ambient_dim":3},"holds":true},{"params":{"h":3,"m":2,"lhs":"7/3","rhs":"2","ambient_dim":3},"holds":true},{"params":{"h":4,"m":2,"lhs":"5/2","rhs":"2","ambient_dim":3},"holds":true},{"params":{"h":5,"m":2,"lhs":"13/5","rhs":"2","ambient_dim":3},"holds":true},{"params":{"h":6,"m":2,"lhs":"7/3","rhs":"2","ambient_dim":3},"holds":true}]}',
 )
 
 SCAN_FANO_COVER_M6_R4 = (
@@ -476,6 +492,27 @@ def test_conjectures_golden_stdout(capsys):
     assert out.splitlines() == list(CONJECTURES_FANO_COMPLEMENT_R2)
 
 
+def test_conjectures_golden_stdout_without_provenance(capsys):
+    code, out, _ = run(
+        capsys,
+        "conjectures", "builtin:fano", "--source", "cover", "--r-hi", "2", "--ambient-dim", "3",
+    )
+    assert code == 0
+    assert out.splitlines() == list(CONJECTURES_FANO_COVER_R2_N3)
+
+
+@pytest.mark.parametrize("family", ["els", "stable-harbourne", "harbourne-huneke-1"])
+def test_conjectures_reject_an_empty_r_range(capsys, family):
+    code, out, err = run(
+        capsys,
+        "conjectures", "builtin:fano", "--source", "complement",
+        "--which", family, "--r-lo", "3", "--r-hi", "2",
+    )
+    assert code == 2
+    assert out == ""
+    assert "need 1 <= r_lo <= r_hi" in err
+
+
 def test_conjectures_skips_alpha_bounds_without_ambient(capsys):
     code, out, err = run(
         capsys, "conjectures", "builtin:fano", "--source", "cover", "--r-hi", "1"
@@ -550,3 +587,33 @@ def test_reproduce_all_claims_pass(capsys):
     code, out, _ = run(capsys, "reproduce")
     assert code == 0
     assert out.strip().splitlines()[-1] == "summary\t16/16 passed"
+
+
+# the benchmark tracer wraps the package's public functions and engine
+# methods by name; it patches globally, so it runs in its own process
+TRACER_SMOKE = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from tracing import Tracer, layer_metrics
+from steinerideals import cli
+
+tracer = Tracer()
+tracer.install()
+code = cli.main(["conjectures", "builtin:fano", "--source", "complement", "--r-hi", "1"])
+metrics = layer_metrics(tracer.spans, 0.0, 1.0)
+print(code, metrics["containment.check.calls"])
+"""
+
+
+def test_benchmark_tracer_wraps_the_package():
+    root = Path(__file__).resolve().parents[1]
+    path = [str(root / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    proc = subprocess.run(
+        [sys.executable, "-c", TRACER_SMOKE, str(root / "perfbench")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, calls = proc.stdout.splitlines()[-1].split()
+    assert code == "0"
+    assert int(calls) > 0

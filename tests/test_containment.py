@@ -1,5 +1,6 @@
 """Containment decisions, conjecture scans, and the resurgence region."""
 
+import dataclasses
 import time
 from fractions import Fraction
 
@@ -16,11 +17,11 @@ from steinerideals import (
     ResourceLimit,
     builtin_fano,
     builtin_sqs8,
-    check_els,
     chudnovsky_check,
     complement_ideal,
     cover_ideal,
     demailly_check,
+    els_scan,
     harbourne_huneke_scan,
     member_of_symbolic,
     min_degree_generators,
@@ -228,7 +229,75 @@ def test_time_budget_stops_membership_scan():
     assert exc.partial["holds_so_far"] is True
 
 
+def test_time_budget_stops_the_ordinary_power():
+    # (x1, x2)^r has r + 1 generators; its r - 1 multiply steps at
+    # r = 3000 take seconds, and omega_r materializes that power
+    engine = ContainmentEngine(PrimeDecomposition(2, ((1, 2),)))
+    engine.alpha(1)  # the alpha search obeys the budget too
+    engine.budget.deadline = time.monotonic() + 0.3
+    with pytest.raises(ResourceLimit) as ei:
+        engine.check(1, 3000)
+    late = time.monotonic() - engine.budget.deadline
+    assert ei.value.stage == "ordinary-power"
+    assert ei.value.partial["r"] == 3000
+    assert 1 <= ei.value.partial["factors_done"] < 3000
+    assert late < 0.5
+
+
+def test_time_budget_stops_the_witness_enumeration():
+    engine = ContainmentEngine(PrimeDecomposition(2, ((1, 2),)))
+    engine.base_ideal()
+    engine.budget.deadline = time.monotonic() - 1.0
+    with pytest.raises(ResourceLimit) as ei:
+        engine._confirm_witness(Monomial((1, 0)), 1, 50, 0)
+    assert ei.value.stage == "witness-enumeration"
+    assert ei.value.partial == {
+        "m": 1, "r": 50, "slack": 0, "multisets_checked": 0, "multisets_total": 51
+    }
+
+
 # conjecture families
+
+
+def test_r_families_share_one_loop_and_the_engine_call_order():
+    calls = []
+
+    class Recording(ContainmentEngine):
+        def check(self, m, r, slack=0, *, audit=False):
+            calls.append((m, r, slack, audit))
+            return super().check(m, r, slack, audit=audit)
+
+    engine = Recording(complement_ideal(builtin_fano()))
+    for verdict in (
+        stable_harbourne_scan(engine, 1, 2),
+        harbourne_huneke_scan(engine, 1, 2, 1),
+        harbourne_huneke_scan(engine, 1, 2, 2),
+        els_scan(engine, 1, 2),
+    ):
+        assert verdict.all_hold
+    assert calls == [
+        (1, 1, 0, False), (4, 2, 0, False),  # stable Harbourne
+        (3, 1, 2, False), (6, 2, 4, False),  # HH form 1
+        (1, 1, 0, False), (4, 2, 2, False),  # HH form 2
+        (3, 1, 0, True), (6, 2, 0, True),  # ELS, audited
+    ]
+    for family in (
+        lambda: stable_harbourne_scan(engine, 0, 1),
+        lambda: harbourne_huneke_scan(engine, 2, 1, 2),
+        lambda: els_scan(engine, 3, 2),
+    ):
+        with pytest.raises(ValueError, match="r_lo <= r_hi"):
+            family()
+
+
+def test_els_scan_raises_on_a_false_report():
+    class Broken(ContainmentEngine):
+        def check(self, m, r, slack=0, *, audit=False):
+            rep = super().check(m, r, slack, audit=audit)
+            return dataclasses.replace(rep, holds=False, witness=Monomial((1,) * 7))
+
+    with pytest.raises(InternalInconsistency, match="els containment"):
+        els_scan(Broken(cover_ideal(builtin_fano().hypergraph())), 1, 1)
 
 
 def test_els_sanity_checks():
@@ -238,13 +307,13 @@ def test_els_sanity_checks():
         (cover_ideal(fano_h), 2),
         (complement_ideal(builtin_fano()), 1),
     ):
-        rep = check_els(P, r)
-        assert rep.holds
-        assert rep.m == P.big_height * r
+        (inst,) = els_scan(ContainmentEngine(P), r, r).instances
+        assert inst.holds
+        assert inst.params["m"] == P.big_height * r
 
 
 def test_stable_harbourne_scan_fano():
-    verdict = stable_harbourne_scan(complement_ideal(builtin_fano()), 1, 3)
+    verdict = stable_harbourne_scan(ContainmentEngine(complement_ideal(builtin_fano())), 1, 3)
     assert verdict.all_hold
     assert verdict.threshold == Fraction(7, 2)
     assert [inst.params["m"] for inst in verdict.instances] == [1, 4, 7]
@@ -255,7 +324,7 @@ def test_stable_harbourne_scan_fano():
 
 
 def test_stable_harbourne_scan_has_no_threshold_without_provenance():
-    verdict = stable_harbourne_scan(cover_ideal(builtin_fano().hypergraph()), 1, 1)
+    verdict = stable_harbourne_scan(ContainmentEngine(cover_ideal(builtin_fano().hypergraph())), 1, 1)
     assert verdict.threshold is None
     assert "threshold" not in verdict.to_dict()
 
@@ -263,22 +332,22 @@ def test_stable_harbourne_scan_has_no_threshold_without_provenance():
 def test_harbourne_huneke_scans_fano():
     P = complement_ideal(builtin_fano())
     engine = ContainmentEngine(P)
-    one = harbourne_huneke_scan(P, 1, 2, 1, engine=engine)
+    one = harbourne_huneke_scan(engine, 1, 2, 1)
     assert one.all_hold
     # form 1 slack is r*(h-1); the stronger slack r*h variants are
     # exercised separately in test_slack_containments_hold_by_scan
     assert [(i.params["m"], i.params["slack"]) for i in one.instances] == [(3, 2), (6, 4)]
-    two = harbourne_huneke_scan(P, 1, 2, 2, engine=engine)
+    two = harbourne_huneke_scan(engine, 1, 2, 2)
     assert two.all_hold
     assert [(i.params["m"], i.params["slack"]) for i in two.instances] == [(1, 0), (4, 2)]
     with pytest.raises(ValueError):
-        harbourne_huneke_scan(P, 1, 2, 3)
+        harbourne_huneke_scan(engine, 1, 2, 3)
     with pytest.raises(ValueError):
-        stable_harbourne_scan(P, 2, 1)
+        stable_harbourne_scan(engine, 2, 1)
 
 
 def test_chudnovsky_fano():
-    verdict = chudnovsky_check(complement_ideal(builtin_fano()), 6)
+    verdict = chudnovsky_check(ContainmentEngine(complement_ideal(builtin_fano())), 6)
     assert verdict.all_hold
     for inst in verdict.instances:
         assert inst.params["rhs"] == "2"
@@ -287,11 +356,25 @@ def test_chudnovsky_fano():
 
 
 def test_chudnovsky_needs_ambient_without_provenance():
-    P = cover_ideal(builtin_fano().hypergraph())
+    engine = ContainmentEngine(cover_ideal(builtin_fano().hypergraph()))
     with pytest.raises(ValueError):
-        chudnovsky_check(P, 2)
-    verdict = chudnovsky_check(P, 2, ambient_dim=3)
+        chudnovsky_check(engine, 2)
+    verdict = chudnovsky_check(engine, 2, ambient_dim=3)
     assert verdict.instances[0].params["ambient_dim"] == 3
+
+
+def test_chudnovsky_and_demailly_with_another_ambient_dim_on_a_complement():
+    # the Demailly closed form assumes N = n; with N = 4 on the Fano
+    # complement (n = 3) the right sides are (4+3)/4 and (6+3)/(2+3)
+    engine = ContainmentEngine(complement_ideal(builtin_fano()))
+    chud = chudnovsky_check(engine, 2, ambient_dim=4)
+    assert [i.params for i in chud.instances] == [
+        {"h": 1, "lhs": "4", "rhs": "7/4", "ambient_dim": 4},
+        {"h": 2, "lhs": "3", "rhs": "7/4", "ambient_dim": 4},
+    ]
+    demailly = demailly_check(engine, 2, 2, ambient_dim=4)
+    assert demailly.instances[0].params["rhs"] == "9/5"
+    assert demailly.all_hold
 
 
 def _same_bounds(a, b):
@@ -305,21 +388,21 @@ def test_demailly_fano_exact_right_sides():
     engine = ContainmentEngine(P)
     expected = {1: Fraction(2), 3: Fraction(9, 5), 4: Fraction(13, 6), 6: Fraction(2)}
     for m, rhs in expected.items():
-        verdict = demailly_check(P, m, 6, engine=engine)
+        verdict = demailly_check(engine, m, 6)
         assert verdict.all_hold, m
         assert Fraction(verdict.instances[0].params["rhs"]) == rhs
         assert rhs <= Fraction(7, 3)
     # m = 1 recovers the Chudnovsky bound exactly
-    chud = chudnovsky_check(P, 6, engine=engine)
-    assert _same_bounds(chud, demailly_check(P, 1, 6, engine=engine))
+    chud = chudnovsky_check(engine, 6)
+    assert _same_bounds(chud, demailly_check(engine, 1, 6))
 
 
 def test_demailly_validation():
-    P = complement_ideal(builtin_fano())
+    engine = ContainmentEngine(complement_ideal(builtin_fano()))
     with pytest.raises(ValueError):
-        demailly_check(P, 0, 2)
+        demailly_check(engine, 0, 2)
     with pytest.raises(ValueError):
-        demailly_check(P, 1, 0)
+        demailly_check(engine, 1, 0)
 
 
 # resurgence
@@ -350,9 +433,8 @@ def test_resurgence_region_degenerate_and_invalid():
 
 
 def test_resurgence_search_fano_cover(fano_j):
-    scan = resurgence_search(
-        fano_j.decomposition, 4, 2, engine=fano_j
-    )
+    scan = resurgence_search(fano_j, 4, 2)
+    assert [(c.m, c.r) for c in scan.cells] == [(2, 1), (3, 1), (4, 1), (3, 2), (4, 2)]
     assert [(f.m, f.r) for f in scan.failures] == [(3, 2)]
     assert scan.max_ratio == Fraction(3, 2)
     for f in scan.failures:
@@ -364,8 +446,8 @@ def test_resurgence_search_fano_cover(fano_j):
 
 def test_resurgence_search_fano_complement(fano_c):
     # same box as the cover scan: (3,2) is the only failing cell here too
-    scan = resurgence_search(fano_c.decomposition, 4, 2, engine=fano_c)
+    scan = resurgence_search(fano_c, 4, 2)
     assert [(f.m, f.r) for f in scan.failures] == [(3, 2)]
     assert scan.max_ratio == Fraction(3, 2)
     with pytest.raises(ValueError):
-        resurgence_search(fano_c.decomposition, 0, 2, engine=fano_c)
+        resurgence_search(fano_c, 0, 2)

@@ -23,6 +23,7 @@ from steinerideals import (
     min_edge_size,
     validate_steiner,
 )
+from steinerideals import designs
 from steinerideals.designs import (
     FANO_BLOCKS,
     design_from_dict,
@@ -185,6 +186,34 @@ def test_witnesses_are_deterministic():
     H = builtin_sqs8().hypergraph()
     assert is_colourable(H, 2) == is_colourable(H, 2)
     assert is_coverable(H, 2) == is_coverable(H, 2)
+
+
+@pytest.mark.parametrize(
+    ("H", "k", "mode", "searches"),
+    [
+        # a Steiner system is vertex-regular: degree order is natural order
+        (builtin_sqs8().hypergraph(), 2, "colour", 1),
+        (builtin_fano().hypergraph(), 3, "colour", 1),
+        # vertex 2 has the most edges, so the decision pass starts there
+        (Hypergraph(5, ((1, 2), (2, 3), (3, 4), (4, 5), (2, 5))), 2, "colour", 2),
+        (Hypergraph(5, ((1, 2, 3), (2, 4, 5), (2, 3, 5))), 2, "cover", 2),
+    ],
+)
+def test_witness_search_runs_once_when_the_orders_coincide(monkeypatch, H, k, mode, searches):
+    canonical = Partition.from_assignment(
+        designs._search_partition(H, k, mode, range(H.vertex_count))
+    )
+    real = designs._search_partition
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(designs, "_search_partition", counting)
+    search = is_colourable if mode == "colour" else is_coverable
+    assert search(H, k) == canonical
+    assert len(calls) == searches
 
 
 def _check_cover(H, part, c):

@@ -1,6 +1,7 @@
 """Monomial ideal arithmetic cross-checked against exhaustive oracles."""
 
 import io
+import time
 from dataclasses import FrozenInstanceError
 from random import Random
 
@@ -8,11 +9,13 @@ import numpy as np
 import pytest
 
 from steinerideals import (
+    Budget,
     FormatError,
     MixedAmbient,
     Monomial,
     MonomialIdeal,
     PrimeDecomposition,
+    ResourceLimit,
     dump_monomials,
     intersect,
     load_monomials,
@@ -275,6 +278,16 @@ def test_power_basics():
     assert power(I, 3) == multiply(multiply(I, I), I)
     with pytest.raises(ValueError):
         power(I, -1)
+
+
+def test_power_checks_the_budget_before_each_multiply_step():
+    I = minimalize([M(1, 0), M(0, 2)])
+    expired = Budget(deadline=time.monotonic() - 1.0)
+    assert power(I, 1, budget=expired) == I  # no multiply step, no check
+    with pytest.raises(ResourceLimit) as ei:
+        power(I, 3, budget=expired)
+    assert ei.value.stage == "ordinary-power"
+    assert ei.value.partial == {"r": 3, "factors_done": 1}
 
 
 def test_power_chain_is_descending():
