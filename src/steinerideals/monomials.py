@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence, TextIO
+from typing import Callable, Iterable, Sequence, TextIO
 
 import numpy as np
 
@@ -101,7 +101,7 @@ _CHUNK = 1024
 _NEVER = np.iinfo(np.int64).max
 
 
-def _minimal_rows(rows: np.ndarray) -> np.ndarray:
+def _minimal_rows(rows: np.ndarray, check: Callable[[], None] | None = None) -> np.ndarray:
     """Minimal rows under componentwise <=, canonically ordered.
 
     One canonical sort (degree ascending) puts equal rows side by side,
@@ -120,6 +120,9 @@ def _minimal_rows(rows: np.ndarray) -> np.ndarray:
     Rows found dominated later in the same block still act as dominators,
     which cannot change the answer: whatever lies above them lies above
     the rows that dominate them.
+
+    ``check``, if given, is called before each block; a caller's budget
+    check raises from it to stop a long minimalization.
     """
     if len(rows) == 0:
         return rows.reshape(0, rows.shape[1])
@@ -129,6 +132,8 @@ def _minimal_rows(rows: np.ndarray) -> np.ndarray:
     ext = np.column_stack([rows, deg])
     keep = np.ones(len(rows), dtype=bool)
     for lo in range(0, len(rows), _BLOCK):
+        if check is not None:
+            check()
         first = np.searchsorted(deg, deg[lo], side="right")
         cand = np.flatnonzero(keep[first:]) + first
         if len(cand) == 0:

@@ -172,8 +172,9 @@ def symbolic_power(
     much tighter than generic pairwise lcms.
 
     Raises ResourceLimit when the candidate row count would exceed the
-    budget's generator cap or its deadline passes; the exception's
-    ``partial`` dict records how far the fold got.
+    budget's generator cap or its deadline passes; the deadline is also
+    checked once per block inside each step's minimalization.  The
+    exception's ``partial`` dict records how far the fold got.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -210,7 +211,9 @@ def symbolic_power(
             comps[:, idx] = _compositions(d, len(idx))
             expanded = (group[:, None, :] + comps[None, :, :]).reshape(-1, nv)
             pieces.append(expanded)
-        rows = _minimal_rows(np.vstack(pieces))
+        rows = _minimal_rows(
+            np.vstack(pieces), lambda: budget.check("symbolic-power", partial)
+        )
         if budget.progress is not None:
             budget.progress(step + 1, total, len(rows))
     return MonomialIdeal(nv, rows)
@@ -275,12 +278,25 @@ def _search_total(
     partial report.
 
     Support deficits are kept incrementally: ``need[k]`` is m minus the
-    k-th support's degree under the current partial assignment.  Raising
-    a[idx] by one lowers ``need`` on the supports incident to idx, and
-    the loop gives it back on return.  A node prunes when some support
-    still needs more than the degree left, or when a support whose last
-    variable was just assigned (``closing[idx - 1]``) is still deficient;
-    supports closed earlier were checked at an ancestor and cannot change.
+    k-th support's degree under the current partial assignment, and
+    ``deficit`` is the sum of the positive ``need[k]``.  Raising a[idx]
+    by one lowers ``need`` on the supports incident to idx, and the loop
+    gives it back on return.  A node prunes when
+
+    - a support whose last variable was just assigned (``closing[idx -
+      1]``) is still deficient; supports closed earlier were checked at
+      an ancestor and cannot change;
+    - ``deficit > left * fsuf[idx]``, where ``fsuf[idx]`` is the largest
+      number of supports on any variable >= idx: one unit on such a
+      variable lowers ``deficit`` by at most ``fsuf[idx]``, so the degree
+      left cannot clear it (the counting bound, applied to the residue);
+    - some support still needs more than the degree left.
+
+    Exponents are capped at m.  Both modes stay exact: lowering an
+    exponent above m to m keeps every support degree >= m, so a feasible
+    vector of total <= degree implies a capped one; and a feasible vector
+    of least total degree is a minimal generator, none of whose exponents
+    exceeds m.
     """
     sups = _support_arrays(P)
     nv = P.variable_count
@@ -290,16 +306,19 @@ def _search_total(
         for i in s:
             incident[i].append(k)
         closing[max(s)].append(k)
+    fsuf = [0] * (nv + 1)
+    for i in range(nv - 1, -1, -1):
+        fsuf[i] = max(fsuf[i + 1], len(incident[i]))
     need = [m] * len(sups)
     found: list[tuple[int, ...]] = []
     a = [0] * nv
     partial = {"m": m, "degree_tried": degree, "upper_bound": upper_bound}
 
-    def dfs(idx: int, left: int) -> bool:
+    def dfs(idx: int, left: int, deficit: int) -> bool:
         budget.check("initial-degree", partial)
         if idx and any(need[k] > 0 for k in closing[idx - 1]):
             return False  # support fully assigned yet deficient
-        if max(need) > left:
+        if deficit > left * fsuf[idx] or max(need) > left:
             return False
         if idx == nv:
             if collect:
@@ -309,12 +328,14 @@ def _search_total(
             return True
         inc = incident[idx]
         feasible = False
-        for e in range(0, left + 1):
+        for e in range(0, min(left, m) + 1):
             if e:
                 for k in inc:
+                    if need[k] > 0:
+                        deficit -= 1
                     need[k] -= 1
             a[idx] = e
-            if dfs(idx + 1, left - e):
+            if dfs(idx + 1, left - e, deficit):
                 feasible = True
                 break
         for k in inc:
@@ -322,17 +343,22 @@ def _search_total(
         a[idx] = 0
         return feasible
 
-    hit = dfs(0, degree)
+    hit = dfs(0, degree, m * len(sups))
     return found if collect else hit
 
 
 def initial_degree(P: PrimeDecomposition, m: int, *, budget: Budget | None = None) -> int:
     """alpha(I^(m)): least degree of a monomial in the symbolic power.
 
-    Runs bound-and-search between the counting lower bound and a greedy
-    upper bound; never enumerates the generating set.  Raises
-    ResourceLimit (stage "initial-degree") when the budget's deadline
-    passes mid-search.
+    Runs bound-and-search upward from the counting lower bound to a
+    greedy upper bound, one decision search per degree; never enumerates
+    the generating set.  Two prunings keep each search exact (details in
+    _search_total).  Exponents are capped at m: lowering an exponent
+    above m to m keeps a member in I^(m) and lowers its degree.  A node
+    is cut when the degree left, times the most supports on any variable
+    still free, is below the summed support deficit: one unit of degree
+    lowers that sum by at most that many.  Raises ResourceLimit (stage
+    "initial-degree") when the budget's deadline passes mid-search.
     """
     if m < 1:
         raise ValueError("m must be >= 1")

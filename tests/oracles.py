@@ -9,7 +9,7 @@ from __future__ import annotations
 import itertools
 from random import Random
 
-from steinerideals import Hypergraph, Monomial
+from steinerideals import Hypergraph, Monomial, validate_steiner
 
 
 def iter_monomials(nvars: int, max_degree: int):
@@ -118,12 +118,44 @@ def random_hypergraph(rng: Random, max_vertices=8) -> Hypergraph:
     return Hypergraph(len(used), tuple(edges))
 
 
-def random_supports(rng: Random, max_vars=6, max_supports=5):
+def random_supports(rng: Random, max_vars=6, max_supports=5, max_size=3):
     """Random support family for symbolic-power cross-checks."""
     nv = rng.randint(2, max_vars)
     k = rng.randint(1, max_supports)
     sups = []
     for _ in range(k):
-        size = rng.randint(1, min(3, nv))
+        size = rng.randint(1, min(max_size, nv))
         sups.append(tuple(sorted(rng.sample(range(1, nv + 1), size))))
     return nv, sups
+
+
+# Ladder designs from their textbook constructions, each checked by
+# validate_steiner.  Cyclic developments use the residues + 1 as points.
+
+
+def _cyclic_design(v: int, n: int, base_blocks):
+    blocks = {
+        tuple(sorted((x + k) % v + 1 for x in base)) for base in base_blocks for k in range(v)
+    }
+    return validate_steiner(v, n, 2, sorted(blocks))
+
+
+def ag23():
+    """AG(2,3) = STS(9): the lines {p + k*d} of GF(3)^2, point (x, y) = 3x + y + 1."""
+    pts = [(x, y) for x in range(3) for y in range(3)]
+    lines = {
+        tuple(sorted(3 * ((p[0] + k * d[0]) % 3) + (p[1] + k * d[1]) % 3 + 1 for k in range(3)))
+        for p in pts
+        for d in ((0, 1), (1, 0), (1, 1), (1, 2))
+    }
+    return validate_steiner(9, 3, 2, sorted(lines))
+
+
+def cyclic_sts13():
+    """The cyclic STS(13): {0,1,4} and {0,2,7} developed mod 13."""
+    return _cyclic_design(13, 3, ((0, 1, 4), (0, 2, 7)))
+
+
+def pg23():
+    """PG(2,3) = S(2,4,13): the difference set {0,1,3,9} developed mod 13."""
+    return _cyclic_design(13, 4, ((0, 1, 3, 9),))

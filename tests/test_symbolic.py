@@ -2,6 +2,7 @@
 
 import logging
 import time
+import traceback
 from fractions import Fraction
 from random import Random
 
@@ -33,6 +34,7 @@ from steinerideals import (
     validate_steiner,
     waldschmidt_exact,
 )
+from steinerideals import monomials
 from steinerideals.symbolic import support_degree
 
 import oracles
@@ -48,27 +50,6 @@ def sqs8_complement():
 
 def tiny_complement():
     return complement_ideal(validate_steiner(4, 2, 1, [(1, 2), (3, 4)]))
-
-
-def ag23():
-    """AG(2,3) = STS(9): the lines {p + k*d} of GF(3)^2, point (x, y) = 3x + y + 1."""
-    pts = [(x, y) for x in range(3) for y in range(3)]
-    lines = {
-        tuple(sorted(3 * ((p[0] + k * d[0]) % 3) + (p[1] + k * d[1]) % 3 + 1 for k in range(3)))
-        for p in pts
-        for d in ((0, 1), (1, 0), (1, 1), (1, 2))
-    }
-    return validate_steiner(9, 3, 2, sorted(lines))
-
-
-def cyclic_sts13():
-    """The cyclic STS(13): {0,1,4} and {0,2,7} developed mod 13, points = residue + 1."""
-    blocks = {
-        tuple(sorted((x + k) % 13 + 1 for x in base))
-        for base in ((0, 1, 4), (0, 2, 7))
-        for k in range(13)
-    }
-    return validate_steiner(13, 3, 2, sorted(blocks))
 
 
 class CountingBudget(Budget):
@@ -277,6 +258,26 @@ def test_symbolic_power_resource_limits():
         symbolic_power(P, 0)
 
 
+def test_fold_checks_the_budget_inside_the_minimalization(monkeypatch):
+    class StopAtCheck(CountingBudget):
+        def check(self, stage, partial, candidate=0):
+            super().check(stage, partial, candidate)
+            if self.calls == 12:
+                raise ResourceLimit(stage, "stop", partial)
+
+    # small blocks give each fold step's minimalization several checks;
+    # the traceback shows that the check that raised was the kernel's
+    monkeypatch.setattr(monomials, "_BLOCK", 8)
+    with pytest.raises(ResourceLimit) as ei:
+        symbolic_power(fano_complement(), 2, budget=StopAtCheck())
+    exc = ei.value
+    assert exc.stage == "symbolic-power"
+    assert set(exc.partial) == {"supports_folded", "supports_total", "kept"}
+    assert 1 <= exc.partial["supports_folded"] < exc.partial["supports_total"]
+    frames = [f.name for f in traceback.extract_tb(exc.__traceback__)]
+    assert frames[frames.index("symbolic_power") + 1] == "_minimal_rows"
+
+
 def test_initial_degree_search_obeys_the_budget():
     P = fano_complement()
     expired = Budget(deadline=time.monotonic() - 1.0)
@@ -367,12 +368,33 @@ def test_min_degree_generators_match_brute_force():
             assert [g.exponents for g in gens] == sorted(want, key=lambda w: tuple(-e for e in w))
 
 
+def test_alpha_search_prunings_are_admissible():
+    # Mixed support sizes make the largest support count on the variables
+    # still free change along the variable order, and m = 4 lets the
+    # exponent cap bind.  The oracle enumerates every monomial up to the
+    # claimed alpha, so it sees members of any lower degree too.
+    rng = Random(2024)
+    checked = 0
+    while checked < 30:
+        nv, sups = oracles.random_supports(rng, max_vars=5, max_supports=4, max_size=4)
+        P = PrimeDecomposition(nv, tuple(sups))
+        if len({len(s) for s in P.supports}) < 2:
+            continue
+        checked += 1
+        for m in (1, 2, 3, 4):
+            alpha = initial_degree(P, m)
+            members = oracles.brute_symbolic_members(P.supports, nv, m, alpha)
+            assert min(sum(w) for w in members) == alpha
+            want = sorted((w for w in members if sum(w) == alpha), key=lambda w: tuple(-e for e in w))
+            assert [g.exponents for g in min_degree_generators(P, m)] == want
+
+
 def test_alpha_search_tree_is_pinned():
     # one budget check per search node: these counts fix the node count
     # and so the shape of the search tree
     cases = (
-        (lambda b: alpha_table(fano_complement(), 6, budget=b), 6262),
-        (lambda b: alpha_table(sqs8_complement(), 6, budget=b), 17217),
+        (lambda b: alpha_table(fano_complement(), 6, budget=b), 3401),
+        (lambda b: alpha_table(sqs8_complement(), 6, budget=b), 13614),
     )
     for run, nodes in cases:
         budget = CountingBudget()
@@ -381,7 +403,7 @@ def test_alpha_search_tree_is_pinned():
     budget = CountingBudget()
     gens = min_degree_generators(cover_ideal(builtin_sqs8().hypergraph()), 3, budget=budget)
     assert len(gens) == 8
-    assert budget.calls == 1563
+    assert budget.calls == 1316
 
 
 # Waldschmidt tables
@@ -423,11 +445,18 @@ def test_tiny_alpha_table():
 def test_alpha_search_matches_the_closed_form_on_the_ladder():
     # alpha_table raises InternalInconsistency when the search and
     # complement_alpha_formula disagree
-    for S, M in ((ag23(), 5), (cyclic_sts13(), 3)):
+    for S, M in ((oracles.ag23(), 5), (oracles.cyclic_sts13(), 3), (oracles.pg23(), 2)):
         table = alpha_table(complement_ideal(S), M)
         assert table.entries == tuple(
             (m, complement_alpha_formula(S.v, S.n, m)) for m in range(1, M + 1)
         )
+
+
+def test_alpha_search_matches_the_fold_on_the_ladder_covers():
+    for S in (oracles.ag23(), oracles.cyclic_sts13(), oracles.pg23()):
+        P = cover_ideal(S.hypergraph())
+        for m in (1, 2):
+            assert initial_degree(P, m) == symbolic_power(P, m).min_degree()
 
 
 def test_alpha_table_rejects_inconsistent_data():
