@@ -17,6 +17,12 @@ Fast paths, both re-verified where they produce witnesses:
   I^(m) <= I^r is guaranteed once alpha(I^(m)) >= r * (v - n + 1), the
   right side being r times the regularity of the complement ideal.
 
+Otherwise a generator scan decides: the minimal generators of I^(m) are
+tested in chunks.  A vectorized greedy pass certifies most of a chunk as
+members; every generator it leaves goes, in canonical order, to the
+exact search member_of_power, so the witness is the canonically first
+non-member.
+
 Every reported failure witness is independently confirmed: membership in
 the symbolic power by the linear support predicate, non-membership in
 M^slack * I^r by exhaustive multiset enumeration when the search space
@@ -37,7 +43,7 @@ import numpy as np
 
 from .budget import Budget
 from .errors import DegenerateRegion, InternalInconsistency
-from .monomials import Monomial, MonomialIdeal, member_of_power, power
+from .monomials import Monomial, MonomialIdeal, _greedy_members, member_of_power, power
 from .symbolic import (
     PrimeDecomposition,
     complement_alpha_formula,
@@ -49,6 +55,7 @@ from .symbolic import (
 
 _NAIVE_RECHECK_CAP = 250_000  # multiset count below which the brute recheck runs
 _RECHECK_CHUNK = 4096  # generator picks per vectorized step of that recheck
+_SCAN_CHUNK = 1 << 18  # generator-by-base-row tests per vectorized step of the scan
 
 
 @dataclass(frozen=True)
@@ -248,8 +255,15 @@ class ContainmentEngine:
         """Decide I^(m) <= M^slack * I^r and report with witness on failure.
 
         audit=True disables the true-result shortcut and the omega closed
-        form, forcing the generator-by-generator membership scan; used by
-        sanity checks that exist to exercise the real engine.
+        form, forcing the membership scan; used by sanity checks that
+        exist to exercise the real engine.
+
+        The scan takes the generators of I^(m) in chunks of about
+        _SCAN_CHUNK generator-by-base-row tests and checks the budget once
+        per chunk.  _greedy_members certifies what it can of each chunk;
+        each row it leaves is decided by member_of_power, in canonical
+        order, so the witness is the first generator outside
+        M^slack * I^r.
         """
         if m < 1 or r < 1 or slack < 0:
             raise ValueError("need m >= 1, r >= 1, slack >= 0")
@@ -284,21 +298,26 @@ class ContainmentEngine:
                 if alpha_m >= r * (v - n + 1):
                     return report(True, None, "regularity-threshold")
 
-        sym = self.symbolic(m)
+        rows = self.symbolic(m).rows
         base = self.base_ideal()
-        for idx, g in enumerate(sym.generators):
+        step = max(1, _SCAN_CHUNK // len(base.rows))
+        for lo in range(0, len(rows), step):
             partial = {
                 "m": m,
                 "r": r,
                 "slack": slack,
-                "generators_checked": idx,
-                "generators_total": sym.generator_count,
+                "generators_checked": lo,
+                "generators_total": len(rows),
                 "holds_so_far": True,
             }
             self.budget.check("membership-scan", partial)
-            if not member_of_power(g, base, r, slack):
-                self._confirm_witness(g, m, r, slack)
-                return report(False, g, "generator-scan")
+            chunk = rows[lo : lo + step]
+            for i in np.flatnonzero(~_greedy_members(chunk, base, r, slack)).tolist():
+                g = Monomial(tuple(chunk[i].tolist()))
+                partial = dict(partial, generators_checked=lo + i)
+                if not member_of_power(g, base, r, slack, budget=self.budget, partial=partial):
+                    self._confirm_witness(g, m, r, slack)
+                    return report(False, g, "generator-scan")
         return report(True, None, "generator-scan")
 
 

@@ -101,7 +101,9 @@ _CHUNK = 1024
 _NEVER = np.iinfo(np.int64).max
 
 
-def _minimal_rows(rows: np.ndarray, check: Callable[[], None] | None = None) -> np.ndarray:
+def _minimal_rows(
+    rows: np.ndarray, check: Callable[[], None] | None = None, settled: int = 0
+) -> np.ndarray:
     """Minimal rows under componentwise <=, canonically ordered.
 
     One canonical sort (degree ascending) puts equal rows side by side,
@@ -121,21 +123,31 @@ def _minimal_rows(rows: np.ndarray, check: Callable[[], None] | None = None) -> 
     which cannot change the answer: whatever lies above them lies above
     the rows that dominate them.
 
+    The first ``settled`` input rows are known to be minimal: the caller
+    guarantees that no input row lies strictly below one of them.  They
+    act as dominators only and are never tested as candidates.  A
+    duplicate of a settled row sorts after it (the sort is stable), so
+    the neighbour test drops the duplicate and keeps the settled row.
+
     ``check``, if given, is called before each block; a caller's budget
     check raises from it to stop a long minimalization.
     """
     if len(rows) == 0:
         return rows.reshape(0, rows.shape[1])
-    rows = rows[_canonical_order(rows)]
-    rows = rows[np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)]]
+    order = _canonical_order(rows)
+    rows = rows[order]
+    fresh = np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)]
+    rows = rows[fresh]
     deg = rows.sum(axis=1)
     ext = np.column_stack([rows, deg])
     keep = np.ones(len(rows), dtype=bool)
+    # the candidates: rows neither settled nor found dominated yet
+    open_ = order[fresh] >= settled
     for lo in range(0, len(rows), _BLOCK):
         if check is not None:
             check()
         first = np.searchsorted(deg, deg[lo], side="right")
-        cand = np.flatnonzero(keep[first:]) + first
+        cand = np.flatnonzero(open_[first:]) + first
         if len(cand) == 0:
             break
         block = ext[lo : lo + _BLOCK][keep[lo : lo + _BLOCK]]
@@ -155,7 +167,9 @@ def _minimal_rows(rows: np.ndarray, check: Callable[[], None] | None = None) -> 
                 bits = np.packbits(col <= values[:, None], axis=1).view(np.uint64)
                 bits = bits[np.searchsorted(values, chunk[:, j])]
                 acc = bits if acc is None else np.bitwise_and(acc, bits, out=acc)
-            keep[idx[np.bitwise_or.reduce(acc, axis=1) != 0]] = False
+            dominated = idx[np.bitwise_or.reduce(acc, axis=1) != 0]
+            keep[dominated] = False
+            open_[dominated] = False
     return rows[keep]
 
 
@@ -275,8 +289,14 @@ def intersect(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
     return MonomialIdeal.from_rows(I.variable_count, np.vstack(chunks))
 
 
-def multiply(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
-    """Product ideal; generated by pairwise products."""
+def multiply(
+    I: MonomialIdeal, J: MonomialIdeal, *, budget: Budget | None = None, partial: dict | None = None
+) -> MonomialIdeal:
+    """Product ideal; generated by pairwise products.
+
+    The budget, if given, is checked once per block of the product's
+    minimalization (stage "ordinary-power", reporting ``partial``).
+    """
     _check_same_ring(I, J)
     if I.is_zero or J.is_zero:
         return MonomialIdeal.zero(I.variable_count)
@@ -291,14 +311,16 @@ def multiply(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
     for lo in range(0, len(A), 128):
         part = A[lo : lo + 128, None, :] + B[None, :, :]
         chunks.append(part.reshape(-1, I.variable_count))
-    return MonomialIdeal.from_rows(I.variable_count, np.vstack(chunks))
+    check = None if budget is None else (lambda: budget.check("ordinary-power", partial or {}))
+    return MonomialIdeal(I.variable_count, _minimal_rows(np.vstack(chunks), check))
 
 
 def power(I: MonomialIdeal, r: int, *, budget: Budget | None = None) -> MonomialIdeal:
     """r-th power of the ideal; power(I, 0) is the unit ideal.
 
-    The budget, if given, is checked before every multiply step (stage
-    "ordinary-power"; ``factors_done`` counts the factors multiplied so far).
+    The budget, if given, is checked before every multiply step and once
+    per block inside each step's minimalization (stage "ordinary-power";
+    ``factors_done`` counts the factors multiplied so far).
     """
     if r < 0:
         raise ValueError("power exponent must be >= 0")
@@ -308,19 +330,35 @@ def power(I: MonomialIdeal, r: int, *, budget: Budget | None = None) -> Monomial
         return MonomialIdeal.unit(I.variable_count)
     out = I
     for done in range(1, r):
+        partial = {"r": r, "factors_done": done}
         if budget is not None:
-            budget.check("ordinary-power", {"r": r, "factors_done": done})
-        out = multiply(out, I)
+            budget.check("ordinary-power", partial)
+        out = multiply(out, I, budget=budget, partial=partial)
     return out
 
 
-def member_of_power(w: Monomial, I: MonomialIdeal, r: int, slack: int = 0) -> bool:
+def member_of_power(
+    w: Monomial,
+    I: MonomialIdeal,
+    r: int,
+    slack: int = 0,
+    *,
+    budget: Budget | None = None,
+    partial: dict | None = None,
+) -> bool:
     """Decide w in M^slack * I^r, M the irrelevant (all-variables) ideal.
 
     Equivalent to: some multiset of r generators has product dividing w
-    with deg(w) - deg(product) >= slack.  Exact depth-first search over
-    nonincreasing generator indices with degree pruning and memoized
-    failure states; no power ideal is materialized.
+    with deg(w) - deg(product) >= slack.  Exact depth-first search with
+    degree pruning and memoized failure states; no power ideal is
+    materialized.  The generators are tried in degree-descending order
+    (the reverse of the canonical order), each pick at or after the
+    previous one.  At each node one numpy call tests every remaining
+    generator against the residual, and the search recurses into those
+    that divide it, in that order.
+
+    The budget, if given, is checked at every search node (stage
+    "membership-scan", reporting ``partial``).
     """
     if w.variable_count != I.variable_count:
         raise MixedAmbient(I.variable_count, w.variable_count)
@@ -330,17 +368,17 @@ def member_of_power(w: Monomial, I: MonomialIdeal, r: int, slack: int = 0) -> bo
         return w.degree >= slack
     if I.is_zero:
         return False
-    rows = I.rows
-    deg = rows.sum(axis=1)
-    order = np.argsort(deg, kind="stable")[::-1]  # try big generators first
-    rows, deg = rows[order], deg[order]
-    min_deg = int(deg.min())
+    rows = I.rows[::-1]
+    min_deg = I.min_degree()
     target = np.array(w.exponents, dtype=np.int64)
     if w.degree < r * min_deg + slack:
         return False
+    partial = partial or {}
     failed: set[tuple] = set()
 
     def dfs(residual: np.ndarray, rem: int, start: int) -> bool:
+        if budget is not None:
+            budget.check("membership-scan", partial)
         if rem == 0:
             return int(residual.sum()) >= slack
         if int(residual.sum()) < rem * min_deg + slack:
@@ -348,15 +386,38 @@ def member_of_power(w: Monomial, I: MonomialIdeal, r: int, slack: int = 0) -> bo
         key = (residual.tobytes(), rem, start)
         if key in failed:
             return False
-        for gi in range(start, len(rows)):
-            g = rows[gi]
-            if (g <= residual).all():
-                if dfs(residual - g, rem - 1, gi):
-                    return True
+        fits = (rows[start:] <= residual).all(axis=1)
+        for gi in (np.flatnonzero(fits) + start).tolist():
+            if dfs(residual - rows[gi], rem - 1, gi):
+                return True
         failed.add(key)
         return False
 
     return dfs(target, r, 0)
+
+
+def _greedy_members(targets: np.ndarray, I: MonomialIdeal, r: int, slack: int) -> np.ndarray:
+    """Which target rows member_of_power's first search path proves in M^slack * I^r.
+
+    Follows, for every row at once, the path the search tries first: r
+    times, pick the first generator in its order (degree descending, at
+    or after the previous pick) that divides the residual.  A row whose r
+    picks all fit and leave at least ``slack`` degrees is a member; False
+    only means that this path failed, so the exact search must decide
+    the row.  I must be nonzero.
+    """
+    rows = I.rows[::-1]
+    residual = targets.copy()
+    start = np.zeros(len(targets), dtype=np.int64)
+    found = np.ones(len(targets), dtype=bool)
+    for _ in range(r):
+        fits = np.arange(len(rows)) >= start[:, None]
+        for j in range(rows.shape[1]):
+            fits &= rows[:, j] <= residual[:, j, None]
+        start = fits.argmax(axis=1)
+        found &= fits[np.arange(len(fits)), start]
+        residual -= rows[start]
+    return found & (residual.sum(axis=1) >= slack)
 
 
 # Plain-text monomial exchange format: a "vars: k" header line followed

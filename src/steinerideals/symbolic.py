@@ -204,6 +204,8 @@ def symbolic_power(
         )
         partial = {"supports_folded": step, "supports_total": total, "kept": len(rows)}
         budget.check("symbolic-power", partial, candidate)
+        # an expanded row g + c lying at or below an ok row h would put
+        # g <= h inside the antichain, so the ok rows are settled
         pieces = [ok]
         for d in sorted(set(int(x) for x in deficits)):
             group = todo[deficits == d]
@@ -212,7 +214,7 @@ def symbolic_power(
             expanded = (group[:, None, :] + comps[None, :, :]).reshape(-1, nv)
             pieces.append(expanded)
         rows = _minimal_rows(
-            np.vstack(pieces), lambda: budget.check("symbolic-power", partial)
+            np.vstack(pieces), lambda: budget.check("symbolic-power", partial), settled=len(ok)
         )
         if budget.progress is not None:
             budget.progress(step + 1, total, len(rows))

@@ -2,6 +2,7 @@
 
 import dataclasses
 import time
+import traceback
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,8 @@ from steinerideals import (
     demailly_check,
     els_scan,
     harbourne_huneke_scan,
+    iter_resurgence_cells,
+    member_of_power,
     member_of_symbolic,
     min_degree_generators,
     resurgence_region,
@@ -116,6 +119,41 @@ def test_sqs8_cover_noncontainment_witnesses(sqs8_j):
     rep = sqs8_j.check(4, 3)
     assert not rep.holds
     assert rep.witness == Monomial((1,) * 8)
+
+
+def test_exact_search_decides_the_rows_the_greedy_path_leaves(fano_j, monkeypatch):
+    decided = []
+
+    def spy(w, I, r, slack=0, **kwargs):
+        decided.append(member_of_power(w, I, r, slack, **kwargs))
+        return decided[-1]
+
+    monkeypatch.setattr(containment, "member_of_power", spy)
+    rep = fano_j.check(5, 3)
+    assert rep.holds and rep.method == "generator-scan"
+    # the greedy path certifies 451 of the 462 generators
+    assert decided == [True] * 11
+
+
+@pytest.mark.parametrize("design", [builtin_fano, oracles.ag23])
+def test_scan_cells_match_a_per_generator_search(design):
+    # every cell of `scan --m-max 4 --r-max 2`: the witness is the first
+    # generator of I^(m), in canonical order, outside I^r
+    engine = ContainmentEngine(cover_ideal(design().hypergraph()))
+    base = engine.base_ideal()
+    for rep in iter_resurgence_cells(engine, 4, 2):
+        gens = engine.symbolic(rep.m).generators
+        want = next((g for g in gens if not member_of_power(g, base, rep.r)), None)
+        assert (rep.holds, rep.witness) == (want is None, want), (rep.m, rep.r)
+
+
+@pytest.mark.slow
+def test_pg23_cover_containment_holds_by_the_scan():
+    # 13,026 generators of I^(3) over a 247-generator base ideal
+    budget = Budget(deadline=time.monotonic() + 30)
+    engine = ContainmentEngine(cover_ideal(oracles.pg23().hypergraph()), budget=budget)
+    rep = engine.check(3, 2)
+    assert rep.holds and rep.method == "generator-scan"
 
 
 # the witness check: membership predicate, then exhaustive enumeration
@@ -227,6 +265,29 @@ def test_time_budget_stops_membership_scan():
     assert exc.partial["generators_checked"] == 0
     assert exc.partial["generators_total"] == 29
     assert exc.partial["holds_so_far"] is True
+
+
+def test_time_budget_stops_the_exact_search():
+    class StopAtSecondCheck(Budget):
+        calls = 0
+
+        def check(self, stage, partial, candidate=0):
+            self.calls += 1
+            if self.calls == 2:
+                raise ResourceLimit(stage, "stop", partial)
+
+    # with the caches warm, the scan's one chunk check comes first and
+    # the first search node of a row the greedy path left comes second
+    engine = ContainmentEngine(cover_ideal(builtin_fano().hypergraph()))
+    assert engine.check(5, 3).holds
+    engine.budget = StopAtSecondCheck()
+    with pytest.raises(ResourceLimit) as ei:
+        engine.check(5, 3)
+    exc = ei.value
+    assert exc.stage == "membership-scan"
+    assert 0 < exc.partial["generators_checked"] < exc.partial["generators_total"] == 462
+    frames = [f.name for f in traceback.extract_tb(exc.__traceback__)]
+    assert frames[frames.index("check") + 1] == "member_of_power"
 
 
 def test_time_budget_stops_the_ordinary_power():

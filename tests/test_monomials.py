@@ -2,6 +2,7 @@
 
 import io
 import time
+import traceback
 from dataclasses import FrozenInstanceError
 from random import Random
 
@@ -26,7 +27,7 @@ from steinerideals import (
     symbolic_power,
 )
 from steinerideals import monomials
-from steinerideals.monomials import EXPONENT_LIMIT, _minimal_rows
+from steinerideals.monomials import EXPONENT_LIMIT, _greedy_members, _minimal_rows
 
 import oracles
 
@@ -216,6 +217,24 @@ def test_minimal_rows_at_full_block_size():
     assert list(map(tuple, got.tolist())) == want
 
 
+def test_settled_rows_only_dominate(monkeypatch):
+    # Fold-shaped input: the rows of an antichain that stay (settled),
+    # then rows lifted above its other rows, duplicates included.  A
+    # lifted row can never lie at or below a settled one: the row it was
+    # lifted from would lie below that settled row too.
+    monkeypatch.setattr(monomials, "_BLOCK", 70)
+    monkeypatch.setattr(monomials, "_CHUNK", 9)
+    rng = Random(59)
+    for _ in range(40):
+        nv = rng.randint(1, 6)
+        anti = _minimal_rows(np.array(_random_rows(rng, rng.randint(1, 150), nv, 3)))
+        stay = np.array([rng.random() < 0.4 for _ in range(len(anti))])
+        ok, todo = anti[stay], np.repeat(anti[~stay], 3, axis=0)
+        lift = [[rng.randint(0, 1) for _ in range(nv)] for _ in todo]
+        rows = np.vstack([ok, todo + np.array(lift, dtype=np.int64).reshape(-1, nv)])
+        assert np.array_equal(_minimal_rows(rows, settled=len(ok)), _minimal_rows(rows))
+
+
 def test_minimalize_idempotent_on_random_input():
     rng = Random(11)
     for _ in range(50):
@@ -290,6 +309,32 @@ def test_power_checks_the_budget_before_each_multiply_step():
     assert ei.value.partial == {"r": 3, "factors_done": 1}
 
 
+def test_multiply_checks_the_budget_inside_the_minimalization(monkeypatch):
+    class StopAtThirdCheck(Budget):
+        calls = 0
+
+        def check(self, stage, partial, candidate=0):
+            self.calls += 1
+            if self.calls == 3:
+                raise ResourceLimit(stage, "stop", partial)
+
+    # I^2 has ten generators of degrees 2 to 8, so 8-row blocks give its
+    # minimalization two checks after power's own check before the step
+    monkeypatch.setattr(monomials, "_BLOCK", 8)
+    I = minimalize([M(1, 0, 0, 0), M(0, 2, 0, 0), M(0, 0, 3, 0), M(0, 0, 0, 4)])
+    with pytest.raises(ResourceLimit) as ei:
+        power(I, 3, budget=StopAtThirdCheck())
+    exc = ei.value
+    assert exc.stage == "ordinary-power"
+    assert exc.partial == {"r": 3, "factors_done": 1}
+    frames = [f.name for f in traceback.extract_tb(exc.__traceback__)]
+    assert frames[frames.index("multiply") + 1] == "_minimal_rows"
+    with pytest.raises(ResourceLimit) as ei:
+        multiply(I, I, budget=Budget(deadline=time.monotonic() - 1.0))
+    assert ei.value.stage == "ordinary-power"
+    assert multiply(I, I, budget=Budget()) == power(I, 2)
+
+
 def test_power_chain_is_descending():
     rng = Random(44)
     for _ in range(10):
@@ -316,6 +361,42 @@ def test_member_of_power_matches_brute_force():
             got = member_of_power(Monomial(w), I, r, slack)
             want = oracles.brute_member_of_power(w, raw, r, slack)
             assert got == want, (w, raw, r, slack)
+
+
+def test_greedy_path_and_exact_search_match_brute_force():
+    # the containment scan's two stages: the greedy path certifies only
+    # members, and the exact search decides every row it leaves
+    rng = Random(57)
+    for _ in range(60):
+        nv, gens = oracles.random_generators(rng, max_vars=4, max_gens=5, max_degree=3)
+        I = minimalize(oracles.as_monomials(gens))
+        raw = [tuple(g.exponents) for g in I.generators]
+        targets = np.array([[rng.randint(0, 5) for _ in range(nv)] for _ in range(10)])
+        for r in range(4):
+            for slack in range(4):
+                certified = _greedy_members(targets, I, r, slack)
+                for w, sure in zip(map(tuple, targets.tolist()), certified):
+                    want = oracles.brute_member_of_power(w, raw, r, slack)
+                    assert want or not sure, (w, raw, r, slack)
+                    if not sure:
+                        assert member_of_power(Monomial(w), I, r, slack) == want
+
+
+def test_exact_search_decides_what_the_greedy_path_misses():
+    # The search tries x2^2 first.  For x1^2*x2^2 that leaves x1^2, which
+    # no generator divides, yet (x1*x2)^2 proves it a member; x1^3*x2 has
+    # enough degree but is no member.
+    I = minimalize([M(1, 1), M(0, 2)])
+    assert not _greedy_members(np.array([[2, 2], [3, 1]]), I, 2, 0).any()
+    assert member_of_power(M(2, 2), I, 2)
+    assert not member_of_power(M(3, 1), I, 2)
+    assert oracles.brute_member_of_power((2, 2), [(1, 1), (0, 2)], 2, 0)
+    assert not oracles.brute_member_of_power((3, 1), [(1, 1), (0, 2)], 2, 0)
+    expired = Budget(deadline=time.monotonic() - 1.0)
+    with pytest.raises(ResourceLimit) as ei:
+        member_of_power(M(2, 2), I, 2, budget=expired, partial={"generators_checked": 4})
+    assert ei.value.stage == "membership-scan"
+    assert ei.value.partial == {"generators_checked": 4}
 
 
 def test_member_of_power_edge_cases():
