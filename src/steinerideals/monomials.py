@@ -82,16 +82,32 @@ class Monomial:
 
 
 def _canonical_order(rows: np.ndarray) -> np.ndarray:
-    """Indices sorting rows by degree ascending, then tuple descending."""
+    """Indices sorting rows by degree ascending, then tuple descending.
+
+    The sort keys (the degree, then top - row[j] for each column j, top
+    the largest entry) are packed, most significant first, into as few
+    nonnegative int64 words as they fit in, and one stable sort orders
+    the words.
+    """
     if len(rows) == 0:
         return np.arange(0)
     deg = rows.sum(axis=1)
-    neg = -rows
-    keys = tuple(neg[:, j] for j in range(rows.shape[1] - 1, -1, -1)) + (deg,)
-    return np.lexsort(keys)
+    top = int(rows.max())
+    width = max(top.bit_length(), 1)
+    words = [deg]
+    used = max(int(deg.max()).bit_length(), 1)
+    for j in range(rows.shape[1]):
+        if used + width > 63:
+            words.append(np.zeros(len(rows), dtype=np.int64))
+            used = 0
+        words[-1] = (words[-1] << width) | (top - rows[:, j])
+        used += width
+    if len(words) == 1:
+        return np.argsort(words[0], kind="stable")
+    return np.lexsort(words[::-1])
 
 
-# _minimal_rows tests blocks of at most _BLOCK rows against chunks of at
+# _dominated tests blocks of at most _BLOCK rows against chunks of at
 # most _CHUNK candidates, so each temporary holds at most _BLOCK x _CHUNK
 # bits or bytes whatever the row count and the exponent sizes.
 _BLOCK = 4096
@@ -101,61 +117,58 @@ _CHUNK = 1024
 _NEVER = np.iinfo(np.int64).max
 
 
-def _minimal_rows(
-    rows: np.ndarray, check: Callable[[], None] | None = None, settled: int = 0
+def _distinct(rows: np.ndarray) -> np.ndarray:
+    """Indices of the distinct rows, in canonical order.
+
+    The canonical sort puts equal rows side by side, so duplicates drop
+    by comparing neighbours.  Returning indices keeps the sorted copy
+    short-lived: a caller that rebinds ``rows = rows[_distinct(rows)]``
+    holds at most two copies of the rows at a time.
+    """
+    order = _canonical_order(rows)
+    srt = rows[order]
+    fresh = np.ones(len(rows), dtype=bool)
+    fresh[1:] = (srt[1:] != srt[:-1]).any(axis=1)
+    return order[fresh]
+
+
+def _dominated(
+    cands: np.ndarray,
+    doms: np.ndarray,
+    check: Callable[[], None] | None = None,
+    hit: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Minimal rows under componentwise <=, canonically ordered.
+    """Mask of the candidate rows that lie above some dominator row.
 
-    One canonical sort (degree ascending) puts equal rows side by side,
-    so duplicates drop by comparing neighbours.  Two distinct rows x <= c
-    have deg x < deg c, so a row is dominated iff a row of strictly
-    smaller degree, hence earlier in that order, is <= it.  Testing only
-    strictly smaller degrees also keeps a row from dominating itself; the
-    degree enters the test as one more column, compared with deg c - 1.
+    A dominator d lies below a candidate c when d[j] <= c[j] in every
+    column but the last and d[-1] < c[-1]; the last column is compared
+    as d[-1] <= c[-1] - 1.  ``hit``, if given, is the mask to update in
+    place: the candidates it already marks are not tested again.
 
-    The rows are split into blocks.  Each block's still-kept rows are
-    tested against every still-kept row of higher degree, in chunks of
-    candidates.  For each column j, a chunk gets one bitset over the
-    block per distinct candidate value e: bit i is set iff the block's
-    row i has row[j] <= e (np.packbits, viewed as uint64 words).  A
-    candidate is dominated iff the AND of its column bitsets is nonzero.
-    Rows found dominated later in the same block still act as dominators,
-    which cannot change the answer: whatever lies above them lies above
-    the rows that dominate them.
-
-    The first ``settled`` input rows are known to be minimal: the caller
-    guarantees that no input row lies strictly below one of them.  They
-    act as dominators only and are never tested as candidates.  A
-    duplicate of a settled row sorts after it (the sort is stable), so
-    the neighbour test drops the duplicate and keeps the settled row.
+    The dominators are split into blocks.  Each block is tested against
+    the still-unmarked candidates, in chunks.  For each column j, a chunk
+    gets one bitset over the block per distinct candidate value e: bit i
+    is set iff the block's row i has row[j] <= e (np.packbits, viewed as
+    uint64 words).  A candidate is dominated iff the AND of its column
+    bitsets is nonzero.
 
     ``check``, if given, is called before each block; a caller's budget
-    check raises from it to stop a long minimalization.
+    check raises from it to stop a long query.
     """
-    if len(rows) == 0:
-        return rows.reshape(0, rows.shape[1])
-    order = _canonical_order(rows)
-    rows = rows[order]
-    fresh = np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)]
-    rows = rows[fresh]
-    deg = rows.sum(axis=1)
-    ext = np.column_stack([rows, deg])
-    keep = np.ones(len(rows), dtype=bool)
-    # the candidates: rows neither settled nor found dominated yet
-    open_ = order[fresh] >= settled
-    for lo in range(0, len(rows), _BLOCK):
+    if hit is None:
+        hit = np.zeros(len(cands), dtype=bool)
+    for lo in range(0, len(doms), _BLOCK):
         if check is not None:
             check()
-        first = np.searchsorted(deg, deg[lo], side="right")
-        cand = np.flatnonzero(open_[first:]) + first
-        if len(cand) == 0:
+        open_ = np.flatnonzero(~hit)
+        if len(open_) == 0:
             break
-        block = ext[lo : lo + _BLOCK][keep[lo : lo + _BLOCK]]
-        pad = np.full((-len(block) % 64, ext.shape[1]), _NEVER)
+        block = doms[lo : lo + _BLOCK]
+        pad = np.full((-len(block) % 64, doms.shape[1]), _NEVER)
         columns = np.vstack([block, pad]).T.copy()
-        for c0 in range(0, len(cand), _CHUNK):
-            idx = cand[c0 : c0 + _CHUNK]
-            chunk = ext[idx]
+        for c0 in range(0, len(open_), _CHUNK):
+            idx = open_[c0 : c0 + _CHUNK]
+            chunk = cands[idx]
             chunk[:, -1] -= 1
             # distinct values of each chunk column, from one sort
             srt = np.sort(chunk, axis=0)
@@ -167,10 +180,43 @@ def _minimal_rows(
                 bits = np.packbits(col <= values[:, None], axis=1).view(np.uint64)
                 bits = bits[np.searchsorted(values, chunk[:, j])]
                 acc = bits if acc is None else np.bitwise_and(acc, bits, out=acc)
-            dominated = idx[np.bitwise_or.reduce(acc, axis=1) != 0]
-            keep[dominated] = False
-            open_[dominated] = False
-    return rows[keep]
+            hit[idx[np.bitwise_or.reduce(acc, axis=1) != 0]] = True
+    return hit
+
+
+def _minimal_rows(rows: np.ndarray, check: Callable[[], None] | None = None) -> np.ndarray:
+    """Minimal rows under componentwise <=, canonically ordered.
+
+    After _distinct, two distinct rows x <= c have deg x < deg c, so a
+    row is dominated iff a row of strictly smaller degree, hence earlier
+    in canonical order, is <= it.  Testing only strictly smaller degrees
+    also keeps a row from dominating itself; the degree enters the test
+    as the last column of _dominated, which compares it strictly.
+
+    The rows are split into blocks.  Each block's still-kept rows are
+    tested against every still-kept row of higher degree.  Rows found
+    dominated later in the same block still act as dominators, which
+    cannot change the answer: whatever lies above them lies above the
+    rows that dominate them.
+
+    ``check``, if given, is called before each block; a caller's budget
+    check raises from it to stop a long minimalization.
+    """
+    if len(rows) == 0:
+        return rows.reshape(0, rows.shape[1])
+    rows = rows[_distinct(rows)]
+    deg = rows.sum(axis=1)
+    ext = np.column_stack([rows, deg])
+    dropped = np.zeros(len(rows), dtype=bool)
+    for lo in range(0, len(rows), _BLOCK):
+        if check is not None:
+            check()
+        first = np.searchsorted(deg, deg[lo], side="right")
+        if dropped[first:].all():
+            break
+        block = ext[lo : lo + _BLOCK][~dropped[lo : lo + _BLOCK]]
+        _dominated(ext[first:], block, hit=dropped[first:])
+    return rows[~dropped]
 
 
 @dataclass(frozen=True, eq=False)

@@ -20,6 +20,7 @@ v / n used by the faster containment paths.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import logging
 from dataclasses import dataclass
@@ -36,7 +37,7 @@ from .errors import (
     InternalInconsistency,
     MixedAmbient,
 )
-from .monomials import Monomial, MonomialIdeal, _canonical_order, _minimal_rows
+from .monomials import Monomial, MonomialIdeal, _canonical_order, _distinct, _dominated
 
 logger = logging.getLogger(__name__)
 
@@ -143,10 +144,9 @@ def member_of_symbolic(w: Monomial, P: PrimeDecomposition, m: int) -> bool:
     return all(support_degree(w, s) >= m for s in P.supports)
 
 
+@functools.cache
 def _compositions(total: int, parts: int) -> np.ndarray:
-    """All weak compositions of total into parts, as int64 rows."""
-    if parts == 1:
-        return np.array([[total]], dtype=np.int64)
+    """All weak compositions of total into parts, as read-only int64 rows."""
     rows = []
     for cut in itertools.combinations(range(total + parts - 1), parts - 1):
         prev = -1
@@ -156,7 +156,28 @@ def _compositions(total: int, parts: int) -> np.ndarray:
             prev = c
         comp.append(total + parts - 2 - prev)
         rows.append(comp)
-    return np.array(rows, dtype=np.int64)
+    rows = np.array(rows, dtype=np.int64)
+    rows.flags.writeable = False
+    return rows
+
+
+def _lifts(todo: np.ndarray, idx: list[int], m: int) -> np.ndarray:
+    """Distinct lifts of the todo rows to idx-degree m, canonically ordered.
+
+    A row g of idx-degree m - d lifts to g + c for every weak composition
+    c of d over the columns idx: the minimal monomials above g of
+    idx-degree m.
+    """
+    deficits = m - todo[:, idx].sum(axis=1)
+    pieces = []
+    for d in np.flatnonzero(np.bincount(deficits)).tolist():
+        group = todo[deficits == d]
+        comps = _compositions(d, len(idx))
+        lifted = np.repeat(group, len(comps), axis=0)
+        lifted[:, idx] += np.tile(comps, (len(group), 1))
+        pieces.append(lifted)
+    lifts = np.vstack(pieces)
+    return lifts[_distinct(lifts)]
 
 
 def symbolic_power(
@@ -165,15 +186,33 @@ def symbolic_power(
     """Minimal generators of I^(m) as a MonomialIdeal.
 
     Folds the prime powers p_sigma^m into the running intersection one
-    support at a time, smallest supports first, minimalizing after every
-    step.  Intersecting a monomial g with p_sigma^m needs only the
-    minimal monomials above g with sigma-degree m: when g is deficient by
-    d, these are g plus the weak compositions of d over sigma.  That is
-    much tighter than generic pairwise lcms.
+    support at a time, smallest supports first.  Intersecting a monomial
+    g with p_sigma^m needs only the minimal monomials above g with
+    sigma-degree m: when g is deficient by d, these are g plus the weak
+    compositions of d over sigma.  That is much tighter than generic
+    pairwise lcms.
+
+    Each step keeps the running antichain G's rows of sigma-degree >= m
+    (the ok rows) and adds the lifts g + c of the others (the todo rows)
+    that are minimal.  No ok row is dominated: a lift at or below an ok
+    row h would put its parent g strictly below h inside G.  A lift x
+    (sigma-degree exactly m) is not minimal iff some g' in G with
+    sigma-degree <= m has g' <= x and offdeg(g') < offdeg(x), offdeg
+    being the degree off sigma.  Proof: any y <= x in the new set has
+    sigma-degree m, so y agrees with x on sigma, and y != x forces
+    offdeg(y) < offdeg(x); y is a sigma-tight ok row, which is such a
+    g', or a lift of a todo row g' <= y.  Conversely such a g' is a
+    tight ok row below x, or a todo row whose lift g' + (x - g') on
+    sigma lies strictly below x.  The lift's own parent g is never such
+    a g', as offdeg(g) = offdeg(x).  So each step is one one-sided query
+    (_dominated) of the distinct lifts against those rows of G, with
+    offdeg as the strictly compared last column; the ok rows of larger
+    sigma-degree never enter it.  The result is sorted canonically once,
+    after the last step.
 
     Raises ResourceLimit when the candidate row count would exceed the
     budget's generator cap or its deadline passes; the deadline is also
-    checked once per block inside each step's minimalization.  The
+    checked once per dominator block of each step's query.  The
     exception's ``partial`` dict records how far the fold got.
     """
     if m < 1:
@@ -183,42 +222,41 @@ def symbolic_power(
     total = len(P.supports)
     # seed with the first prime power; supports are already sorted by
     # size, i.e. ascending prime-power generator count.  Its rows are
-    # distinct and of one degree, so sorting them is all the
-    # minimalization they need.
+    # distinct and of one degree, so they form an antichain.
     sups = _support_arrays(P)
     first = sups[0]
     partial = {"supports_folded": 0, "supports_total": total, "kept": 0}
     budget.check("symbolic-power", partial, comb(m + len(first) - 1, m))
     rows = np.zeros((comb(m + len(first) - 1, m), nv), dtype=np.int64)
     rows[:, list(first)] = _compositions(m, len(first))
-    rows = rows[_canonical_order(rows)]
 
     for step, sup in enumerate(sups[1:], start=1):
         idx = list(sup)
         sdeg = rows[:, idx].sum(axis=1)
-        ok = rows[sdeg >= m]
-        todo = rows[sdeg < m]
-        deficits = m - todo[:, idx].sum(axis=1) if len(todo) else np.zeros(0, dtype=np.int64)
-        candidate = len(ok) + int(
-            sum(comb(int(d) + len(idx) - 1, int(d)) for d in deficits)
+        # rows per deficit; np.bincount, unlike np.unique, does not
+        # import numpy.ma (about 1 MB of resident memory)
+        counts = np.bincount(m - sdeg[sdeg < m], minlength=m + 1)
+        candidate = int(len(rows) - counts.sum()) + sum(
+            c * comb(d + len(idx) - 1, d) for d, c in enumerate(counts.tolist()) if c
         )
         partial = {"supports_folded": step, "supports_total": total, "kept": len(rows)}
         budget.check("symbolic-power", partial, candidate)
-        # an expanded row g + c lying at or below an ok row h would put
-        # g <= h inside the antichain, so the ok rows are settled
-        pieces = [ok]
-        for d in sorted(set(int(x) for x in deficits)):
-            group = todo[deficits == d]
-            comps = np.zeros((comb(d + len(idx) - 1, d), nv), dtype=np.int64)
-            comps[:, idx] = _compositions(d, len(idx))
-            expanded = (group[:, None, :] + comps[None, :, :]).reshape(-1, nv)
-            pieces.append(expanded)
-        rows = _minimal_rows(
-            np.vstack(pieces), lambda: budget.check("symbolic-power", partial), settled=len(ok)
-        )
+        if counts.any():
+            lifts = _lifts(rows[sdeg < m], idx, m)
+            doms = rows[sdeg <= m]
+            offdeg = doms.sum(axis=1) - sdeg[sdeg <= m]
+            # least offdeg first: those rows dominate the most lifts, and a
+            # lift found dominated leaves the later blocks' queries
+            doms = np.column_stack([doms, offdeg])[np.argsort(offdeg, kind="stable")]
+            hit = _dominated(
+                np.column_stack([lifts, lifts.sum(axis=1) - m]),
+                doms,
+                lambda: budget.check("symbolic-power", partial),
+            )
+            rows = np.vstack([rows[sdeg >= m], lifts[~hit]])
         if budget.progress is not None:
             budget.progress(step + 1, total, len(rows))
-    return MonomialIdeal(nv, rows)
+    return MonomialIdeal(nv, rows[_canonical_order(rows)])
 
 
 # Initial degree alpha(I^(m)) = least total degree of a member, computed

@@ -1,6 +1,7 @@
 """Monomial ideal arithmetic cross-checked against exhaustive oracles."""
 
 import io
+import itertools
 import time
 import traceback
 from dataclasses import FrozenInstanceError
@@ -27,7 +28,14 @@ from steinerideals import (
     symbolic_power,
 )
 from steinerideals import monomials
-from steinerideals.monomials import EXPONENT_LIMIT, _greedy_members, _minimal_rows
+from steinerideals.monomials import (
+    EXPONENT_LIMIT,
+    _canonical_order,
+    _dominated,
+    _greedy_members,
+    _minimal_rows,
+)
+from steinerideals.symbolic import _lifts
 
 import oracles
 
@@ -217,22 +225,65 @@ def test_minimal_rows_at_full_block_size():
     assert list(map(tuple, got.tolist())) == want
 
 
-def test_settled_rows_only_dominate(monkeypatch):
-    # Fold-shaped input: the rows of an antichain that stay (settled),
-    # then rows lifted above its other rows, duplicates included.  A
-    # lifted row can never lie at or below a settled one: the row it was
-    # lifted from would lie below that settled row too.
+def _brute_lifts(todo, idx, m):
+    """Every row g + c, c a weak composition over idx of g's deficit."""
+    out = set()
+    for g in todo.tolist():
+        d = m - sum(g[j] for j in idx)
+        for c in itertools.product(range(d + 1), repeat=len(idx)):
+            if sum(c) == d:
+                w = list(g)
+                for j, e in zip(idx, c):
+                    w[j] += e
+                out.add(tuple(w))
+    return sorted(out, key=lambda r: (sum(r), tuple(-e for e in r)))
+
+
+def test_fold_step_query_matches_full_minimalization(monkeypatch):
+    # One fold step as symbolic_power takes it: keep the antichain's rows
+    # of support-degree >= m, and drop each lift that a row of
+    # support-degree <= m lies below with a smaller degree off the
+    # support.  That must equal minimalizing all kept and lifted rows.
+    # Small blocks and chunks put many boundaries inside each query.
     monkeypatch.setattr(monomials, "_BLOCK", 70)
     monkeypatch.setattr(monomials, "_CHUNK", 9)
     rng = Random(59)
-    for _ in range(40):
+    for _ in range(60):
         nv = rng.randint(1, 6)
         anti = _minimal_rows(np.array(_random_rows(rng, rng.randint(1, 150), nv, 3)))
-        stay = np.array([rng.random() < 0.4 for _ in range(len(anti))])
-        ok, todo = anti[stay], np.repeat(anti[~stay], 3, axis=0)
-        lift = [[rng.randint(0, 1) for _ in range(nv)] for _ in todo]
-        rows = np.vstack([ok, todo + np.array(lift, dtype=np.int64).reshape(-1, nv)])
-        assert np.array_equal(_minimal_rows(rows, settled=len(ok)), _minimal_rows(rows))
+        idx = sorted(rng.sample(range(nv), rng.randint(1, nv)))
+        off = [j for j in range(nv) if j not in idx]
+        m = rng.randint(1, 4)
+        sdeg = anti[:, idx].sum(axis=1)
+        ok, todo = anti[sdeg >= m], anti[sdeg < m]
+        lifted = _brute_lifts(todo, idx, m)
+        want = _minimal_rows(np.array(ok.tolist() + lifted).reshape(-1, nv))
+        step = ok
+        if len(todo):
+            lifts = _lifts(todo, idx, m)
+            assert list(map(tuple, lifts.tolist())) == lifted
+            doms = anti[sdeg <= m]
+            hit = _dominated(
+                np.column_stack([lifts, lifts[:, off].sum(axis=1)]),
+                np.column_stack([doms, doms[:, off].sum(axis=1)]),
+            )
+            step = np.vstack([ok, lifts[~hit]])
+        assert np.array_equal(step[_canonical_order(step)], want)
+    # the whole fold, on supports of mixed sizes: its generators are the
+    # minimal members, and a minimal generator has no exponent above m
+    for _ in range(12):
+        nv, sups = oracles.random_supports(rng, max_vars=5, max_supports=5, max_size=4)
+        P = PrimeDecomposition(nv, tuple(sups))
+        for m in range(1, 5):
+            members = oracles.brute_symbolic_members(P.supports, nv, m, m * nv)
+            gens = {
+                w
+                for w in members
+                if max(w) <= m
+                and not any(w[:i] + (w[i] - 1,) + w[i + 1 :] in members for i in range(nv) if w[i])
+            }
+            got = symbolic_power(P, m).rows.tolist()
+            assert list(map(tuple, got)) == sorted(gens, key=lambda r: (sum(r), tuple(-e for e in r)))
 
 
 def test_minimalize_idempotent_on_random_input():

@@ -1,5 +1,7 @@
 """Symbolic powers, initial degrees, and Waldschmidt bounds."""
 
+import hashlib
+import io
 import logging
 import time
 import traceback
@@ -24,6 +26,7 @@ from steinerideals import (
     complement_alpha_formula,
     complement_ideal,
     cover_ideal,
+    dump_monomials,
     initial_degree,
     intersect,
     member_of_symbolic,
@@ -275,7 +278,7 @@ def test_fold_checks_the_budget_inside_the_minimalization(monkeypatch):
     assert set(exc.partial) == {"supports_folded", "supports_total", "kept"}
     assert 1 <= exc.partial["supports_folded"] < exc.partial["supports_total"]
     frames = [f.name for f in traceback.extract_tb(exc.__traceback__)]
-    assert frames[frames.index("symbolic_power") + 1] == "_minimal_rows"
+    assert frames[frames.index("symbolic_power") + 1] == "_dominated"
 
 
 def test_initial_degree_search_obeys_the_budget():
@@ -457,6 +460,41 @@ def test_alpha_search_matches_the_fold_on_the_ladder_covers():
         P = cover_ideal(S.hypergraph())
         for m in (1, 2):
             assert initial_degree(P, m) == symbolic_power(P, m).min_degree()
+
+
+# generator counts and sha256 of the exchange-format text of I^(m), as
+# computed by the fold that minimalized every candidate row of each step
+_LADDER_DIGESTS = {
+    "sts13-cover-m3": (
+        lambda: cover_ideal(oracles.cyclic_sts13().hypergraph()),
+        3,
+        4746,
+        "21f0b92aa5d370586c01f2b47bfcb011afae5ed4b186d4eca2606170bb60774f",
+    ),
+    "pg23-cover-m3": (
+        lambda: cover_ideal(oracles.pg23().hypergraph()),
+        3,
+        13026,
+        "8a2f3f1b785577fb42d89eec8c2252ac2c68e302ff57258e26968e54381e7afc",
+    ),
+    "pg23-complement-m1": (
+        lambda: complement_ideal(oracles.pg23()),
+        1,
+        247,
+        "660a419a5c109ae6fcac2fffc56825e0a035b576f1a6cb28338aeb7e60986ba7",
+    ),
+}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("case", sorted(_LADDER_DIGESTS))
+def test_symbolic_power_digests_on_the_ladder(case):
+    build, m, count, digest = _LADDER_DIGESTS[case]
+    I = symbolic_power(build(), m)
+    text = io.StringIO()
+    dump_monomials(text, I)
+    assert I.generator_count == count
+    assert hashlib.sha256(text.getvalue().encode()).hexdigest() == digest
 
 
 def test_alpha_table_rejects_inconsistent_data():
