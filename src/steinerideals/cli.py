@@ -70,16 +70,20 @@ def _budget(args) -> Budget:
     cap = args.generator_cap
     if cap is None:
         cap = int(os.environ.get("STEINERIDEALS_GENERATOR_CAP", DEFAULT_GENERATOR_CAP))
+    if cap < 1:
+        raise ValueError("generator cap must be positive")
+    return Budget(cap, _deadline(args), _progress_printer(args.progress_interval))
+
+
+def _deadline(args) -> float | None:
+    """The monotonic deadline of --time-cap, else of STEINERIDEALS_TIME_CAP; None without either."""
     tcap = args.time_cap
     if tcap is None:
         env = os.environ.get("STEINERIDEALS_TIME_CAP")
         tcap = float(env) if env else None
-    if cap < 1:
-        raise ValueError("generator cap must be positive")
     if tcap is not None and tcap <= 0:
         raise ValueError("time cap must be positive")
-    deadline = None if tcap is None else time.monotonic() + tcap
-    return Budget(cap, deadline, _progress_printer(args.progress_interval))
+    return None if tcap is None else time.monotonic() + tcap
 
 
 def _progress_printer(interval: float):
@@ -181,17 +185,18 @@ def cmd_complement(args) -> int:
 
 
 def cmd_coverability(args) -> int:
+    budget = Budget(deadline=_deadline(args))
     _, H = _load_design_or_hypergraph(args.input)
     if args.chromatic:
         try:
-            chi = chromatic_number(H)
+            chi = chromatic_number(H, budget=budget)
         except Uncolourable as exc:
             _emit({"query": "chromatic", "error": "Uncolourable", "detail": str(exc)})
             return EXIT_INVALID
         _emit({"query": "chromatic", "chromatic_number": chi})
         return EXIT_OK
     if args.cover is not None:
-        part = is_coverable(H, args.cover)
+        part = is_coverable(H, args.cover, budget=budget)
         doc = {"query": "cover", "c": args.cover, "coverable": part is not None}
         if part is not None:
             doc["classes"] = [list(c) for c in part.classes]
@@ -199,7 +204,7 @@ def cmd_coverability(args) -> int:
             doc["exhaustive"] = True
         _emit(doc)
         return EXIT_OK
-    part = is_colourable(H, args.colour)
+    part = is_colourable(H, args.colour, budget=budget)
     doc = {"query": "colour", "m": args.colour, "colourable": part is not None}
     if part is not None:
         doc["classes"] = [list(c) for c in part.classes]
@@ -342,17 +347,21 @@ def _add_limits(p: argparse.ArgumentParser) -> None:
         help="abort with a partial report beyond this many generators "
         "(default: STEINERIDEALS_GENERATOR_CAP or 2000000)",
     )
-    p.add_argument(
-        "--time-cap",
-        type=float,
-        default=None,
-        help="wall-clock budget in seconds (default: STEINERIDEALS_TIME_CAP or none)",
-    )
+    _add_time_cap(p)
     p.add_argument(
         "--progress-interval",
         type=float,
         default=0.0,
         help="seconds between stderr progress lines (0 disables)",
+    )
+
+
+def _add_time_cap(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--time-cap",
+        type=float,
+        default=None,
+        help="wall-clock budget in seconds (default: STEINERIDEALS_TIME_CAP or none)",
     )
 
 
@@ -389,6 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--cover", type=int, metavar="C", help="partition meeting every edge")
     g.add_argument("--colour", type=int, metavar="M", help="weak colouring with M classes")
     g.add_argument("--chromatic", action="store_true", help="compute the chromatic number")
+    _add_time_cap(p)
     p.set_defaults(fn=cmd_coverability)
 
     p = sub.add_parser("symbolic", help="minimal generators of a symbolic power")

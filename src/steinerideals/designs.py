@@ -26,6 +26,7 @@ from math import comb
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from .budget import Budget
 from .errors import (
     BlockSizeMismatch,
     CountMismatch,
@@ -250,7 +251,9 @@ class Partition:
         return len(self.classes)
 
 
-def _search_partition(H: Hypergraph, k: int, mode: str, order: Sequence[int]):
+def _search_partition(
+    H: Hypergraph, k: int, mode: str, order: Sequence[int], budget: Budget | None = None
+):
     """Complete DFS over restricted-growth class assignments.
 
     mode "colour": reject any fully assigned monochromatic edge.
@@ -259,8 +262,12 @@ def _search_partition(H: Hypergraph, k: int, mode: str, order: Sequence[int]):
     its unassigned vertices).
 
     Returns the first complete assignment found, as a label vector indexed
-    by vertex (1-based labels), or None after exhausting the space.
+    by vertex (1-based labels), or None after exhausting the space.  The
+    budget, if given, is checked at every search node (stage
+    "partition-search"; ``nodes`` counts the nodes this search visited).
     """
+    budget = budget or Budget()
+    partial = {"mode": mode, "classes": k, "nodes": 0}
     v = H.vertex_count
     edges0 = [tuple(x - 1 for x in e) for e in H.edges]
     member_edges: list[list[int]] = [[] for _ in range(v)]
@@ -290,6 +297,8 @@ def _search_partition(H: Hypergraph, k: int, mode: str, order: Sequence[int]):
         return True
 
     def dfs(pos: int, used: int):
+        partial["nodes"] += 1
+        budget.check("partition-search", partial)
         if pos == len(order):
             if mode == "cover" and used != k:
                 return None
@@ -320,7 +329,7 @@ def _degree_order(H: Hypergraph) -> list[int]:
     return sorted(range(H.vertex_count), key=lambda u: (-deg[u], u))
 
 
-def _witness_partition(H: Hypergraph, k: int, mode: str) -> Partition | None:
+def _witness_partition(H: Hypergraph, k: int, mode: str, budget: Budget | None) -> Partition | None:
     """Decision search in degree order, then canonical witness extraction.
 
     The decision pass prunes faster on unsatisfiable instances; when a
@@ -331,22 +340,23 @@ def _witness_partition(H: Hypergraph, k: int, mode: str) -> Partition | None:
     pass already found that vector and is not repeated.
     """
     order = _degree_order(H)
-    assign = _search_partition(H, k, mode, order)
+    assign = _search_partition(H, k, mode, order, budget)
     if assign is None:
         return None
     natural = list(range(H.vertex_count))
     if order != natural:
-        assign = _search_partition(H, k, mode, natural)
+        assign = _search_partition(H, k, mode, natural, budget)
         if assign is None:  # pragma: no cover - both searches are complete
             raise AssertionError("decision and witness searches disagree")
     return Partition.from_assignment(assign)
 
 
-def is_coverable(H: Hypergraph, c: int) -> Partition | None:
+def is_coverable(H: Hypergraph, c: int, *, budget: Budget | None = None) -> Partition | None:
     """Partition into exactly c classes with every edge meeting every class.
 
     Returns a canonical witness Partition, or None as a definitive
-    (exhaustive-search) negative answer.
+    (exhaustive-search) negative answer.  Raises ResourceLimit (stage
+    "partition-search") when the budget's deadline passes mid-search.
     """
     if c < 1:
         raise ValueError("c must be >= 1")
@@ -354,28 +364,34 @@ def is_coverable(H: Hypergraph, c: int) -> Partition | None:
         return Partition((tuple(range(1, H.vertex_count + 1)),))
     if c > H.vertex_count or min_edge_size(H) < c:
         return None  # an edge with fewer than c vertices cannot meet c classes
-    return _witness_partition(H, c, "cover")
+    return _witness_partition(H, c, "cover", budget)
 
 
-def is_colourable(H: Hypergraph, m: int) -> Partition | None:
-    """Weak m-colouring witness (no monochromatic edge), or definitive None."""
+def is_colourable(H: Hypergraph, m: int, *, budget: Budget | None = None) -> Partition | None:
+    """Weak m-colouring witness (no monochromatic edge), or definitive None.
+
+    Raises ResourceLimit (stage "partition-search") when the budget's
+    deadline passes mid-search.
+    """
     if m < 1:
         raise ValueError("m must be >= 1")
     if min_edge_size(H) < 2:
         return None  # a singleton edge is monochromatic under any partition
-    return _witness_partition(H, m, "colour")
+    return _witness_partition(H, m, "colour", budget)
 
 
-def chromatic_number(H: Hypergraph) -> int:
+def chromatic_number(H: Hypergraph, *, budget: Budget | None = None) -> int:
     """Least m admitting a weak m-colouring.
 
     Raises Uncolourable when H has a singleton edge; otherwise the value
-    is at most vertex_count (all-singleton classes work).
+    is at most vertex_count (all-singleton classes work).  Raises
+    ResourceLimit (stage "partition-search") when the budget's deadline
+    passes mid-search.
     """
     if min_edge_size(H) < 2:
         raise Uncolourable("hypergraph has a singleton edge")
     for m in range(1, H.vertex_count + 1):
-        if is_colourable(H, m) is not None:
+        if is_colourable(H, m, budget=budget) is not None:
             return m
     raise AssertionError("unreachable: singleton partition is a weak colouring")
 

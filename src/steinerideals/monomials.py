@@ -81,17 +81,30 @@ class Monomial:
         return "*".join(parts)
 
 
+# At or below this many rows _canonical_order sorts with one np.lexsort
+# over the row's columns; above it, with the packed words.
+_LEXSORT_ROWS = 128
+
+
 def _canonical_order(rows: np.ndarray) -> np.ndarray:
     """Indices sorting rows by degree ascending, then tuple descending.
 
-    The sort keys (the degree, then top - row[j] for each column j, top
+    Both paths sort stably, so equal rows keep their input order, and
+    they return the same indices; the row count picks the cheaper one.
+    Up to _LEXSORT_ROWS rows, one np.lexsort over the keys (the degree,
+    then -row[j] for each column j) costs a few calls, while the packed
+    path pays a few calls per column whatever the row count.  Above it,
+    the sort keys (the degree, then top - row[j] for each column j, top
     the largest entry) are packed, most significant first, into as few
     nonnegative int64 words as they fit in, and one stable sort orders
-    the words.
+    the words: a lexsort over every column costs one sort pass per
+    column, which the packed words save once the rows are many.
     """
     if len(rows) == 0:
         return np.arange(0)
     deg = rows.sum(axis=1)
+    if len(rows) <= _LEXSORT_ROWS:
+        return np.lexsort(np.vstack([-rows.T[::-1], deg[None]]))
     top = int(rows.max())
     width = max(top.bit_length(), 1)
     words = [deg]
@@ -112,6 +125,10 @@ def _canonical_order(rows: np.ndarray) -> np.ndarray:
 # bits or bytes whatever the row count and the exponent sizes.
 _BLOCK = 4096
 _CHUNK = 1024
+# A block whose open candidates, rows and columns multiply to at most
+# _BROADCAST is decided by one broadcast comparison instead of bitsets;
+# the two cost about the same near it.
+_BROADCAST = 1 << 16
 # Padding value for the rows that fill a block up to whole uint64 words:
 # no candidate value reaches it, so a padding row dominates nothing.
 _NEVER = np.iinfo(np.int64).max
@@ -145,12 +162,22 @@ def _dominated(
     as d[-1] <= c[-1] - 1.  ``hit``, if given, is the mask to update in
     place: the candidates it already marks are not tested again.
 
-    The dominators are split into blocks.  Each block is tested against
-    the still-unmarked candidates, in chunks.  For each column j, a chunk
-    gets one bitset over the block per distinct candidate value e: bit i
-    is set iff the block's row i has row[j] <= e (np.packbits, viewed as
-    uint64 words).  A candidate is dominated iff the AND of its column
-    bitsets is nonzero.
+    The dominators are split into blocks, and each block is tested
+    against the still-unmarked candidates by one of two paths, picked by
+    the size of the test.  When the open candidates times the block's
+    entries stay within _BROADCAST, one broadcast comparison of every
+    candidate with every block row decides the block: a handful of numpy
+    calls whatever the column count, on a temporary of at most
+    _BROADCAST bytes.  Larger tests go through bitsets, in chunks of
+    candidates.  For each column j, a chunk gets one bitset over the
+    block per distinct candidate value e: bit i is set iff the block's
+    row i has row[j] <= e (np.packbits, viewed as uint64 words).  A
+    candidate is dominated iff the AND of its column bitsets is nonzero.
+    That costs about five numpy calls per column, a fixed cost that
+    swamps a small test (a few hundred microseconds on four candidates
+    against five rows, which the broadcast decides in tens), while on a
+    large one the bitsets AND 64 block rows per word operation where the
+    broadcast compares every candidate, row and column one by one.
 
     ``check``, if given, is called before each block; a caller's budget
     check raises from it to stop a long query.
@@ -164,6 +191,11 @@ def _dominated(
         if len(open_) == 0:
             break
         block = doms[lo : lo + _BLOCK]
+        if len(open_) * block.size <= _BROADCAST:
+            c = cands[open_]
+            c[:, -1] -= 1
+            hit[open_[(block <= c[:, None]).all(axis=2).any(axis=1)]] = True
+            continue
         pad = np.full((-len(block) % 64, doms.shape[1]), _NEVER)
         columns = np.vstack([block, pad]).T.copy()
         for c0 in range(0, len(open_), _CHUNK):

@@ -166,17 +166,20 @@ def _lifts(todo: np.ndarray, idx: list[int], m: int) -> np.ndarray:
 
     A row g of idx-degree m - d lifts to g + c for every weak composition
     c of d over the columns idx: the minimal monomials above g of
-    idx-degree m.
+    idx-degree m.  Columns outside idx are copied unchanged.  When every
+    row has the same deficit (always so at m = 1), the rows are lifted as
+    they are, with no split by deficit and no join.
     """
     deficits = m - todo[:, idx].sum(axis=1)
+    present = np.flatnonzero(np.bincount(deficits)).tolist()
     pieces = []
-    for d in np.flatnonzero(np.bincount(deficits)).tolist():
-        group = todo[deficits == d]
+    for d in present:
+        group = todo if len(present) == 1 else todo[deficits == d]
         comps = _compositions(d, len(idx))
-        lifted = np.repeat(group, len(comps), axis=0)
-        lifted[:, idx] += np.tile(comps, (len(group), 1))
-        pieces.append(lifted)
-    lifts = np.vstack(pieces)
+        lifted = np.repeat(group[:, None, :], len(comps), axis=1)
+        lifted[:, :, idx] += comps
+        pieces.append(lifted.reshape(-1, todo.shape[1]))
+    lifts = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
     return lifts[_distinct(lifts)]
 
 
@@ -227,35 +230,36 @@ def symbolic_power(
     first = sups[0]
     partial = {"supports_folded": 0, "supports_total": total, "kept": 0}
     budget.check("symbolic-power", partial, comb(m + len(first) - 1, m))
-    rows = np.zeros((comb(m + len(first) - 1, m), nv), dtype=np.int64)
+    # The rows of G, with one more column: each step writes every row's
+    # offdeg there, and a lift inherits its parent's offdeg, so the query
+    # needs no stacking.
+    rows = np.zeros((comb(m + len(first) - 1, m), nv + 1), dtype=np.int64)
     rows[:, list(first)] = _compositions(m, len(first))
 
     for step, sup in enumerate(sups[1:], start=1):
-        idx = list(sup)
+        idx = np.array(sup)
         sdeg = rows[:, idx].sum(axis=1)
+        short = sdeg < m
         # rows per deficit; np.bincount, unlike np.unique, does not
         # import numpy.ma (about 1 MB of resident memory)
-        counts = np.bincount(m - sdeg[sdeg < m], minlength=m + 1)
+        counts = np.bincount(m - sdeg[short], minlength=m + 1)
         candidate = int(len(rows) - counts.sum()) + sum(
             c * comb(d + len(idx) - 1, d) for d, c in enumerate(counts.tolist()) if c
         )
         partial = {"supports_folded": step, "supports_total": total, "kept": len(rows)}
         budget.check("symbolic-power", partial, candidate)
         if counts.any():
-            lifts = _lifts(rows[sdeg < m], idx, m)
+            rows[:, -1] = rows[:, :-1].sum(axis=1) - sdeg
+            lifts = _lifts(rows[short], idx, m)
             doms = rows[sdeg <= m]
-            offdeg = doms.sum(axis=1) - sdeg[sdeg <= m]
             # least offdeg first: those rows dominate the most lifts, and a
             # lift found dominated leaves the later blocks' queries
-            doms = np.column_stack([doms, offdeg])[np.argsort(offdeg, kind="stable")]
-            hit = _dominated(
-                np.column_stack([lifts, lifts.sum(axis=1) - m]),
-                doms,
-                lambda: budget.check("symbolic-power", partial),
-            )
-            rows = np.vstack([rows[sdeg >= m], lifts[~hit]])
+            doms = doms[np.argsort(doms[:, -1], kind="stable")]
+            hit = _dominated(lifts, doms, lambda: budget.check("symbolic-power", partial))
+            rows = np.concatenate([rows[~short], lifts[~hit]])
         if budget.progress is not None:
             budget.progress(step + 1, total, len(rows))
+    rows = rows[:, :-1]
     return MonomialIdeal(nv, rows[_canonical_order(rows)])
 
 

@@ -441,6 +441,23 @@ def test_time_cap_stops_the_alpha_search(capsys, sts13_file, argv):
     assert wall < 2.0
 
 
+def test_time_cap_stops_the_partition_search(capsys, tmp_path):
+    # the weak chromatic number of PG(4,2) = STS(31) takes minutes
+    lines = {tuple(sorted((a, b, a ^ b))) for a in range(1, 32) for b in range(1, 32) if a != b}
+    path = tmp_path / "sts31.json"
+    path.write_text(json.dumps({"v": 31, "n": 3, "t": 2, "blocks": sorted(lines)}))
+    t0 = time.monotonic()
+    code, doc, _ = run_json(capsys, "coverability", str(path), "--chromatic", "--time-cap", "0.3")
+    wall = time.monotonic() - t0
+    assert code == 4
+    assert doc["error"] == "resource-limit" and doc["stage"] == "partition-search"
+    assert set(doc["partial"]) == {"mode", "classes", "nodes"}
+    assert doc["partial"]["mode"] == "colour" and doc["partial"]["nodes"] > 0
+    assert wall < 2.0
+    code, _, err = run(capsys, "coverability", str(path), "--cover", "2", "--time-cap", "0")
+    assert code == 2 and "time cap" in err
+
+
 # resurgence region
 
 

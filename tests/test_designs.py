@@ -1,16 +1,19 @@
 """Design validation, hypergraph partitions, and the JSON loaders."""
 
 import json
+import time
 from random import Random
 
 import pytest
 
 from steinerideals import (
     BlockSizeMismatch,
+    Budget,
     CountMismatch,
     FormatError,
     Hypergraph,
     Partition,
+    ResourceLimit,
     TSubsetMultiplyCovered,
     TSubsetUncovered,
     Uncolourable,
@@ -265,6 +268,25 @@ def test_chromatic_number_monotone_under_edge_removal():
             if covered != set(range(1, H.vertex_count + 1)):
                 continue
             assert chromatic_number(Hypergraph(H.vertex_count, rest)) <= chi
+
+
+def test_partition_searches_obey_the_budget():
+    H = builtin_fano().hypergraph()
+    expired = Budget(deadline=time.monotonic() - 1.0)
+    for search, k, mode in (
+        (is_coverable, 2, "cover"),
+        (is_colourable, 2, "colour"),
+        (chromatic_number, None, "colour"),
+    ):
+        with pytest.raises(ResourceLimit) as ei:
+            search(H, budget=expired) if k is None else search(H, k, budget=expired)
+        exc = ei.value
+        assert exc.stage == "partition-search"
+        assert exc.partial == {"mode": mode, "classes": k or 1, "nodes": 1}
+    # answers that need no search do not check
+    assert is_coverable(H, 1, budget=expired) is not None
+    assert is_coverable(H, 4, budget=expired) is None
+    assert chromatic_number(H, budget=Budget(deadline=time.monotonic() + 60)) == 3
 
 
 # loaders

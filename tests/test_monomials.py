@@ -176,6 +176,11 @@ def _check_kernel(rows):
     assert list(map(tuple, got.tolist())) == _reference_minimal(rows)
 
 
+# _BROADCAST values that send every dominator block down one path of
+# _dominated: 0 selects the bitset kernel, the huge value the broadcast
+BITSET_ONLY, BROADCAST_ONLY = 0, 1 << 62
+
+
 def _random_rows(rng, n, nv, top):
     rows = [[rng.randint(0, top) for _ in range(nv)] for _ in range(n)]
     return rows + [rng.choice(rows) for _ in range(n // 4)]  # duplicates
@@ -186,29 +191,103 @@ def _layered_rows(nv, low, high):
     return [w for w in oracles.iter_monomials(nv, high) if low <= sum(w) and max(w) <= 2]
 
 
-def test_minimal_rows_matches_the_quadratic_filter():
-    rng = Random(41)
-    for _ in range(40):
-        _check_kernel(_random_rows(rng, rng.randint(1, 150), rng.randint(1, 6), 3))
-    _check_kernel([[3], [1], [1], [2]])
-    _check_kernel(_random_rows(rng, 30, 1, 9))
-    empty = _minimal_rows(np.zeros((0, 4), dtype=np.int64))
-    assert empty.shape == (0, 4)
-    big = [0, EXPONENT_LIMIT - 1, EXPONENT_LIMIT, 2 * EXPONENT_LIMIT]
-    _check_kernel([[rng.choice(big) for _ in range(4)] for _ in range(120)])
+def test_minimal_rows_matches_the_quadratic_filter(monkeypatch):
+    for path in (BITSET_ONLY, BROADCAST_ONLY):
+        monkeypatch.setattr(monomials, "_BROADCAST", path)
+        rng = Random(41)
+        for _ in range(40):
+            _check_kernel(_random_rows(rng, rng.randint(1, 150), rng.randint(1, 6), 3))
+        _check_kernel([[3], [1], [1], [2]])
+        _check_kernel(_random_rows(rng, 30, 1, 9))
+        empty = _minimal_rows(np.zeros((0, 4), dtype=np.int64))
+        assert empty.shape == (0, 4)
+        big = [0, EXPONENT_LIMIT - 1, EXPONENT_LIMIT, 2 * EXPONENT_LIMIT]
+        _check_kernel([[rng.choice(big) for _ in range(4)] for _ in range(120)])
 
 
 def test_minimal_rows_across_block_chunk_and_word_boundaries(monkeypatch):
     # Small blocks and chunks put many boundaries inside inputs the
     # quadratic filter can still check; 70 rows per block also splits
-    # each block's bitsets across two uint64 words.
+    # each block's bitsets across two uint64 words.  Each input runs once
+    # through the bitset kernel and once through the broadcast.
     monkeypatch.setattr(monomials, "_BLOCK", 70)
     monkeypatch.setattr(monomials, "_CHUNK", 9)
-    rng = Random(43)
-    for n in (63, 64, 65, 69, 70, 71, 139, 140, 141, 400):
-        _check_kernel(_random_rows(rng, n, 5, 2))
-    _check_kernel(_layered_rows(6, 3, 7))  # degree runs longer than a block
-    _check_kernel(_layered_rows(5, 0, 6))  # the unit row dominates everything
+    for path in (BITSET_ONLY, BROADCAST_ONLY):
+        monkeypatch.setattr(monomials, "_BROADCAST", path)
+        rng = Random(43)
+        for n in (63, 64, 65, 69, 70, 71, 139, 140, 141, 400):
+            _check_kernel(_random_rows(rng, n, 5, 2))
+        _check_kernel(_layered_rows(6, 3, 7))  # degree runs longer than a block
+        _check_kernel(_layered_rows(5, 0, 6))  # the unit row dominates everything
+
+
+def _reference_dominated(cands, doms):
+    """Candidates above some dominator: <= on every column, strict < on the last."""
+    return np.array(
+        [
+            any(all(a <= b for a, b in zip(d[:-1], c[:-1])) and d[-1] < c[-1] for d in doms)
+            for c in cands.tolist()
+        ],
+        dtype=bool,
+    )
+
+
+@pytest.mark.parametrize("path", [BITSET_ONLY, BROADCAST_ONLY], ids=["bitset", "broadcast"])
+def test_dominated_compares_the_last_column_strictly_on_both_paths(monkeypatch, path):
+    # Many candidates equal a dominator but for the last column, which
+    # then decides: equal is not dominated, one more is.  Huge exponents
+    # sit next to small ones, and the 70-row blocks end mid-word.
+    monkeypatch.setattr(monomials, "_BLOCK", 70)
+    monkeypatch.setattr(monomials, "_CHUNK", 9)
+    monkeypatch.setattr(monomials, "_BROADCAST", path)
+    rng = Random(61)
+    values = [0, 1, 2, EXPONENT_LIMIT - 1, EXPONENT_LIMIT]
+    for n in (1, 5, 69, 70, 71, 150):
+        doms = np.array([[rng.choice(values) for _ in range(4)] for _ in range(n)])
+        cands = doms[rng.choices(range(n), k=n)]
+        cands[:, -1] += np.array([rng.choice((0, 1)) for _ in range(n)])
+        cands = np.vstack([cands, [[rng.choice(values) for _ in range(4)] for _ in range(20)]])
+        assert np.array_equal(_dominated(cands, doms), _reference_dominated(cands, doms))
+        # a preset hit stays set and is not tested again
+        hit = np.zeros(len(cands), dtype=bool)
+        hit[::3] = True
+        want = _reference_dominated(cands, doms) | hit
+        assert np.array_equal(_dominated(cands, doms, hit=hit.copy()), want)
+
+
+@pytest.mark.parametrize("path", [BITSET_ONLY, BROADCAST_ONLY], ids=["bitset", "broadcast"])
+def test_dominated_checks_once_per_block_on_both_paths(monkeypatch, path):
+    # no candidate is dominated, so every one of the three blocks runs
+    monkeypatch.setattr(monomials, "_BLOCK", 70)
+    monkeypatch.setattr(monomials, "_BROADCAST", path)
+    doms = np.ones((150, 3), dtype=np.int64)
+    cands = np.zeros((10, 3), dtype=np.int64)
+    calls = []
+    hit = _dominated(cands, doms, lambda: calls.append(1))
+    assert not hit.any() and len(calls) == 3
+
+
+def test_canonical_order_paths_agree(monkeypatch):
+    # The lexsort taken at or below _LEXSORT_ROWS rows and the packed-word
+    # sort above it return the same stable indices: row counts around the
+    # threshold, many ties, and rows wide enough to spill over several
+    # packed words (21-bit keys, three per word).
+    rng = Random(67)
+    limit = monomials._LEXSORT_ROWS
+    cases = []
+    for n in (1, 2, limit - 1, limit, limit + 1, 3 * limit):
+        cases.append(np.array(_random_rows(rng, n, 5, 2)))  # ties from duplicates
+    for nv in (9, 30):
+        rows = [[rng.choice([0, 1, EXPONENT_LIMIT]) for _ in range(nv)] for _ in range(limit)]
+        cases.append(np.array(rows + rows[: limit // 2]))
+    cases.append(np.zeros((limit + 1, 4), dtype=np.int64))  # one long tie
+    for rows in cases:
+        want = sorted(range(len(rows)), key=lambda i: (int(rows[i].sum()), tuple(-rows[i]), i))
+        got = {}
+        for threshold in (0, 1 << 62):
+            monkeypatch.setattr(monomials, "_LEXSORT_ROWS", threshold)
+            got[threshold] = _canonical_order(rows)
+        assert got[0].tolist() == want == got[1 << 62].tolist()
 
 
 def test_minimal_rows_at_full_block_size():
@@ -245,45 +324,48 @@ def test_fold_step_query_matches_full_minimalization(monkeypatch):
     # support-degree <= m lies below with a smaller degree off the
     # support.  That must equal minimalizing all kept and lifted rows.
     # Small blocks and chunks put many boundaries inside each query.
+    # Both parts run once through each path of _dominated.
     monkeypatch.setattr(monomials, "_BLOCK", 70)
     monkeypatch.setattr(monomials, "_CHUNK", 9)
-    rng = Random(59)
-    for _ in range(60):
-        nv = rng.randint(1, 6)
-        anti = _minimal_rows(np.array(_random_rows(rng, rng.randint(1, 150), nv, 3)))
-        idx = sorted(rng.sample(range(nv), rng.randint(1, nv)))
-        off = [j for j in range(nv) if j not in idx]
-        m = rng.randint(1, 4)
-        sdeg = anti[:, idx].sum(axis=1)
-        ok, todo = anti[sdeg >= m], anti[sdeg < m]
-        lifted = _brute_lifts(todo, idx, m)
-        want = _minimal_rows(np.array(ok.tolist() + lifted).reshape(-1, nv))
-        step = ok
-        if len(todo):
-            lifts = _lifts(todo, idx, m)
-            assert list(map(tuple, lifts.tolist())) == lifted
-            doms = anti[sdeg <= m]
-            hit = _dominated(
-                np.column_stack([lifts, lifts[:, off].sum(axis=1)]),
-                np.column_stack([doms, doms[:, off].sum(axis=1)]),
-            )
-            step = np.vstack([ok, lifts[~hit]])
-        assert np.array_equal(step[_canonical_order(step)], want)
-    # the whole fold, on supports of mixed sizes: its generators are the
-    # minimal members, and a minimal generator has no exponent above m
-    for _ in range(12):
-        nv, sups = oracles.random_supports(rng, max_vars=5, max_supports=5, max_size=4)
-        P = PrimeDecomposition(nv, tuple(sups))
-        for m in range(1, 5):
-            members = oracles.brute_symbolic_members(P.supports, nv, m, m * nv)
-            gens = {
-                w
-                for w in members
-                if max(w) <= m
-                and not any(w[:i] + (w[i] - 1,) + w[i + 1 :] in members for i in range(nv) if w[i])
-            }
-            got = symbolic_power(P, m).rows.tolist()
-            assert list(map(tuple, got)) == sorted(gens, key=lambda r: (sum(r), tuple(-e for e in r)))
+    for path in (BITSET_ONLY, BROADCAST_ONLY):
+        monkeypatch.setattr(monomials, "_BROADCAST", path)
+        rng = Random(59)
+        for _ in range(60):
+            nv = rng.randint(1, 6)
+            anti = _minimal_rows(np.array(_random_rows(rng, rng.randint(1, 150), nv, 3)))
+            idx = sorted(rng.sample(range(nv), rng.randint(1, nv)))
+            off = [j for j in range(nv) if j not in idx]
+            m = rng.randint(1, 4)
+            sdeg = anti[:, idx].sum(axis=1)
+            ok, todo = anti[sdeg >= m], anti[sdeg < m]
+            lifted = _brute_lifts(todo, idx, m)
+            want = _minimal_rows(np.array(ok.tolist() + lifted).reshape(-1, nv))
+            step = ok
+            if len(todo):
+                lifts = _lifts(todo, idx, m)
+                assert list(map(tuple, lifts.tolist())) == lifted
+                doms = anti[sdeg <= m]
+                hit = _dominated(
+                    np.column_stack([lifts, lifts[:, off].sum(axis=1)]),
+                    np.column_stack([doms, doms[:, off].sum(axis=1)]),
+                )
+                step = np.vstack([ok, lifts[~hit]])
+            assert np.array_equal(step[_canonical_order(step)], want)
+        # the whole fold, on supports of mixed sizes: its generators are the
+        # minimal members, and a minimal generator has no exponent above m
+        for _ in range(12):
+            nv, sups = oracles.random_supports(rng, max_vars=5, max_supports=5, max_size=4)
+            P = PrimeDecomposition(nv, tuple(sups))
+            for m in range(1, 5):
+                members = oracles.brute_symbolic_members(P.supports, nv, m, m * nv)
+                gens = {
+                    w
+                    for w in members
+                    if max(w) <= m
+                    and not any(w[:i] + (w[i] - 1,) + w[i + 1 :] in members for i in range(nv) if w[i])
+                }
+                got = symbolic_power(P, m).rows.tolist()
+                assert list(map(tuple, got)) == sorted(gens, key=lambda r: (sum(r), tuple(-e for e in r)))
 
 
 def test_minimalize_idempotent_on_random_input():
