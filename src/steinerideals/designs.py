@@ -252,8 +252,8 @@ class Partition:
 
 
 def _search_partition(
-    H: Hypergraph, k: int, mode: str, order: Sequence[int], budget: Budget | None = None
-):
+    H: Hypergraph, k: int, mode: str, budget: Budget | None = None
+) -> Partition | None:
     """Complete DFS over restricted-growth class assignments.
 
     mode "colour": reject any fully assigned monochromatic edge.
@@ -261,10 +261,13 @@ def _search_partition(
     via the pigeonhole bound: classes an edge still misses cannot exceed
     its unassigned vertices).
 
-    Returns the first complete assignment found, as a label vector indexed
-    by vertex (1-based labels), or None after exhausting the space.  The
-    budget, if given, is checked at every search node (stage
-    "partition-search"; ``nodes`` counts the nodes this search visited).
+    Vertices are assigned in natural order and labels are tried from 1
+    upward, so the first complete assignment found has the
+    lexicographically smallest label vector: it is the deterministic
+    witness reported everywhere.  Returns it as a Partition, or None
+    after exhausting the space.  The budget, if given, is checked at
+    every search node (stage "partition-search"; ``nodes`` counts the
+    nodes this search visited).
     """
     budget = budget or Budget()
     partial = {"mode": mode, "classes": k, "nodes": 0}
@@ -275,7 +278,6 @@ def _search_partition(
         for u in e:
             member_edges[u].append(ei)
     assign = [0] * v  # 0 = unassigned, labels 1..k
-    order = list(order)
 
     def ok(u: int, c: int) -> bool:
         for ei in member_edges[u]:
@@ -296,67 +298,37 @@ def _search_partition(
                     return False
         return True
 
-    def dfs(pos: int, used: int):
+    def dfs(u: int, used: int):
         partial["nodes"] += 1
         budget.check("partition-search", partial)
-        if pos == len(order):
+        if u == v:
             if mode == "cover" and used != k:
                 return None
             return list(assign)
-        u = order[pos]
-        remaining = len(order) - pos
         # cover mode must still be able to open all k classes
-        if mode == "cover" and used + remaining < k:
+        if mode == "cover" and used + v - u < k:
             return None
         for c in range(1, min(k, used + 1) + 1):
             if ok(u, c):
                 assign[u] = c
-                got = dfs(pos + 1, max(used, c))
+                got = dfs(u + 1, max(used, c))
                 if got is not None:
                     return got
                 assign[u] = 0
         return None
 
-    return dfs(0, 0)
-
-
-def _degree_order(H: Hypergraph) -> list[int]:
-    # most-constrained vertices first; ties by natural order
-    deg = [0] * H.vertex_count
-    for e in H.edges:
-        for x in e:
-            deg[x - 1] += 1
-    return sorted(range(H.vertex_count), key=lambda u: (-deg[u], u))
-
-
-def _witness_partition(H: Hypergraph, k: int, mode: str, budget: Budget | None) -> Partition | None:
-    """Decision search in degree order, then canonical witness extraction.
-
-    The decision pass prunes faster on unsatisfiable instances; when a
-    partition exists, a complete search in natural vertex order returns
-    the lexicographically smallest label vector, which is the
-    deterministic witness reported everywhere.  When the two orders
-    coincide (every Steiner system is vertex-regular), the decision
-    pass already found that vector and is not repeated.
-    """
-    order = _degree_order(H)
-    assign = _search_partition(H, k, mode, order, budget)
-    if assign is None:
-        return None
-    natural = list(range(H.vertex_count))
-    if order != natural:
-        assign = _search_partition(H, k, mode, natural, budget)
-        if assign is None:  # pragma: no cover - both searches are complete
-            raise AssertionError("decision and witness searches disagree")
-    return Partition.from_assignment(assign)
+    found = dfs(0, 0)
+    return None if found is None else Partition.from_assignment(found)
 
 
 def is_coverable(H: Hypergraph, c: int, *, budget: Budget | None = None) -> Partition | None:
     """Partition into exactly c classes with every edge meeting every class.
 
-    Returns a canonical witness Partition, or None as a definitive
-    (exhaustive-search) negative answer.  Raises ResourceLimit (stage
-    "partition-search") when the budget's deadline passes mid-search.
+    One search in natural vertex order decides and, when it succeeds,
+    returns the canonical witness Partition (the lexicographically least
+    label vector); None is a definitive (exhaustive-search) negative
+    answer.  Raises ResourceLimit (stage "partition-search") when the
+    budget's deadline passes mid-search.
     """
     if c < 1:
         raise ValueError("c must be >= 1")
@@ -364,7 +336,7 @@ def is_coverable(H: Hypergraph, c: int, *, budget: Budget | None = None) -> Part
         return Partition((tuple(range(1, H.vertex_count + 1)),))
     if c > H.vertex_count or min_edge_size(H) < c:
         return None  # an edge with fewer than c vertices cannot meet c classes
-    return _witness_partition(H, c, "cover", budget)
+    return _search_partition(H, c, "cover", budget)
 
 
 def is_colourable(H: Hypergraph, m: int, *, budget: Budget | None = None) -> Partition | None:
@@ -377,7 +349,7 @@ def is_colourable(H: Hypergraph, m: int, *, budget: Budget | None = None) -> Par
         raise ValueError("m must be >= 1")
     if min_edge_size(H) < 2:
         return None  # a singleton edge is monochromatic under any partition
-    return _witness_partition(H, m, "colour", budget)
+    return _search_partition(H, m, "colour", budget)
 
 
 def chromatic_number(H: Hypergraph, *, budget: Budget | None = None) -> int:

@@ -449,8 +449,6 @@ def member_of_power(
     rows = I.rows[::-1]
     min_deg = I.min_degree()
     target = np.array(w.exponents, dtype=np.int64)
-    if w.degree < r * min_deg + slack:
-        return False
     partial = partial or {}
     failed: set[tuple] = set()
 
@@ -525,7 +523,8 @@ def load_monomials(source: str | TextIO) -> tuple[int, tuple[Monomial, ...]]:
     if hasattr(source, "read"):
         text = source.read()
     else:
-        text = open(source).read()
+        with open(source) as fh:
+            text = fh.read()
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines or not lines[0].startswith("vars:"):

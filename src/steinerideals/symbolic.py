@@ -161,16 +161,16 @@ def _compositions(total: int, parts: int) -> np.ndarray:
     return rows
 
 
-def _lifts(todo: np.ndarray, idx: list[int], m: int) -> np.ndarray:
+def _lifts(todo: np.ndarray, idx: list[int], deficits: np.ndarray) -> np.ndarray:
     """Distinct lifts of the todo rows to idx-degree m, canonically ordered.
 
-    A row g of idx-degree m - d lifts to g + c for every weak composition
-    c of d over the columns idx: the minimal monomials above g of
-    idx-degree m.  Columns outside idx are copied unchanged.  When every
-    row has the same deficit (always so at m = 1), the rows are lifted as
-    they are, with no split by deficit and no join.
+    ``deficits`` holds m minus each todo row's idx-degree.  A row g with
+    deficit d lifts to g + c for every weak composition c of d over the
+    columns idx: the minimal monomials above g of idx-degree m.  Columns
+    outside idx are copied unchanged.  When every row has the same
+    deficit (always so at m = 1), the rows are lifted as they are, with
+    no split by deficit and no join.
     """
-    deficits = m - todo[:, idx].sum(axis=1)
     present = np.flatnonzero(np.bincount(deficits)).tolist()
     pieces = []
     for d in present:
@@ -240,9 +240,10 @@ def symbolic_power(
         idx = np.array(sup)
         sdeg = rows[:, idx].sum(axis=1)
         short = sdeg < m
+        deficits = m - sdeg[short]
         # rows per deficit; np.bincount, unlike np.unique, does not
         # import numpy.ma (about 1 MB of resident memory)
-        counts = np.bincount(m - sdeg[short], minlength=m + 1)
+        counts = np.bincount(deficits, minlength=m + 1)
         candidate = int(len(rows) - counts.sum()) + sum(
             c * comb(d + len(idx) - 1, d) for d, c in enumerate(counts.tolist()) if c
         )
@@ -250,7 +251,7 @@ def symbolic_power(
         budget.check("symbolic-power", partial, candidate)
         if counts.any():
             rows[:, -1] = rows[:, :-1].sum(axis=1) - sdeg
-            lifts = _lifts(rows[short], idx, m)
+            lifts = _lifts(rows[short], idx, deficits)
             doms = rows[sdeg <= m]
             # least offdeg first: those rows dominate the most lifts, and a
             # lift found dominated leaves the later blocks' queries
@@ -271,55 +272,20 @@ def _support_arrays(P: PrimeDecomposition):
     return [tuple(i - 1 for i in s) for s in P.supports]
 
 
-def _counting_lower_bound(P: PrimeDecomposition, m: int) -> int:
-    """Admissible lower bound for alpha via a counting argument.
-
-    One unit on variable i lowers the total deficiency (summed over all
-    supports) by the number of supports containing i, so any feasible
-    vector has total degree at least m * #supports / max-frequency.  On
-    block-regular Steiner complement data this equals ceil(m * v / n).
-    """
-    freq = [0] * P.variable_count
-    for s in P.supports:
-        for i in s:
-            freq[i - 1] += 1
-    fmax = max(freq)
-    total_need = m * len(P.supports)
-    return max(m, -(-total_need // fmax))
-
-
-def _greedy_feasible(P: PrimeDecomposition, m: int) -> list[int]:
-    """A feasible exponent vector found greedily; upper bound for alpha."""
-    sups = _support_arrays(P)
-    a = [0] * P.variable_count
-    while True:
-        deficient = [s for s in sups if m - sum(a[i] for i in s) > 0]
-        if not deficient:
-            return a
-        # add to the variable lying on the most still-deficient supports
-        counts = [0] * P.variable_count
-        for s in deficient:
-            for i in s:
-                counts[i] += 1
-        best = max(range(P.variable_count), key=lambda i: (counts[i], -i))
-        a[best] += 1
-
-
 def _search_total(
     P: PrimeDecomposition,
     m: int,
     degree: int,
     collect: bool,
     budget: Budget,
-    upper_bound: int,
 ):
     """Feasible vectors with total degree <= degree, natural variable order.
 
     collect=False: return True as soon as one exists.
     collect=True: return every feasible vector of total degree exactly
-    degree (used for minimal-generator extraction at degree = alpha).
-    Every search node checks the budget; upper_bound only feeds the
-    partial report.
+    degree (used for minimal-generator extraction at degree = alpha), in
+    ascending lex order, as each exponent is tried from 0 upward.
+    Every search node checks the budget.
 
     Support deficits are kept incrementally: ``need[k]`` is m minus the
     k-th support's degree under the current partial assignment, and
@@ -335,6 +301,10 @@ def _search_total(
       variable lowers ``deficit`` by at most ``fsuf[idx]``, so the degree
       left cannot clear it (the counting bound, applied to the residue);
     - some support still needs more than the degree left.
+
+    At the root the last two cuts are the counting bound itself: the
+    search stops there, after one node, iff degree < m or degree * f_max
+    < m * #supports, f_max being the most supports on any variable.
 
     Exponents are capped at m.  Both modes stay exact: lowering an
     exponent above m to m keeps every support degree >= m, so a feasible
@@ -356,7 +326,7 @@ def _search_total(
     need = [m] * len(sups)
     found: list[tuple[int, ...]] = []
     a = [0] * nv
-    partial = {"m": m, "degree_tried": degree, "upper_bound": upper_bound}
+    partial = {"m": m, "degree_tried": degree}
 
     def dfs(idx: int, left: int, deficit: int) -> bool:
         budget.check("initial-degree", partial)
@@ -394,25 +364,23 @@ def _search_total(
 def initial_degree(P: PrimeDecomposition, m: int, *, budget: Budget | None = None) -> int:
     """alpha(I^(m)): least degree of a monomial in the symbolic power.
 
-    Runs bound-and-search upward from the counting lower bound to a
-    greedy upper bound, one decision search per degree; never enumerates
-    the generating set.  Two prunings keep each search exact (details in
-    _search_total).  Exponents are capped at m: lowering an exponent
-    above m to m keeps a member in I^(m) and lowers its degree.  A node
-    is cut when the degree left, times the most supports on any variable
-    still free, is below the summed support deficit: one unit of degree
-    lowers that sum by at most that many.  Raises ResourceLimit (stage
-    "initial-degree") when the budget's deadline passes mid-search.
+    Tries the degrees m, m + 1, ... in turn, one decision search each,
+    and returns the first that is feasible; never enumerates the
+    generating set.  Each degree below the counting bound max(m,
+    ceil(m * #supports / f_max)) costs the search one node, since its
+    root cut is that bound (details in _search_total).  The loop ends by
+    m * variable_count at the latest, where the all-m vector is feasible.
+    Exponents are capped at m: lowering an exponent above m to m keeps a
+    member in I^(m) and lowers its degree.  A node is cut when the degree
+    left, times the most supports on any variable still free, is below
+    the summed support deficit: one unit of degree lowers that sum by at
+    most that many.  Raises ResourceLimit (stage "initial-degree") when
+    the budget's deadline passes mid-search.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     budget = budget or Budget()
-    lo = _counting_lower_bound(P, m)
-    hi = sum(_greedy_feasible(P, m))
-    for degree in range(lo, hi):
-        if _search_total(P, m, degree, False, budget, hi):
-            return degree
-    return hi
+    return next(d for d in itertools.count(m) if _search_total(P, m, d, False, budget))
 
 
 def min_degree_generators(
@@ -432,9 +400,9 @@ def min_degree_generators(
     budget = budget or Budget()
     if alpha is None:
         alpha = initial_degree(P, m, budget=budget)
-    vecs = _search_total(P, m, alpha, True, budget, alpha)
-    vecs.sort(key=lambda t: tuple(-x for x in t))
-    return tuple(Monomial(v) for v in vecs)
+    # one degree, so the canonical order is descending lex
+    vecs = _search_total(P, m, alpha, True, budget)
+    return tuple(Monomial(v) for v in reversed(vecs))
 
 
 def complement_alpha_formula(v: int, n: int, m: int) -> int:

@@ -342,7 +342,7 @@ def test_fold_step_query_matches_full_minimalization(monkeypatch):
             want = _minimal_rows(np.array(ok.tolist() + lifted).reshape(-1, nv))
             step = ok
             if len(todo):
-                lifts = _lifts(todo, idx, m)
+                lifts = _lifts(todo, idx, m - todo[:, idx].sum(axis=1))
                 assert list(map(tuple, lifts.tolist())) == lifted
                 doms = anti[sdeg <= m]
                 hit = _dominated(

@@ -38,7 +38,7 @@ from steinerideals import (
     waldschmidt_exact,
 )
 from steinerideals import monomials
-from steinerideals.symbolic import support_degree
+from steinerideals.symbolic import _search_total, support_degree
 
 import oracles
 
@@ -289,7 +289,7 @@ def test_initial_degree_search_obeys_the_budget():
             search(P, 4, budget=expired)
         exc = ei.value
         assert exc.stage == "initial-degree"
-        assert exc.partial == {"m": 4, "degree_tried": 10, "upper_bound": 16}
+        assert exc.partial == {"m": 4, "degree_tried": 4}
     with pytest.raises(ResourceLimit):
         alpha_table(P, 2, budget=expired)
     assert initial_degree(P, 4, budget=Budget(deadline=time.monotonic() + 600)) == 11
@@ -392,12 +392,39 @@ def test_alpha_search_prunings_are_admissible():
             assert [g.exponents for g in min_degree_generators(P, m)] == want
 
 
+def test_alpha_search_root_cut_is_the_counting_bound():
+    # initial_degree climbs from m with no separate lower bound: each
+    # degree below max(m, ceil(m * #supports / f_max)) is refuted by the
+    # root node alone, and at that bound the root does not cut
+    rng = Random(20261018)
+    cases = [
+        fano_complement(),
+        sqs8_complement(),
+        cover_ideal(builtin_fano().hypergraph()),
+        cover_ideal(builtin_sqs8().hypergraph()),
+    ]
+    for _ in range(30):
+        nv, sups = oracles.random_supports(rng)
+        cases.append(PrimeDecomposition(nv, tuple(sups)))
+    for P in cases:
+        fmax = max(sum(i in s for s in P.supports) for i in range(1, P.variable_count + 1))
+        for m in (1, 2, 3, 4):
+            bound = max(m, -(-m * P.support_count // fmax))
+            for degree in range(bound + 1):
+                budget = CountingBudget()
+                hit = _search_total(P, m, degree, False, budget)
+                if degree < bound:
+                    assert hit is False and budget.calls == 1
+                else:
+                    assert budget.calls > 1
+
+
 def test_alpha_search_tree_is_pinned():
     # one budget check per search node: these counts fix the node count
     # and so the shape of the search tree
     cases = (
-        (lambda b: alpha_table(fano_complement(), 6, budget=b), 3401),
-        (lambda b: alpha_table(sqs8_complement(), 6, budget=b), 13614),
+        (lambda b: alpha_table(fano_complement(), 6, budget=b), 3443),
+        (lambda b: alpha_table(sqs8_complement(), 6, budget=b), 13648),
     )
     for run, nodes in cases:
         budget = CountingBudget()
@@ -406,7 +433,7 @@ def test_alpha_search_tree_is_pinned():
     budget = CountingBudget()
     gens = min_degree_generators(cover_ideal(builtin_sqs8().hypergraph()), 3, budget=budget)
     assert len(gens) == 8
-    assert budget.calls == 1316
+    assert budget.calls == 1319
 
 
 # Waldschmidt tables
