@@ -272,39 +272,92 @@ def _support_arrays(P: PrimeDecomposition):
     return [tuple(i - 1 for i in s) for s in P.supports]
 
 
+# Rows per frontier chunk of the alpha search.  A chunk has fewer rows
+# when its expansion, up to m + 1 children per row, would hold more than
+# _CHUNK_CELLS entries of need, so that decompositions with thousands of
+# supports, or a large m, still expand in small blocks.
+_CHUNK_ROWS = 256
+_CHUNK_CELLS = 1 << 19
+
+
+@dataclass(frozen=True)
+class _SearchTables:
+    """The alpha search's view of P, shared by every m and degree.
+
+    Support columns are ordered by their last variable.  So the supports
+    that variable idx closes are the columns ``start[idx]`` to
+    ``start[idx + 1]``, and the columns still open while idx is assigned
+    are those from ``start[idx]`` on.  ``steps[idx]`` is the 0/1 row of
+    the supports on idx over those open columns, and ``fsuf[idx]`` is the
+    largest number of supports on any variable >= idx.
+    """
+
+    start: list[int]
+    steps: list[np.ndarray]
+    fsuf: list[int]
+
+
+def _search_tables(P: PrimeDecomposition) -> _SearchTables:
+    sups = sorted(_support_arrays(P), key=max)
+    nv = P.variable_count
+    incidence = np.zeros((nv, len(sups)), dtype=np.int8)
+    incidence[
+        np.fromiter(itertools.chain.from_iterable(sups), dtype=np.intp),
+        np.repeat(np.arange(len(sups)), [len(s) for s in sups]),
+    ] = 1
+    start = np.searchsorted([max(s) for s in sups], np.arange(nv + 1)).tolist()
+    fsuf = np.maximum.accumulate(incidence.sum(axis=1)[::-1])[::-1].tolist() + [0]
+    return _SearchTables(start, [incidence[i, start[i]:] for i in range(nv)], fsuf)
+
+
 def _search_total(
     P: PrimeDecomposition,
     m: int,
     degree: int,
     collect: bool,
     budget: Budget,
+    tables: _SearchTables | None = None,
 ):
     """Feasible vectors with total degree <= degree, natural variable order.
 
     collect=False: return True as soon as one exists.
     collect=True: return every feasible vector of total degree exactly
-    degree (used for minimal-generator extraction at degree = alpha), in
-    ascending lex order, as each exponent is tried from 0 upward.
-    Every search node checks the budget.
+    degree (used for minimal-generator extraction at degree = alpha), as
+    tuples in ascending lex order.  ``tables`` are P's search tables
+    when the caller has built them already.
 
-    Support deficits are kept incrementally: ``need[k]`` is m minus the
-    k-th support's degree under the current partial assignment, and
-    ``deficit`` is the sum of the positive ``need[k]``.  Raising a[idx]
-    by one lowers ``need`` on the supports incident to idx, and the loop
-    gives it back on return.  A node prunes when
+    The search tree has one node per partial assignment of the variables
+    0..idx-1.  It is expanded as a depth-first stack of frontier chunks:
+    blocks of at most a few hundred nodes at the same idx, each held as
+    a ``need`` matrix (nodes x open supports), a ``left`` vector (the
+    degree left) and the exponent prefix.  ``need[k]``
+    is m minus the k-th support's degree, clipped at 0, so a row's sum
+    is its summed support deficit.  Popping a chunk expands every node
+    at variable idx at once, with one numpy step: each exponent e in
+    0..min(left, m) becomes a child, ``need`` drops by e on the supports
+    incident to idx, and a child is cut when
 
-    - a support whose last variable was just assigned (``closing[idx -
-      1]``) is still deficient; supports closed earlier were checked at
-      an ancestor and cannot change;
-    - ``deficit > left * fsuf[idx]``, where ``fsuf[idx]`` is the largest
-      number of supports on any variable >= idx: one unit on such a
-      variable lowers ``deficit`` by at most ``fsuf[idx]``, so the degree
-      left cannot clear it (the counting bound, applied to the residue);
+    - a support whose last variable is idx is still deficient; supports
+      closed earlier were checked at an ancestor and cannot change, so
+      their columns are dropped from the chunk;
+    - its deficit exceeds ``left * fsuf[idx + 1]``: one unit on a
+      variable still free lowers the deficit by at most ``fsuf[idx +
+      1]``, so the degree left cannot clear it (the counting bound,
+      applied to the residue);
     - some support still needs more than the degree left.
 
+    The survivors go back on the stack in row-bounded slices, the first
+    slice on top, so the search stays depth-first and its memory stays
+    bounded; a lone row with more children than a chunk may hold (a
+    large m) is expanded a block of exponents at a time.  These are the cuts of a node-at-a-time depth-first search,
+    at the same nodes, so the pruned tree is the same; only the order of
+    its nodes differs, and collect mode sorts its leaves.  The budget is
+    checked at the root and once per chunk popped.
+
     At the root the last two cuts are the counting bound itself: the
-    search stops there, after one node, iff degree < m or degree * f_max
-    < m * #supports, f_max being the most supports on any variable.
+    search stops there, after one budget check, iff degree < m or degree
+    * f_max < m * #supports, f_max being the most supports on any
+    variable.
 
     Exponents are capped at m.  Both modes stay exact: lowering an
     exponent above m to m keeps every support degree >= m, so a feasible
@@ -312,53 +365,69 @@ def _search_total(
     of least total degree is a minimal generator, none of whose exponents
     exceeds m.
     """
-    sups = _support_arrays(P)
+    if tables is None:
+        tables = _search_tables(P)
     nv = P.variable_count
-    incident: list[list[int]] = [[] for _ in range(nv)]
-    closing: list[list[int]] = [[] for _ in range(nv)]
-    for k, s in enumerate(sups):
-        for i in s:
-            incident[i].append(k)
-        closing[max(s)].append(k)
-    fsuf = [0] * (nv + 1)
-    for i in range(nv - 1, -1, -1):
-        fsuf[i] = max(fsuf[i + 1], len(incident[i]))
-    need = [m] * len(sups)
-    found: list[tuple[int, ...]] = []
-    a = [0] * nv
+    start, steps, fsuf = tables.start, tables.steps, tables.fsuf
     partial = {"m": m, "degree_tried": degree}
-
-    def dfs(idx: int, left: int, deficit: int) -> bool:
+    budget.check("initial-degree", partial)
+    if m * start[nv] > degree * fsuf[0] or m > degree:
+        return [] if collect else False
+    dtype = np.int8 if m <= np.iinfo(np.int8).max else np.int64
+    # rows are summed in int16 unless a deficit could overflow it
+    acc = np.int16 if m * start[nv] <= np.iinfo(np.int16).max else np.int64
+    found = [np.zeros((0, nv), dtype)]
+    zeros = np.zeros(start[nv], dtype)
+    # a chunk is (idx, need, left, prefix, first): its rows' children
+    # have the exponents first..min(left, m) on variable idx
+    stack = [(0, np.full((1, start[nv]), m, dtype), np.array([degree]), np.zeros((1, 0), dtype), 0)]
+    while stack:
         budget.check("initial-degree", partial)
-        if idx and any(need[k] > 0 for k in closing[idx - 1]):
-            return False  # support fully assigned yet deficient
-        if deficit > left * fsuf[idx] or max(need) > left:
-            return False
-        if idx == nv:
+        idx, need, left, prefix, first = stack.pop()
+        counts = np.minimum(left, m) + 1 - first
+        take = max(1, _CHUNK_CELLS // max(1, need.shape[1]))
+        if counts[0] > take:
+            # only a lone row (a large m) has more children than a chunk
+            # may hold: expand the first take of them, the rest after
+            stack.append((idx, need, left, prefix, first + take))
+            counts = np.array([take])
+        e = first + np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+        left = np.repeat(left, counts) - e
+        e = e.astype(dtype)
+        # a zero row, not the scalar 0: numpy's int8 maximum is much
+        # faster against an array of the same shape
+        need = np.maximum(
+            np.repeat(need, counts, axis=0) - e[:, None] * steps[idx], zeros[: need.shape[1]]
+        )
+        closed = start[idx + 1] - start[idx]
+        ok = ~need[:, :closed].any(axis=1)
+        need = need[:, closed:]
+        ok &= need.sum(axis=1, dtype=acc) <= left * fsuf[idx + 1]
+        ok &= need.max(axis=1, initial=0) <= left
+        prefix = np.column_stack([np.repeat(prefix, counts, axis=0), e])
+        if idx + 1 == nv:
             if collect:
-                if left == 0:
-                    found.append(tuple(a))
-                return False
-            return True
-        inc = incident[idx]
-        feasible = False
-        for e in range(0, min(left, m) + 1):
-            if e:
-                for k in inc:
-                    if need[k] > 0:
-                        deficit -= 1
-                    need[k] -= 1
-            a[idx] = e
-            if dfs(idx + 1, left - e, deficit):
-                feasible = True
-                break
-        for k in inc:
-            need[k] += a[idx]
-        a[idx] = 0
-        return feasible
+                found.append(prefix[ok & (left == 0)])
+            elif ok.any():
+                return True
+            continue
+        need, left, prefix = need[ok], left[ok], prefix[ok]
+        rows = max(1, min(_CHUNK_ROWS, _CHUNK_CELLS // ((m + 1) * max(1, need.shape[1]))))
+        for lo in reversed(range(0, len(left), rows)):
+            hi = lo + rows
+            stack.append((idx + 1, need[lo:hi], left[lo:hi], prefix[lo:hi], 0))
+    if not collect:
+        return False
+    vecs = np.concatenate(found)
+    vecs = vecs[np.lexsort(vecs.T[::-1])]
+    return [tuple(v) for v in vecs.tolist()]
 
-    hit = dfs(0, degree, m * len(sups))
-    return found if collect else hit
+
+def _least_degree(P: PrimeDecomposition, m: int, budget: Budget, tables: _SearchTables) -> int:
+    """alpha(I^(m)): the first of the degrees m, m + 1, ... whose search succeeds."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    return next(d for d in itertools.count(m) if _search_total(P, m, d, False, budget, tables))
 
 
 def initial_degree(P: PrimeDecomposition, m: int, *, budget: Budget | None = None) -> int:
@@ -366,21 +435,22 @@ def initial_degree(P: PrimeDecomposition, m: int, *, budget: Budget | None = Non
 
     Tries the degrees m, m + 1, ... in turn, one decision search each,
     and returns the first that is feasible; never enumerates the
-    generating set.  Each degree below the counting bound max(m,
-    ceil(m * #supports / f_max)) costs the search one node, since its
-    root cut is that bound (details in _search_total).  The loop ends by
-    m * variable_count at the latest, where the all-m vector is feasible.
+    generating set.  The support tables are built once and shared by
+    every degree.  Each degree below the counting bound max(m, ceil(m *
+    #supports / f_max)) costs one budget check and no expansion, since
+    the search's root cut is that bound.  The loop ends by m *
+    variable_count at the latest, where the all-m vector is feasible.
     Exponents are capped at m: lowering an exponent above m to m keeps a
-    member in I^(m) and lowers its degree.  A node is cut when the degree
-    left, times the most supports on any variable still free, is below
-    the summed support deficit: one unit of degree lowers that sum by at
-    most that many.  Raises ResourceLimit (stage "initial-degree") when
-    the budget's deadline passes mid-search.
+    member in I^(m) and lowers its degree.  Each search expands a
+    depth-first stack of frontier chunks, one numpy step per chunk and
+    variable, and cuts a node when the degree left, times the most
+    supports on any variable still free, is below the summed support
+    deficit: one unit of degree lowers that sum by at most that many
+    (details in _search_total).  Raises ResourceLimit (stage
+    "initial-degree") when the budget's deadline passes; the search
+    checks it at each degree's root and once per chunk.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    budget = budget or Budget()
-    return next(d for d in itertools.count(m) if _search_total(P, m, d, False, budget))
+    return _least_degree(P, m, budget or Budget(), _search_tables(P))
 
 
 def min_degree_generators(
@@ -395,13 +465,15 @@ def min_degree_generators(
     A feasible vector of least total degree cannot strictly dominate
     another member, so these are exactly the degree-alpha minimal
     generators of the symbolic power.  ``alpha`` is alpha(I^(m)) when the
-    caller already knows it; by default it is searched for here.
+    caller already knows it; by default it is searched for here, with
+    the same support tables as the collecting search.
     """
     budget = budget or Budget()
+    tables = _search_tables(P)
     if alpha is None:
-        alpha = initial_degree(P, m, budget=budget)
+        alpha = _least_degree(P, m, budget, tables)
     # one degree, so the canonical order is descending lex
-    vecs = _search_total(P, m, alpha, True, budget)
+    vecs = _search_total(P, m, alpha, True, budget, tables)
     return tuple(Monomial(v) for v in reversed(vecs))
 
 
@@ -495,7 +567,9 @@ def alpha_table(P: PrimeDecomposition, M: int, *, budget: Budget | None = None) 
     """Table of alpha(I^(m)) for m = 1..M with Waldschmidt bounds."""
     if M < 1:
         raise ValueError("M must be >= 1")
-    entries = tuple((m, initial_degree(P, m, budget=budget)) for m in range(1, M + 1))
+    budget = budget or Budget()
+    tables = _search_tables(P)
+    entries = tuple((m, _least_degree(P, m, budget, tables)) for m in range(1, M + 1))
     if P.steiner is not None:
         _, n, v = P.steiner
         for m, a in entries:

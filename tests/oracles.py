@@ -159,3 +159,71 @@ def cyclic_sts13():
 def pg23():
     """PG(2,3) = S(2,4,13): the difference set {0,1,3,9} developed mod 13."""
     return _cyclic_design(13, 4, ((0, 1, 3, 9),))
+
+
+def pg24():
+    """PG(2,4) = S(2,5,21): the difference set {3,6,7,12,14} developed mod 21."""
+    return _cyclic_design(21, 5, ((3, 6, 7, 12, 14),))
+
+
+def search_total(P, m: int, degree: int, collect: bool):
+    """Reference alpha search: a recursive depth-first search, one node at a time.
+
+    Same contract and same cuts as ``symbolic._search_total``, which
+    expands the same tree in vectorized chunks.  ``need[k]`` is m minus
+    the k-th support's degree under the partial assignment ``a``, and
+    ``deficit`` is the sum of the positive ``need[k]``.  A node prunes
+    when a support closed by the last assigned variable is still
+    deficient, when ``deficit > left * fsuf[idx]`` (``fsuf[idx]`` is the
+    most supports on any variable >= idx), or when some support needs
+    more than the degree left.  Exponents are capped at m.
+
+    collect=False: True iff some vector of total degree <= degree lies
+    in I^(m).  collect=True: every such vector of total degree exactly
+    degree, in ascending lex order.
+    """
+    sups = [tuple(i - 1 for i in s) for s in P.supports]
+    nv = P.variable_count
+    incident: list[list[int]] = [[] for _ in range(nv)]
+    closing: list[list[int]] = [[] for _ in range(nv)]
+    for k, s in enumerate(sups):
+        for i in s:
+            incident[i].append(k)
+        closing[max(s)].append(k)
+    fsuf = [0] * (nv + 1)
+    for i in range(nv - 1, -1, -1):
+        fsuf[i] = max(fsuf[i + 1], len(incident[i]))
+    need = [m] * len(sups)
+    found: list[tuple[int, ...]] = []
+    a = [0] * nv
+
+    def dfs(idx: int, left: int, deficit: int) -> bool:
+        if idx and any(need[k] > 0 for k in closing[idx - 1]):
+            return False
+        if deficit > left * fsuf[idx] or max(need) > left:
+            return False
+        if idx == nv:
+            if collect:
+                if left == 0:
+                    found.append(tuple(a))
+                return False
+            return True
+        inc = incident[idx]
+        feasible = False
+        for e in range(0, min(left, m) + 1):
+            if e:
+                for k in inc:
+                    if need[k] > 0:
+                        deficit -= 1
+                    need[k] -= 1
+            a[idx] = e
+            if dfs(idx + 1, left - e, deficit):
+                feasible = True
+                break
+        for k in inc:
+            need[k] += a[idx]
+        a[idx] = 0
+        return feasible
+
+    hit = dfs(0, degree, m * len(sups))
+    return found if collect else hit

@@ -87,13 +87,11 @@ SCAN_FANO_COVER_M6_R4 = (
 
 
 @pytest.fixture
-def sts13_file(tmp_path):
-    """The cyclic STS(13): {0,1,4} and {0,2,7} developed mod 13, points = residue + 1."""
-    blocks = sorted(
-        sorted((x + k) % 13 + 1 for x in base) for base in ((0, 1, 4), (0, 2, 7)) for k in range(13)
-    )
-    path = tmp_path / "sts13.json"
-    path.write_text(json.dumps({"v": 13, "n": 3, "t": 2, "blocks": blocks}))
+def sts31_file(tmp_path):
+    """PG(4,2) = STS(31): the lines {a, b, a ^ b} of GF(2)^5, points = nonzero vectors."""
+    lines = {tuple(sorted((a, b, a ^ b))) for a in range(1, 32) for b in range(1, 32) if a != b}
+    path = tmp_path / "sts31.json"
+    path.write_text(json.dumps({"v": 31, "n": 3, "t": 2, "blocks": sorted(lines)}))
     return str(path)
 
 
@@ -425,12 +423,13 @@ def test_scan_rejects_an_empty_box(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ("alpha", "{sts13}", "--source", "complement", "-M", "4"),
-        ("containment", "{sts13}", "--source", "complement", "4", "1"),
+        ("alpha", "{sts31}", "--source", "complement", "-M", "2"),
+        ("containment", "{sts31}", "--source", "complement", "2", "1"),
     ],
 )
-def test_time_cap_stops_the_alpha_search(capsys, sts13_file, argv):
-    argv = [sts13_file if a == "{sts13}" else a for a in argv]
+def test_time_cap_stops_the_alpha_search(capsys, sts31_file, argv):
+    # alpha(I^(2)) of the STS(31) complement takes well over a minute
+    argv = [sts31_file if a == "{sts31}" else a for a in argv]
     t0 = time.monotonic()
     code, out, _ = run(capsys, *argv, "--time-cap", "0.3")
     wall = time.monotonic() - t0
@@ -442,20 +441,17 @@ def test_time_cap_stops_the_alpha_search(capsys, sts13_file, argv):
     assert wall < 2.0
 
 
-def test_time_cap_stops_the_partition_search(capsys, tmp_path):
+def test_time_cap_stops_the_partition_search(capsys, sts31_file):
     # the weak chromatic number of PG(4,2) = STS(31) takes minutes
-    lines = {tuple(sorted((a, b, a ^ b))) for a in range(1, 32) for b in range(1, 32) if a != b}
-    path = tmp_path / "sts31.json"
-    path.write_text(json.dumps({"v": 31, "n": 3, "t": 2, "blocks": sorted(lines)}))
     t0 = time.monotonic()
-    code, doc, _ = run_json(capsys, "coverability", str(path), "--chromatic", "--time-cap", "0.3")
+    code, doc, _ = run_json(capsys, "coverability", sts31_file, "--chromatic", "--time-cap", "0.3")
     wall = time.monotonic() - t0
     assert code == 4
     assert doc["error"] == "resource-limit" and doc["stage"] == "partition-search"
     assert set(doc["partial"]) == {"mode", "classes", "nodes"}
     assert doc["partial"]["mode"] == "colour" and doc["partial"]["nodes"] > 0
     assert wall < 2.0
-    code, _, err = run(capsys, "coverability", str(path), "--cover", "2", "--time-cap", "0")
+    code, _, err = run(capsys, "coverability", sts31_file, "--cover", "2", "--time-cap", "0")
     assert code == 2 and "time cap" in err
 
 

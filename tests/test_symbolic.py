@@ -37,7 +37,7 @@ from steinerideals import (
     validate_steiner,
     waldschmidt_exact,
 )
-from steinerideals import monomials
+from steinerideals import monomials, symbolic
 from steinerideals.symbolic import _search_total, support_degree
 
 import oracles
@@ -56,7 +56,7 @@ def tiny_complement():
 
 
 class CountingBudget(Budget):
-    """A Budget that counts its checks: one per alpha-search node."""
+    """A Budget that counts its checks: one per alpha-search chunk and root."""
 
     calls = 0
 
@@ -420,20 +420,79 @@ def test_alpha_search_root_cut_is_the_counting_bound():
 
 
 def test_alpha_search_tree_is_pinned():
-    # one budget check per search node: these counts fix the node count
-    # and so the shape of the search tree
+    # one budget check per degree's root and per frontier chunk popped:
+    # these counts fix the number of chunks, and so the shape of the
+    # pruned search tree and how it is cut into chunks
     cases = (
-        (lambda b: alpha_table(fano_complement(), 6, budget=b), 3443),
-        (lambda b: alpha_table(sqs8_complement(), 6, budget=b), 13648),
+        (lambda b: alpha_table(fano_complement(), 6, budget=b), 106),
+        (lambda b: alpha_table(sqs8_complement(), 6, budget=b), 145),
     )
-    for run, nodes in cases:
+    for run, checks in cases:
         budget = CountingBudget()
         run(budget)
-        assert budget.calls == nodes
+        assert budget.calls == checks
     budget = CountingBudget()
     gens = min_degree_generators(cover_ideal(builtin_sqs8().hypergraph()), 3, budget=budget)
     assert len(gens) == 8
-    assert budget.calls == 1319
+    assert budget.calls == 28
+
+
+def test_alpha_search_matches_the_reference_search():
+    # the chunked search cuts the same tree as the node-at-a-time
+    # recursive search in oracles: the same decision and the same sorted
+    # vectors at every degree from m to alpha (none below alpha)
+    rng = Random(13)
+    cases = [
+        fano_complement(),
+        sqs8_complement(),
+        cover_ideal(builtin_fano().hypergraph()),
+        cover_ideal(builtin_sqs8().hypergraph()),
+    ]
+    for _ in range(30):
+        nv, sups = oracles.random_supports(rng)
+        cases.append(PrimeDecomposition(nv, tuple(sups)))
+    for P in cases:
+        for m in (1, 2, 3, 4):
+            alpha = initial_degree(P, m)
+            for degree in range(m, alpha + 1):
+                hit = _search_total(P, m, degree, False, Budget())
+                assert hit == oracles.search_total(P, m, degree, False) == (degree == alpha)
+                vecs = _search_total(P, m, degree, True, Budget())
+                assert vecs == oracles.search_total(P, m, degree, True)
+                assert bool(vecs) == hit
+
+
+def test_alpha_search_splits_a_row_with_too_many_children(monkeypatch):
+    # with one need entry per chunk, every row is expanded one child at
+    # a time, as a row with more than _CHUNK_CELLS // #supports children
+    # is; the decisions and vectors must not change
+    monkeypatch.setattr(symbolic, "_CHUNK_CELLS", 1)
+    rng = Random(31)
+    cases = [fano_complement(), cover_ideal(builtin_sqs8().hypergraph())]
+    for _ in range(10):
+        nv, sups = oracles.random_supports(rng)
+        cases.append(PrimeDecomposition(nv, tuple(sups)))
+    for P in cases:
+        for m in (1, 2, 3):
+            alpha = initial_degree(P, m)
+            assert not oracles.search_total(P, m, alpha - 1, False)
+            assert _search_total(P, m, alpha, True, Budget()) == oracles.search_total(P, m, alpha, True)
+    budget = CountingBudget()
+    P = PrimeDecomposition(2, ((1,), (2,)))
+    assert min_degree_generators(P, 3, budget=budget) == (Monomial((3, 3)),)
+    # alpha = 6: degrees 3 to 5 stop at the root (3 checks); at degree 6
+    # the decision and the collecting search each check at the root and
+    # at every child of x1 and of x2, one chunk each: 3 + 2 * (1 + 4 + 4)
+    assert budget.calls == 21
+
+
+def test_alpha_search_past_the_int8_range():
+    # chunks hold need and exponents as int8 up to m = 127 and as int64
+    # above
+    P = PrimeDecomposition(2, ((1,), (2,)))
+    for m in (127, 128, 1000):
+        assert initial_degree(P, m) == 2 * m
+        assert [g.exponents for g in min_degree_generators(P, m)] == [(m, m)]
 
 
 # Waldschmidt tables
@@ -475,11 +534,17 @@ def test_tiny_alpha_table():
 def test_alpha_search_matches_the_closed_form_on_the_ladder():
     # alpha_table raises InternalInconsistency when the search and
     # complement_alpha_formula disagree
-    for S, M in ((oracles.ag23(), 5), (oracles.cyclic_sts13(), 3), (oracles.pg23(), 2)):
+    for S, M in ((oracles.ag23(), 5), (oracles.cyclic_sts13(), 4), (oracles.pg23(), 2)):
         table = alpha_table(complement_ideal(S), M)
         assert table.entries == tuple(
             (m, complement_alpha_formula(S.v, S.n, m)) for m in range(1, M + 1)
         )
+
+
+@pytest.mark.slow
+def test_alpha_search_matches_the_closed_form_on_pg24():
+    # 20,328 complement supports; the closed form gives alpha(1) = 21 - 5
+    assert alpha_table(complement_ideal(oracles.pg24()), 1).entries == ((1, 16),)
 
 
 def test_alpha_search_matches_the_fold_on_the_ladder_covers():
