@@ -1,8 +1,11 @@
 """Built-in reproduction manifest for the documented worked examples.
 
-Each claim recomputes one published-style statement about the built-in
-designs from scratch and compares against the expected exact value.
-Claims return (ok, detail); the CLI renders them as a delimited table.
+Each claim computes one published-style statement about the built-in
+designs and compares it against the expected exact value.  The claims of
+one run share a _Run: one ContainmentEngine per (design, source), so a
+symbolic power, an initial degree or an alpha table that several claims
+need is computed once per run.  Nothing is shared between runs.  Claims
+return (ok, detail); the CLI renders them as a delimited table.
 """
 
 from __future__ import annotations
@@ -29,9 +32,40 @@ from .designs import (
     is_coverable,
 )
 from .errors import ResourceLimit
-from .symbolic import alpha_table, complement_ideal, cover_ideal
+from .symbolic import AlphaTable, alpha_table, complement_ideal, cover_ideal
 
-ClaimFn = Callable[[], tuple[bool, str]]
+_DESIGNS = {"fano": builtin_fano, "sqs8": builtin_sqs8}
+
+
+class _Run:
+    """What the claims of one run share: engines and alpha tables.
+
+    ``engine(design, source)`` is the one ContainmentEngine of that
+    built-in design's cover or complement decomposition, and
+    ``alpha_table(design, source, M)`` its alpha table up to M, each
+    made on first use.
+    """
+
+    def __init__(self):
+        self._engines: dict[tuple[str, str], ContainmentEngine] = {}
+        self._tables: dict[tuple[str, str, int], AlphaTable] = {}
+
+    def engine(self, design: str, source: str) -> ContainmentEngine:
+        key = (design, source)
+        if key not in self._engines:
+            S = _DESIGNS[design]()
+            P = complement_ideal(S) if source == "complement" else cover_ideal(S.hypergraph())
+            self._engines[key] = ContainmentEngine(P)
+        return self._engines[key]
+
+    def alpha_table(self, design: str, source: str, M: int) -> AlphaTable:
+        key = (design, source, M)
+        if key not in self._tables:
+            self._tables[key] = alpha_table(self.engine(design, source).decomposition, M)
+        return self._tables[key]
+
+
+ClaimFn = Callable[[_Run], tuple[bool, str]]
 
 _REGISTRY: list[tuple[str, str, ClaimFn]] = []
 
@@ -45,23 +79,23 @@ def _claim(cid: str, description: str):
 
 
 @_claim("fano-validate", "Fano plane validates as S(2,3,7) with 7 blocks, 28 non-blocks")
-def _fano_validate():
+def _fano_validate(run: _Run):
     S = builtin_fano()
-    comp = complement_ideal(S)
+    comp = run.engine("fano", "complement").decomposition
     ok = S.block_count == 7 and comp.support_count == 28
     return ok, f"blocks={S.block_count} complement_supports={comp.support_count}"
 
 
 @_claim("alpha-fano", "Fano complement initial degrees 4,6,7,11,13,14 for m=1..6")
-def _alpha_fano():
-    table = alpha_table(complement_ideal(builtin_fano()), 6)
+def _alpha_fano(run: _Run):
+    table = run.alpha_table("fano", "complement", 6)
     got = [a for _, a in table.entries]
     return got == [4, 6, 7, 11, 13, 14], f"alpha={got}"
 
 
 @_claim("waldschmidt-fano", "Fano complement Waldschmidt constant 7/3, attained at m=3,6")
-def _waldschmidt_fano():
-    table = alpha_table(complement_ideal(builtin_fano()), 6)
+def _waldschmidt_fano(run: _Run):
+    table = run.alpha_table("fano", "complement", 6)
     ok = (
         table.waldschmidt_upper == Fraction(7, 3)
         and table.waldschmidt_lower == Fraction(7, 3)
@@ -74,8 +108,8 @@ def _waldschmidt_fano():
 
 
 @_claim("waldschmidt-sqs8", "S(3,4,8) complement Waldschmidt constant 2, attained at m=4")
-def _waldschmidt_sqs8():
-    table = alpha_table(complement_ideal(builtin_sqs8()), 4)
+def _waldschmidt_sqs8(run: _Run):
+    table = run.alpha_table("sqs8", "complement", 4)
     got = [a for _, a in table.entries]
     ok = (
         got == [4, 6, 7, 8]
@@ -86,26 +120,29 @@ def _waldschmidt_sqs8():
 
 
 @_claim("hh-fano", "Fano complement: I^(3) in M^3*I holds; I^(6) in M^6*I^2 under a 10 min budget")
-def _hh_fano():
-    P = complement_ideal(builtin_fano())
-    engine = ContainmentEngine(P, budget=Budget(deadline=time.monotonic() + 600))
-    r1 = engine.check(3, 1, 3)
-    if not r1.holds:
-        return False, f"r=1 I^(3) in M^3*I failed, witness {r1.witness}"
+def _hh_fano(run: _Run):
+    engine = run.engine("fano", "complement")
+    # the shared engine runs these two checks under their own deadline
+    shared, engine.budget = engine.budget, Budget(deadline=time.monotonic() + 600)
     try:
-        r2 = engine.check(6, 2, 6)
-    except ResourceLimit as exc:
-        return False, f"r=1 holds; r=2 not computed, resource limit with partial {exc.partial}"
+        r1 = engine.check(3, 1, 3)
+        if not r1.holds:
+            return False, f"r=1 I^(3) in M^3*I failed, witness {r1.witness}"
+        try:
+            r2 = engine.check(6, 2, 6)
+        except ResourceLimit as exc:
+            return False, f"r=1 holds; r=2 not computed, resource limit with partial {exc.partial}"
+    finally:
+        engine.budget = shared
     if not r2.holds:
         return False, f"r=2 I^(6) in M^6*I^2 failed, witness {r2.witness}"
     return True, "r=1 and r=2 slack containments hold"
 
 
 @_claim("els-fano", "ELS containments hold: Fano cover r=1,2 and Fano complement r=1")
-def _els_fano():
-    S = builtin_fano()
-    cover = els_scan(ContainmentEngine(cover_ideal(S.hypergraph())), 1, 2)
-    comp = els_scan(ContainmentEngine(complement_ideal(S)), 1, 1)
+def _els_fano(run: _Run):
+    cover = els_scan(run.engine("fano", "cover"), 1, 2)
+    comp = els_scan(run.engine("fano", "complement"), 1, 1)
     insts = cover.instances + comp.instances
     ok = all(i.holds for i in insts)
     return ok, "; ".join(
@@ -114,7 +151,7 @@ def _els_fano():
 
 
 @_claim("colouring-fano", "Fano plane: chromatic number 3, not weakly 2-colourable")
-def _colouring_fano():
+def _colouring_fano(run: _Run):
     H = builtin_fano().hypergraph()
     chi = chromatic_number(H)
     two = is_colourable(H, 2)
@@ -122,14 +159,14 @@ def _colouring_fano():
 
 
 @_claim("coverability-fano", "Fano plane is not 2-coverable and not 3-coverable")
-def _coverability_fano():
+def _coverability_fano(run: _Run):
     H = builtin_fano().hypergraph()
     c2, c3 = is_coverable(H, 2), is_coverable(H, 3)
     return c2 is None and c3 is None, f"cover2={c2 is not None} cover3={c3 is not None}"
 
 
 @_claim("coverability-sqs8", "S(3,4,8) is not 3-coverable, yet weakly 2-colourable")
-def _coverability_sqs8():
+def _coverability_sqs8(run: _Run):
     H = builtin_sqs8().hypergraph()
     c3 = is_coverable(H, 3)
     chi = chromatic_number(H)
@@ -137,9 +174,8 @@ def _coverability_sqs8():
 
 
 @_claim("noncontainment-fano", "Fano cover ideal: J^(3) not in J^2 with witness x1*...*x7")
-def _noncontainment_fano():
-    J = cover_ideal(builtin_fano().hypergraph())
-    rep = ContainmentEngine(J).check(3, 2, 0)
+def _noncontainment_fano(run: _Run):
+    rep = run.engine("fano", "cover").check(3, 2, 0)
     want = "1 1 1 1 1 1 1"
     ok = not rep.holds and rep.witness is not None and rep.witness.exponent_string() == want
     return ok, f"holds={rep.holds} witness={None if rep.witness is None else rep.witness}"
@@ -149,9 +185,8 @@ def _noncontainment_fano():
     "noncontainment-sqs8",
     "S(3,4,8) cover ideal: J^(3) not in J^2 (witness x1*...*x7) and J^(4) not in J^3",
 )
-def _noncontainment_sqs8():
-    J = cover_ideal(builtin_sqs8().hypergraph())
-    engine = ContainmentEngine(J)
+def _noncontainment_sqs8(run: _Run):
+    engine = run.engine("sqs8", "cover")
     a = engine.check(3, 2, 0)
     b = engine.check(4, 3, 0)
     ok = (
@@ -166,29 +201,29 @@ def _noncontainment_sqs8():
 
 
 @_claim("stable-harbourne-fano", "Stable Harbourne instances hold for r=2,3; threshold 7/2")
-def _stable_harbourne_fano():
-    verdict = stable_harbourne_scan(ContainmentEngine(complement_ideal(builtin_fano())), 2, 3)
+def _stable_harbourne_fano(run: _Run):
+    verdict = stable_harbourne_scan(run.engine("fano", "complement"), 2, 3)
     ok = verdict.all_hold and verdict.threshold == Fraction(7, 2)
     return ok, f"all_hold={verdict.all_hold} threshold={verdict.threshold}"
 
 
 @_claim("harbourne-huneke-fano", "Harbourne-Huneke form 1 and 2 instances hold for r=1,2")
-def _harbourne_huneke_fano():
-    engine = ContainmentEngine(complement_ideal(builtin_fano()))
+def _harbourne_huneke_fano(run: _Run):
+    engine = run.engine("fano", "complement")
     v1 = harbourne_huneke_scan(engine, 1, 2, 1)
     v2 = harbourne_huneke_scan(engine, 1, 2, 2)
     return v1.all_hold and v2.all_hold, f"form1={v1.all_hold} form2={v2.all_hold}"
 
 
 @_claim("chudnovsky-fano", "Chudnovsky bound holds for the Fano complement up to h=6")
-def _chudnovsky_fano():
-    verdict = chudnovsky_check(ContainmentEngine(complement_ideal(builtin_fano())), 6)
+def _chudnovsky_fano(run: _Run):
+    verdict = chudnovsky_check(run.engine("fano", "complement"), 6)
     return verdict.all_hold, f"all_hold={verdict.all_hold} (h<=6, rhs=(4+3-1)/3=2)"
 
 
 @_claim("demailly-fano", "Demailly bound holds for the Fano complement, m in {1,3,4,6}, h<=6")
-def _demailly_fano():
-    engine = ContainmentEngine(complement_ideal(builtin_fano()))
+def _demailly_fano(run: _Run):
+    engine = run.engine("fano", "complement")
     bad = []
     for m in (1, 3, 4, 6):
         verdict = demailly_check(engine, m, 6)
@@ -198,7 +233,7 @@ def _demailly_fano():
 
 
 @_claim("resurgence-region-example", "Region for (h,N,r1,ratio)=(3,3,2,2): r_max=9, s_max=3(r+3)/2")
-def _resurgence_region_example():
+def _resurgence_region_example(run: _Run):
     reg = resurgence_region(3, 3, 2, 2)
     ok = (
         reg.asymptotic == Fraction(3, 2)
@@ -214,13 +249,17 @@ def claim_ids() -> list[str]:
 
 
 def run_claims(only: str | None = None):
-    """Yield (claim_id, description, ok, detail, seconds) for each claim."""
+    """Yield (claim_id, description, ok, detail, seconds) for each claim.
+
+    The claims of one call share one _Run; separate calls share nothing.
+    """
+    run = _Run()
     for cid, desc, fn in _REGISTRY:
         if only is not None and cid != only:
             continue
         t0 = time.perf_counter()
         try:
-            ok, detail = fn()
+            ok, detail = fn(run)
         except Exception as exc:  # a crash is a failed claim, not a crashed report
             ok, detail = False, f"error: {type(exc).__name__}: {exc}"
         yield cid, desc, ok, detail, time.perf_counter() - t0

@@ -333,6 +333,7 @@ def cmd_reproduce(args) -> int:
     for cid, desc, ok, detail, seconds in claims_mod.run_claims(only):
         status = "PASS" if ok else "FAIL"
         print(f"{cid}\t{status}\t{detail}")
+        print(f"{cid}\t{seconds:.3f} s", file=sys.stderr)
         rows.append(ok)
     passed = sum(rows)
     print(f"summary\t{passed}/{len(rows)} passed")

@@ -142,11 +142,13 @@ class ContainmentEngine:
     """Shared state for repeated containment checks on one decomposition.
 
     Caches symbolic powers, initial degrees, ordinary powers and the base
-    ideal, so scans reuse instead of recomputing.  The conjecture families
-    and resurgence scans take the engine as their first argument and read
-    the decomposition from it.  The budget applies to every symbolic
-    power, initial-degree search, ordinary power, membership scan and
-    witness enumeration the engine runs.
+    ideal, so scans reuse instead of recomputing.  A new symbolic power
+    I^(m) is folded from the largest cached I^(k), k < m, if any, since
+    I^(m) lies in I^(k); no power is folded only to serve as a seed.  The
+    conjecture families and resurgence scans take the engine as their
+    first argument and read the decomposition from it.  The budget
+    applies to every symbolic power, initial-degree search, ordinary
+    power, membership scan and witness enumeration the engine runs.
     """
 
     def __init__(self, decomposition: PrimeDecomposition, *, budget: Budget | None = None):
@@ -162,7 +164,10 @@ class ContainmentEngine:
         hit = self._symbolic.get(m)
         if hit is not None:
             return hit
-        ideal = symbolic_power(self.decomposition, m, budget=self.budget)
+        seed = max((k for k in self._symbolic if k < m), default=None)
+        ideal = symbolic_power(
+            self.decomposition, m, budget=self.budget, _seed=self._symbolic.get(seed)
+        )
         alpha = self.alpha(m)
         got = ideal.min_degree()
         if got != alpha:

@@ -91,6 +91,11 @@ class PrimeDecomposition:
                 raise ValueError(f"bad steiner provenance {self.steiner}")
             object.__setattr__(self, "steiner", (t, n, v))
 
+    @functools.cached_property
+    def _tables(self) -> _SearchTables:
+        """The alpha search's tables, built on first use and kept with P."""
+        return _search_tables(self)
+
     @property
     def support_count(self) -> int:
         return len(self.supports)
@@ -184,16 +189,20 @@ def _lifts(todo: np.ndarray, idx: list[int], deficits: np.ndarray) -> np.ndarray
 
 
 def symbolic_power(
-    P: PrimeDecomposition, m: int, *, budget: Budget | None = None
+    P: PrimeDecomposition,
+    m: int,
+    *,
+    budget: Budget | None = None,
+    _seed: MonomialIdeal | None = None,
 ) -> MonomialIdeal:
     """Minimal generators of I^(m) as a MonomialIdeal.
 
-    Folds the prime powers p_sigma^m into the running intersection one
-    support at a time, smallest supports first.  Intersecting a monomial
-    g with p_sigma^m needs only the minimal monomials above g with
-    sigma-degree m: when g is deficient by d, these are g plus the weak
-    compositions of d over sigma.  That is much tighter than generic
-    pairwise lcms.
+    Folds the prime powers p_sigma^m into a running intersection one
+    support at a time, smallest supports first, starting from the unit
+    ideal (one zero row).  Intersecting a monomial g with p_sigma^m
+    needs only the minimal monomials above g with sigma-degree m: when g
+    is deficient by d, these are g plus the weak compositions of d over
+    sigma.  That is much tighter than generic pairwise lcms.
 
     Each step keeps the running antichain G's rows of sigma-degree >= m
     (the ok rows) and adds the lifts g + c of the others (the todo rows)
@@ -213,6 +222,13 @@ def symbolic_power(
     sigma-degree never enter it.  The result is sorted canonically once,
     after the last step.
 
+    The argument holds for any antichain G to start from.  Since I^(m)
+    is contained in I^(k) for k < m, folding every p_sigma^m into the
+    minimal generators of I^(k) also ends at I^(m), and each lift is
+    then bounded by the deficit m - k.  ``_seed`` is that I^(k); it is
+    private to ContainmentEngine, which passes its largest cached lower
+    power.
+
     Raises ResourceLimit when the candidate row count would exceed the
     budget's generator cap or its deadline passes; the deadline is also
     checked once per dominator block of each step's query.  The
@@ -223,20 +239,14 @@ def symbolic_power(
     budget = budget or Budget()
     nv = P.variable_count
     total = len(P.supports)
-    # seed with the first prime power; supports are already sorted by
-    # size, i.e. ascending prime-power generator count.  Its rows are
-    # distinct and of one degree, so they form an antichain.
-    sups = _support_arrays(P)
-    first = sups[0]
-    partial = {"supports_folded": 0, "supports_total": total, "kept": 0}
-    budget.check("symbolic-power", partial, comb(m + len(first) - 1, m))
     # The rows of G, with one more column: each step writes every row's
     # offdeg there, and a lift inherits its parent's offdeg, so the query
     # needs no stacking.
-    rows = np.zeros((comb(m + len(first) - 1, m), nv + 1), dtype=np.int64)
-    rows[:, list(first)] = _compositions(m, len(first))
+    seed = np.zeros((1, nv), dtype=np.int64) if _seed is None else _seed.rows
+    rows = np.zeros((len(seed), nv + 1), dtype=np.int64)
+    rows[:, :-1] = seed
 
-    for step, sup in enumerate(sups[1:], start=1):
+    for step, sup in enumerate(_support_arrays(P)):
         idx = np.array(sup)
         sdeg = rows[:, idx].sum(axis=1)
         short = sdeg < m
@@ -316,15 +326,14 @@ def _search_total(
     degree: int,
     collect: bool,
     budget: Budget,
-    tables: _SearchTables | None = None,
 ):
     """Feasible vectors with total degree <= degree, natural variable order.
 
     collect=False: return True as soon as one exists.
     collect=True: return every feasible vector of total degree exactly
     degree (used for minimal-generator extraction at degree = alpha), as
-    tuples in ascending lex order.  ``tables`` are P's search tables
-    when the caller has built them already.
+    tuples in ascending lex order.  The support tables are P's, built
+    on its first search and shared by every later one.
 
     The search tree has one node per partial assignment of the variables
     0..idx-1.  It is expanded as a depth-first stack of frontier chunks:
@@ -365,10 +374,8 @@ def _search_total(
     of least total degree is a minimal generator, none of whose exponents
     exceeds m.
     """
-    if tables is None:
-        tables = _search_tables(P)
     nv = P.variable_count
-    start, steps, fsuf = tables.start, tables.steps, tables.fsuf
+    start, steps, fsuf = P._tables.start, P._tables.steps, P._tables.fsuf
     partial = {"m": m, "degree_tried": degree}
     budget.check("initial-degree", partial)
     if m * start[nv] > degree * fsuf[0] or m > degree:
@@ -423,11 +430,11 @@ def _search_total(
     return [tuple(v) for v in vecs.tolist()]
 
 
-def _least_degree(P: PrimeDecomposition, m: int, budget: Budget, tables: _SearchTables) -> int:
+def _least_degree(P: PrimeDecomposition, m: int, budget: Budget) -> int:
     """alpha(I^(m)): the first of the degrees m, m + 1, ... whose search succeeds."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    return next(d for d in itertools.count(m) if _search_total(P, m, d, False, budget, tables))
+    return next(d for d in itertools.count(m) if _search_total(P, m, d, False, budget))
 
 
 def initial_degree(P: PrimeDecomposition, m: int, *, budget: Budget | None = None) -> int:
@@ -435,13 +442,14 @@ def initial_degree(P: PrimeDecomposition, m: int, *, budget: Budget | None = Non
 
     Tries the degrees m, m + 1, ... in turn, one decision search each,
     and returns the first that is feasible; never enumerates the
-    generating set.  The support tables are built once and shared by
-    every degree.  Each degree below the counting bound max(m, ceil(m *
-    #supports / f_max)) costs one budget check and no expansion, since
-    the search's root cut is that bound.  The loop ends by m *
-    variable_count at the latest, where the all-m vector is feasible.
-    Exponents are capped at m: lowering an exponent above m to m keeps a
-    member in I^(m) and lowers its degree.  Each search expands a
+    generating set.  The support tables are built on the first search
+    of P and shared by every degree, every m and every later call.  Each
+    degree below the counting bound max(m, ceil(m * #supports / f_max))
+    costs one budget check and no expansion, since the search's root cut
+    is that bound.  The loop ends by m * variable_count at the latest,
+    where the all-m vector is feasible.  Exponents are capped at m:
+    lowering an exponent above m to m keeps a member in I^(m) and lowers
+    its degree.  Each search expands a
     depth-first stack of frontier chunks, one numpy step per chunk and
     variable, and cuts a node when the degree left, times the most
     supports on any variable still free, is below the summed support
@@ -450,7 +458,7 @@ def initial_degree(P: PrimeDecomposition, m: int, *, budget: Budget | None = Non
     "initial-degree") when the budget's deadline passes; the search
     checks it at each degree's root and once per chunk.
     """
-    return _least_degree(P, m, budget or Budget(), _search_tables(P))
+    return _least_degree(P, m, budget or Budget())
 
 
 def min_degree_generators(
@@ -465,15 +473,13 @@ def min_degree_generators(
     A feasible vector of least total degree cannot strictly dominate
     another member, so these are exactly the degree-alpha minimal
     generators of the symbolic power.  ``alpha`` is alpha(I^(m)) when the
-    caller already knows it; by default it is searched for here, with
-    the same support tables as the collecting search.
+    caller already knows it; by default it is searched for here.
     """
     budget = budget or Budget()
-    tables = _search_tables(P)
     if alpha is None:
-        alpha = _least_degree(P, m, budget, tables)
+        alpha = _least_degree(P, m, budget)
     # one degree, so the canonical order is descending lex
-    vecs = _search_total(P, m, alpha, True, budget, tables)
+    vecs = _search_total(P, m, alpha, True, budget)
     return tuple(Monomial(v) for v in reversed(vecs))
 
 
@@ -568,8 +574,7 @@ def alpha_table(P: PrimeDecomposition, M: int, *, budget: Budget | None = None) 
     if M < 1:
         raise ValueError("M must be >= 1")
     budget = budget or Budget()
-    tables = _search_tables(P)
-    entries = tuple((m, _least_degree(P, m, budget, tables)) for m in range(1, M + 1))
+    entries = tuple((m, _least_degree(P, m, budget)) for m in range(1, M + 1))
     if P.steiner is not None:
         _, n, v = P.steiner
         for m, a in entries:

@@ -19,7 +19,8 @@ from steinerideals import (
     load_monomials,
     member_of_symbolic,
 )
-from steinerideals.claims import run_claims
+from steinerideals import claims, containment
+from steinerideals.claims import claim_ids, run_claims
 from steinerideals.cli import main
 from steinerideals.designs import FANO_BLOCKS
 
@@ -601,6 +602,51 @@ def test_reproduce_all_claims_pass(capsys):
     code, out, _ = run(capsys, "reproduce")
     assert code == 0
     assert out.strip().splitlines()[-1] == "summary\t16/16 passed"
+
+
+def test_reproduce_prints_each_claims_seconds_to_stderr(capsys):
+    code, out, err = run(capsys, "reproduce")
+    assert code == 0
+    ids = [line.split("\t")[0] for line in out.splitlines()[:-1]]
+    timings = [line.split("\t") for line in err.splitlines()]
+    assert [cid for cid, _ in timings] == ids == claim_ids()
+    assert all(re.fullmatch(r"\d+\.\d{3} s", seconds) for _, seconds in timings)
+
+
+@pytest.mark.parametrize("cid", claim_ids())
+def test_each_claim_passes_on_its_own(cid):
+    ((got, _, ok, detail, _),) = run_claims(cid)
+    assert got == cid and ok, detail
+
+
+def record_claim_work(monkeypatch):
+    """Log each (decomposition, m) the engines fold and each (decomposition, M) alpha table."""
+    folds, tables = [], []
+    fold, table = containment.symbolic_power, claims.alpha_table
+    monkeypatch.setattr(
+        containment, "symbolic_power", lambda P, m, **kw: folds.append((P, m)) or fold(P, m, **kw)
+    )
+    monkeypatch.setattr(
+        claims, "alpha_table", lambda P, M, **kw: tables.append((P, M)) or table(P, M, **kw)
+    )
+    return folds, tables
+
+
+def test_one_run_of_the_claims_folds_each_power_and_builds_each_alpha_table_once(monkeypatch):
+    folds, tables = record_claim_work(monkeypatch)
+    assert all(ok for _, _, ok, _, _ in run_claims())
+    assert folds and len(set(folds)) == len(folds)
+    assert tables and len(set(tables)) == len(tables)
+
+
+def test_separate_runs_of_the_claims_share_nothing(monkeypatch):
+    folds, tables = record_claim_work(monkeypatch)
+    list(run_claims())
+    first = list(folds), list(tables)
+    folds.clear()
+    tables.clear()
+    list(run_claims())
+    assert (folds, tables) == first
 
 
 # the benchmark tracer wraps the package's public functions and engine

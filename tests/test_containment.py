@@ -232,6 +232,38 @@ def test_engine_caches_are_shared(fano_c):
     assert fano_c.base_ideal() is fano_c.symbolic(1)
 
 
+def test_a_scan_seeds_each_symbolic_power_from_the_largest_cached_one(monkeypatch):
+    engine = ContainmentEngine(cover_ideal(builtin_fano().hypergraph()))
+    folds = []  # (m, the k of the seed or None, the k cached before)
+    real = containment.symbolic_power
+
+    def fold(P, m, *, budget=None, _seed=None):
+        cached = {id(ideal): k for k, ideal in engine._symbolic.items()}
+        folds.append((m, None if _seed is None else cached[id(_seed)], sorted(cached.values())))
+        return real(P, m, budget=budget, _seed=_seed)
+
+    monkeypatch.setattr(containment, "symbolic_power", fold)
+    scan = resurgence_search(engine, 6, 4)
+    for m, seed, cached in folds:
+        assert seed == max((k for k in cached if k < m), default=None)
+    assert any(seed is not None for _, seed, _ in folds)
+    # each power is folded once, and only when the base ideal or a
+    # generator scan needs it, never just to seed another fold
+    scanned = {rep.m for rep in scan.cells if rep.method == "generator-scan"}
+    assert sorted(m for m, _, _ in folds) == sorted({1} | scanned)
+
+
+def test_resurgence_search_builds_the_search_tables_once(monkeypatch):
+    calls = []
+    real = symbolic._search_tables
+    monkeypatch.setattr(symbolic, "_search_tables", lambda P: calls.append(P) or real(P))
+    engine = ContainmentEngine(complement_ideal(builtin_fano()))
+    scan = resurgence_search(engine, 6, 3)
+    # alpha for every m, and least-degree generators for the obstructions
+    assert {rep.method for rep in scan.cells} >= {"degree-obstruction", "generator-scan"}
+    assert len(calls) == 1
+
+
 def test_omega_formula_and_audit(fano_c, fano_j):
     assert fano_c.omega_r(1) == 4
     assert fano_c.omega_r(2) == 8

@@ -227,7 +227,7 @@ def test_generators_are_members_and_minimal():
         for j, h in enumerate(gens):
             if i != j:
                 assert not g.divides(h)
-    # canonical order, also when a single support seeds the whole fold
+    # canonical order, also when the fold has a single step
     for P, m in ((fano_complement(), 3), (PrimeDecomposition(4, ((2, 3, 4),)), 2)):
         gens = symbolic_power(P, m).generators
         assert list(gens) == sorted(gens, key=lambda g: (g.degree, [-e for e in g.exponents]))
@@ -259,6 +259,35 @@ def test_symbolic_power_resource_limits():
         symbolic_power(P, 2, budget=Budget(deadline=time.monotonic() - 1.0))
     with pytest.raises(ValueError):
         symbolic_power(P, 0)
+
+
+def test_a_fold_seeded_by_a_lower_power_equals_a_fresh_fold():
+    # I^(m) lies in I^(k) for k < m, so folding every p^m into the
+    # generators of I^(k) must end at I^(m)
+    rng = Random(41)
+    cases = [
+        PrimeDecomposition(nv, tuple(sups))
+        for nv, sups in (oracles.random_supports(rng) for _ in range(20))
+    ]
+    for S in (builtin_fano(), builtin_sqs8()):
+        cases += [complement_ideal(S), cover_ideal(S.hypergraph())]
+    cases.append(cover_ideal(oracles.ag23().hypergraph()))
+    for P in cases:
+        powers = {m: symbolic_power(P, m) for m in range(1, 5)}
+        for m in range(2, 5):
+            for k in range(1, m):
+                assert symbolic_power(P, m, _seed=powers[k]) == powers[m], (P, k, m)
+
+
+def test_a_seeded_fold_obeys_the_deadline():
+    P = sqs8_complement()
+    seed = symbolic_power(P, 2)
+    with pytest.raises(ResourceLimit) as ei:
+        symbolic_power(P, 4, budget=Budget(deadline=time.monotonic() - 1.0), _seed=seed)
+    exc = ei.value
+    assert exc.stage == "symbolic-power"
+    assert set(exc.partial) == {"supports_folded", "supports_total", "kept"}
+    assert exc.partial["kept"] == seed.generator_count
 
 
 def test_fold_checks_the_budget_inside_the_minimalization(monkeypatch):
