@@ -1,15 +1,18 @@
 """Built-in reproduction manifest for the documented worked examples.
 
 Each claim computes one published-style statement about the built-in
-designs and compares it against the expected exact value.  The claims of
-one run share a _Run: one ContainmentEngine per (design, source), so a
-symbolic power, an initial degree or an alpha table that several claims
-need is computed once per run.  Nothing is shared between runs.  Claims
-return (ok, detail); the CLI renders them as a delimited table.
+designs and compares it against the expected exact value.  A claim takes
+the run's engine factory: ``engines(design, source)`` is the one
+ContainmentEngine of that built-in design's cover or complement
+decomposition, made on first use, so a symbolic power or an initial
+degree that several claims need is computed once per run.  Nothing is
+shared between runs.  Claims return (ok, detail); the CLI renders them
+as a delimited table.
 """
 
 from __future__ import annotations
 
+import functools
 import time
 from fractions import Fraction
 from typing import Callable
@@ -17,6 +20,7 @@ from typing import Callable
 from .budget import Budget
 from .containment import (
     ContainmentEngine,
+    alpha_table,
     chudnovsky_check,
     demailly_check,
     els_scan,
@@ -25,6 +29,7 @@ from .containment import (
     stable_harbourne_scan,
 )
 from .designs import (
+    BUILTIN_DESIGNS,
     builtin_fano,
     builtin_sqs8,
     chromatic_number,
@@ -32,40 +37,10 @@ from .designs import (
     is_coverable,
 )
 from .errors import ResourceLimit
-from .symbolic import AlphaTable, alpha_table, complement_ideal, cover_ideal
+from .symbolic import complement_ideal, cover_ideal
 
-_DESIGNS = {"fano": builtin_fano, "sqs8": builtin_sqs8}
-
-
-class _Run:
-    """What the claims of one run share: engines and alpha tables.
-
-    ``engine(design, source)`` is the one ContainmentEngine of that
-    built-in design's cover or complement decomposition, and
-    ``alpha_table(design, source, M)`` its alpha table up to M, each
-    made on first use.
-    """
-
-    def __init__(self):
-        self._engines: dict[tuple[str, str], ContainmentEngine] = {}
-        self._tables: dict[tuple[str, str, int], AlphaTable] = {}
-
-    def engine(self, design: str, source: str) -> ContainmentEngine:
-        key = (design, source)
-        if key not in self._engines:
-            S = _DESIGNS[design]()
-            P = complement_ideal(S) if source == "complement" else cover_ideal(S.hypergraph())
-            self._engines[key] = ContainmentEngine(P)
-        return self._engines[key]
-
-    def alpha_table(self, design: str, source: str, M: int) -> AlphaTable:
-        key = (design, source, M)
-        if key not in self._tables:
-            self._tables[key] = alpha_table(self.engine(design, source).decomposition, M)
-        return self._tables[key]
-
-
-ClaimFn = Callable[[_Run], tuple[bool, str]]
+Engines = Callable[[str, str], ContainmentEngine]
+ClaimFn = Callable[[Engines], tuple[bool, str]]
 
 _REGISTRY: list[tuple[str, str, ClaimFn]] = []
 
@@ -79,23 +54,23 @@ def _claim(cid: str, description: str):
 
 
 @_claim("fano-validate", "Fano plane validates as S(2,3,7) with 7 blocks, 28 non-blocks")
-def _fano_validate(run: _Run):
+def _fano_validate(engines: Engines):
     S = builtin_fano()
-    comp = run.engine("fano", "complement").decomposition
+    comp = engines("fano", "complement").decomposition
     ok = S.block_count == 7 and comp.support_count == 28
     return ok, f"blocks={S.block_count} complement_supports={comp.support_count}"
 
 
 @_claim("alpha-fano", "Fano complement initial degrees 4,6,7,11,13,14 for m=1..6")
-def _alpha_fano(run: _Run):
-    table = run.alpha_table("fano", "complement", 6)
+def _alpha_fano(engines: Engines):
+    table = alpha_table(engines("fano", "complement"), 6)
     got = [a for _, a in table.entries]
     return got == [4, 6, 7, 11, 13, 14], f"alpha={got}"
 
 
 @_claim("waldschmidt-fano", "Fano complement Waldschmidt constant 7/3, attained at m=3,6")
-def _waldschmidt_fano(run: _Run):
-    table = run.alpha_table("fano", "complement", 6)
+def _waldschmidt_fano(engines: Engines):
+    table = alpha_table(engines("fano", "complement"), 6)
     ok = (
         table.waldschmidt_upper == Fraction(7, 3)
         and table.waldschmidt_lower == Fraction(7, 3)
@@ -108,8 +83,8 @@ def _waldschmidt_fano(run: _Run):
 
 
 @_claim("waldschmidt-sqs8", "S(3,4,8) complement Waldschmidt constant 2, attained at m=4")
-def _waldschmidt_sqs8(run: _Run):
-    table = run.alpha_table("sqs8", "complement", 4)
+def _waldschmidt_sqs8(engines: Engines):
+    table = alpha_table(engines("sqs8", "complement"), 4)
     got = [a for _, a in table.entries]
     ok = (
         got == [4, 6, 7, 8]
@@ -120,8 +95,8 @@ def _waldschmidt_sqs8(run: _Run):
 
 
 @_claim("hh-fano", "Fano complement: I^(3) in M^3*I holds; I^(6) in M^6*I^2 under a 10 min budget")
-def _hh_fano(run: _Run):
-    engine = run.engine("fano", "complement")
+def _hh_fano(engines: Engines):
+    engine = engines("fano", "complement")
     # the shared engine runs these two checks under their own deadline
     shared, engine.budget = engine.budget, Budget(deadline=time.monotonic() + 600)
     try:
@@ -140,9 +115,9 @@ def _hh_fano(run: _Run):
 
 
 @_claim("els-fano", "ELS containments hold: Fano cover r=1,2 and Fano complement r=1")
-def _els_fano(run: _Run):
-    cover = els_scan(run.engine("fano", "cover"), 1, 2)
-    comp = els_scan(run.engine("fano", "complement"), 1, 1)
+def _els_fano(engines: Engines):
+    cover = els_scan(engines("fano", "cover"), 1, 2)
+    comp = els_scan(engines("fano", "complement"), 1, 1)
     insts = cover.instances + comp.instances
     ok = all(i.holds for i in insts)
     return ok, "; ".join(
@@ -151,7 +126,7 @@ def _els_fano(run: _Run):
 
 
 @_claim("colouring-fano", "Fano plane: chromatic number 3, not weakly 2-colourable")
-def _colouring_fano(run: _Run):
+def _colouring_fano(engines: Engines):
     H = builtin_fano().hypergraph()
     chi = chromatic_number(H)
     two = is_colourable(H, 2)
@@ -159,14 +134,14 @@ def _colouring_fano(run: _Run):
 
 
 @_claim("coverability-fano", "Fano plane is not 2-coverable and not 3-coverable")
-def _coverability_fano(run: _Run):
+def _coverability_fano(engines: Engines):
     H = builtin_fano().hypergraph()
     c2, c3 = is_coverable(H, 2), is_coverable(H, 3)
     return c2 is None and c3 is None, f"cover2={c2 is not None} cover3={c3 is not None}"
 
 
 @_claim("coverability-sqs8", "S(3,4,8) is not 3-coverable, yet weakly 2-colourable")
-def _coverability_sqs8(run: _Run):
+def _coverability_sqs8(engines: Engines):
     H = builtin_sqs8().hypergraph()
     c3 = is_coverable(H, 3)
     chi = chromatic_number(H)
@@ -174,8 +149,8 @@ def _coverability_sqs8(run: _Run):
 
 
 @_claim("noncontainment-fano", "Fano cover ideal: J^(3) not in J^2 with witness x1*...*x7")
-def _noncontainment_fano(run: _Run):
-    rep = run.engine("fano", "cover").check(3, 2, 0)
+def _noncontainment_fano(engines: Engines):
+    rep = engines("fano", "cover").check(3, 2, 0)
     want = "1 1 1 1 1 1 1"
     ok = not rep.holds and rep.witness is not None and rep.witness.exponent_string() == want
     return ok, f"holds={rep.holds} witness={None if rep.witness is None else rep.witness}"
@@ -185,8 +160,8 @@ def _noncontainment_fano(run: _Run):
     "noncontainment-sqs8",
     "S(3,4,8) cover ideal: J^(3) not in J^2 (witness x1*...*x7) and J^(4) not in J^3",
 )
-def _noncontainment_sqs8(run: _Run):
-    engine = run.engine("sqs8", "cover")
+def _noncontainment_sqs8(engines: Engines):
+    engine = engines("sqs8", "cover")
     a = engine.check(3, 2, 0)
     b = engine.check(4, 3, 0)
     ok = (
@@ -201,29 +176,29 @@ def _noncontainment_sqs8(run: _Run):
 
 
 @_claim("stable-harbourne-fano", "Stable Harbourne instances hold for r=2,3; threshold 7/2")
-def _stable_harbourne_fano(run: _Run):
-    verdict = stable_harbourne_scan(run.engine("fano", "complement"), 2, 3)
+def _stable_harbourne_fano(engines: Engines):
+    verdict = stable_harbourne_scan(engines("fano", "complement"), 2, 3)
     ok = verdict.all_hold and verdict.threshold == Fraction(7, 2)
     return ok, f"all_hold={verdict.all_hold} threshold={verdict.threshold}"
 
 
 @_claim("harbourne-huneke-fano", "Harbourne-Huneke form 1 and 2 instances hold for r=1,2")
-def _harbourne_huneke_fano(run: _Run):
-    engine = run.engine("fano", "complement")
+def _harbourne_huneke_fano(engines: Engines):
+    engine = engines("fano", "complement")
     v1 = harbourne_huneke_scan(engine, 1, 2, 1)
     v2 = harbourne_huneke_scan(engine, 1, 2, 2)
     return v1.all_hold and v2.all_hold, f"form1={v1.all_hold} form2={v2.all_hold}"
 
 
 @_claim("chudnovsky-fano", "Chudnovsky bound holds for the Fano complement up to h=6")
-def _chudnovsky_fano(run: _Run):
-    verdict = chudnovsky_check(run.engine("fano", "complement"), 6)
+def _chudnovsky_fano(engines: Engines):
+    verdict = chudnovsky_check(engines("fano", "complement"), 6)
     return verdict.all_hold, f"all_hold={verdict.all_hold} (h<=6, rhs=(4+3-1)/3=2)"
 
 
 @_claim("demailly-fano", "Demailly bound holds for the Fano complement, m in {1,3,4,6}, h<=6")
-def _demailly_fano(run: _Run):
-    engine = run.engine("fano", "complement")
+def _demailly_fano(engines: Engines):
+    engine = engines("fano", "complement")
     bad = []
     for m in (1, 3, 4, 6):
         verdict = demailly_check(engine, m, 6)
@@ -233,7 +208,7 @@ def _demailly_fano(run: _Run):
 
 
 @_claim("resurgence-region-example", "Region for (h,N,r1,ratio)=(3,3,2,2): r_max=9, s_max=3(r+3)/2")
-def _resurgence_region_example(run: _Run):
+def _resurgence_region_example(engines: Engines):
     reg = resurgence_region(3, 3, 2, 2)
     ok = (
         reg.asymptotic == Fraction(3, 2)
@@ -251,15 +226,22 @@ def claim_ids() -> list[str]:
 def run_claims(only: str | None = None):
     """Yield (claim_id, description, ok, detail, seconds) for each claim.
 
-    The claims of one call share one _Run; separate calls share nothing.
+    The claims of one call share one engine per (design, source);
+    separate calls share nothing.
     """
-    run = _Run()
+
+    @functools.cache
+    def engines(design: str, source: str) -> ContainmentEngine:
+        S = BUILTIN_DESIGNS[design]()
+        P = complement_ideal(S) if source == "complement" else cover_ideal(S.hypergraph())
+        return ContainmentEngine(P)
+
     for cid, desc, fn in _REGISTRY:
         if only is not None and cid != only:
             continue
         t0 = time.perf_counter()
         try:
-            ok, detail = fn(run)
+            ok, detail = fn(engines)
         except Exception as exc:  # a crash is a failed claim, not a crashed report
             ok, detail = False, f"error: {type(exc).__name__}: {exc}"
         yield cid, desc, ok, detail, time.perf_counter() - t0

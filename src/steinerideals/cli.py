@@ -22,6 +22,7 @@ from . import claims as claims_mod
 from .budget import DEFAULT_GENERATOR_CAP, Budget
 from .containment import (
     ContainmentEngine,
+    alpha_table,
     chudnovsky_check,
     demailly_check,
     els_scan,
@@ -50,7 +51,6 @@ from .errors import (
 )
 from .monomials import dump_monomials
 from .symbolic import (
-    alpha_table,
     complement_ideal,
     cover_ideal,
     symbolic_power,
@@ -234,9 +234,8 @@ def cmd_symbolic(args) -> int:
 
 def cmd_alpha(args) -> int:
     budget = _budget(args)
-    P = _decomposition(args)
-    table = alpha_table(P, args.max_m, budget=budget)
-    _emit(table.to_dict())
+    engine = ContainmentEngine(_decomposition(args), budget=budget)
+    _emit(alpha_table(engine, args.max_m).to_dict())
     return EXIT_OK
 
 

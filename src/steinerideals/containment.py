@@ -45,12 +45,14 @@ from .budget import Budget
 from .errors import DegenerateRegion, InternalInconsistency
 from .monomials import Monomial, MonomialIdeal, _greedy_members, member_of_power, power
 from .symbolic import (
+    AlphaTable,
     PrimeDecomposition,
     complement_alpha_formula,
     initial_degree,
     member_of_symbolic,
     min_degree_generators,
     symbolic_power,
+    waldschmidt_exact,
 )
 
 _NAIVE_RECHECK_CAP = 250_000  # multiset count below which the brute recheck runs
@@ -145,7 +147,9 @@ class ContainmentEngine:
     ideal, so scans reuse instead of recomputing.  A new symbolic power
     I^(m) is folded from the largest cached I^(k), k < m, if any, since
     I^(m) lies in I^(k); no power is folded only to serve as a seed.  The
-    conjecture families and resurgence scans take the engine as their
+    engine is the one memo of initial degrees, and audits those of a
+    Steiner complement against the closed form.  alpha_table, the
+    conjecture families and the resurgence scans take the engine as their
     first argument and read the decomposition from it.  The budget
     applies to every symbolic power, initial-degree search, ordinary
     power, membership scan and witness enumeration the engine runs.
@@ -182,10 +186,24 @@ class ContainmentEngine:
         return self.symbolic(1)
 
     def alpha(self, m: int) -> int:
+        """alpha(I^(m)) by bound-and-search, cached per m.
+
+        For a Steiner complement each searched value is checked against
+        complement_alpha_formula; a mismatch raises InternalInconsistency.
+        """
         hit = self._alpha.get(m)
         if hit is not None:
             return hit
-        val = initial_degree(self.decomposition, m, budget=self.budget)
+        P = self.decomposition
+        val = initial_degree(P, m, budget=self.budget)
+        if P.steiner is not None:
+            _, n, v = P.steiner
+            expect = complement_alpha_formula(v, n, m)
+            if val != expect:
+                raise InternalInconsistency(
+                    f"alpha({m}) = {val} disagrees with closed form {expect} "
+                    f"for the S(t,{n},{v}) complement"
+                )
         self._alpha[m] = val
         return val
 
@@ -326,6 +344,18 @@ class ContainmentEngine:
         return report(True, None, "generator-scan")
 
 
+def alpha_table(engine: ContainmentEngine, M: int) -> AlphaTable:
+    """Table of alpha(I^(m)) for m = 1..M with Waldschmidt bounds.
+
+    The entries are the engine's cached and audited initial degrees, so
+    a table costs no search the engine has already run.
+    """
+    if M < 1:
+        raise ValueError("M must be >= 1")
+    entries = tuple((m, engine.alpha(m)) for m in range(1, M + 1))
+    return AlphaTable(entries, waldschmidt_exact(engine.decomposition))
+
+
 def _r_family(
     engine: ContainmentEngine,
     name: Conjecture,
@@ -436,23 +466,13 @@ def demailly_check(
 
     N is the ambient dimension: the block size for Steiner complements,
     otherwise it must be passed explicitly.  m = 1 is the Chudnovsky
-    bound.  For Steiner complements with N the block size, the right
-    side is cross-checked against the one the closed-form alpha gives
-    (complement_alpha_formula); a mismatch raises InternalInconsistency.
-    Exact rationals throughout.
+    bound.  Exact rationals throughout.
     """
     P = engine.decomposition
     N = _resolve_ambient(P, ambient_dim)
     if h_max < 1 or m < 1:
         raise ValueError("h_max and m must be >= 1")
     rhs = Fraction(engine.alpha(m) + N - 1, m + N - 1)
-    if P.steiner is not None and P.steiner[1] == N:
-        _, n, v = P.steiner
-        expect = Fraction(complement_alpha_formula(v, n, m) + n - 1, m + n - 1)
-        if rhs != expect:
-            raise InternalInconsistency(
-                f"Demailly right side {rhs} disagrees with closed form {expect} at m={m}"
-            )
     instances = []
     for h in range(1, h_max + 1):
         lhs = Fraction(engine.alpha(h), h)

@@ -430,13 +430,6 @@ def _search_total(
     return [tuple(v) for v in vecs.tolist()]
 
 
-def _least_degree(P: PrimeDecomposition, m: int, budget: Budget) -> int:
-    """alpha(I^(m)): the first of the degrees m, m + 1, ... whose search succeeds."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    return next(d for d in itertools.count(m) if _search_total(P, m, d, False, budget))
-
-
 def initial_degree(P: PrimeDecomposition, m: int, *, budget: Budget | None = None) -> int:
     """alpha(I^(m)): least degree of a monomial in the symbolic power.
 
@@ -458,7 +451,10 @@ def initial_degree(P: PrimeDecomposition, m: int, *, budget: Budget | None = Non
     "initial-degree") when the budget's deadline passes; the search
     checks it at each degree's root and once per chunk.
     """
-    return _least_degree(P, m, budget or Budget())
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    budget = budget or Budget()
+    return next(d for d in itertools.count(m) if _search_total(P, m, d, False, budget))
 
 
 def min_degree_generators(
@@ -477,7 +473,7 @@ def min_degree_generators(
     """
     budget = budget or Budget()
     if alpha is None:
-        alpha = _least_degree(P, m, budget)
+        alpha = initial_degree(P, m, budget=budget)
     # one degree, so the canonical order is descending lex
     vecs = _search_total(P, m, alpha, True, budget)
     return tuple(Monomial(v) for v in reversed(vecs))
@@ -521,13 +517,12 @@ class AlphaTable:
     """
 
     entries: tuple[tuple[int, int], ...]
-    waldschmidt_upper: Fraction
     waldschmidt_lower: Fraction | None
 
     def __post_init__(self):
         alphas = dict(self.entries)
         ms = [m for m, _ in self.entries]
-        if ms != sorted(ms) or len(set(ms)) != len(ms) or (ms and ms[0] != 1):
+        if not ms or ms != list(range(1, len(ms) + 1)):
             raise ValueError("entries must cover m = 1..M in order")
         for (m1, a1), (m2, a2) in zip(self.entries, self.entries[1:]):
             if a2 <= a1:
@@ -541,22 +536,23 @@ class AlphaTable:
                         f"subadditivity fails at {ma}+{mb}: "
                         f"{alphas[ma + mb]} > {aa} + {ab}"
                     )
-        upper = min(Fraction(a, m) for m, a in self.entries)
-        if upper != self.waldschmidt_upper:
-            raise InternalInconsistency("waldschmidt_upper does not match entries")
+        upper = self.waldschmidt_upper
         if self.waldschmidt_lower is not None and self.waldschmidt_lower > upper:
             raise InternalInconsistency(
                 f"exact Waldschmidt {self.waldschmidt_lower} exceeds upper bound {upper}"
             )
+
+    @property
+    def waldschmidt_upper(self) -> Fraction:
+        return min(Fraction(a, m) for m, a in self.entries)
 
     def alpha(self, m: int) -> int:
         return dict(self.entries)[m]
 
     def attained_at(self) -> tuple[int, ...]:
         """The m values where alpha(m)/m equals the upper bound."""
-        return tuple(
-            m for m, a in self.entries if Fraction(a, m) == self.waldschmidt_upper
-        )
+        upper = self.waldschmidt_upper
+        return tuple(m for m, a in self.entries if Fraction(a, m) == upper)
 
     def to_dict(self) -> dict:
         return {
@@ -567,22 +563,3 @@ class AlphaTable:
             ),
             "attained": list(self.attained_at()),
         }
-
-
-def alpha_table(P: PrimeDecomposition, M: int, *, budget: Budget | None = None) -> AlphaTable:
-    """Table of alpha(I^(m)) for m = 1..M with Waldschmidt bounds."""
-    if M < 1:
-        raise ValueError("M must be >= 1")
-    budget = budget or Budget()
-    entries = tuple((m, _least_degree(P, m, budget)) for m in range(1, M + 1))
-    if P.steiner is not None:
-        _, n, v = P.steiner
-        for m, a in entries:
-            expect = complement_alpha_formula(v, n, m)
-            if a != expect:
-                raise InternalInconsistency(
-                    f"alpha({m}) = {a} disagrees with closed form {expect} "
-                    f"for the S(t,{n},{v}) complement"
-                )
-    upper = min(Fraction(a, m) for m, a in entries)
-    return AlphaTable(entries, upper, waldschmidt_exact(P))

@@ -62,7 +62,7 @@ def test_criterion_01_fano_validation():
 
 def test_criterion_02_alpha_table():
     t0 = time.perf_counter()
-    table = alpha_table(complement_ideal(builtin_fano()), 6)
+    table = alpha_table(ContainmentEngine(complement_ideal(builtin_fano())), 6)
     dt = time.perf_counter() - t0
     got = [a for _, a in table.entries]
     ok = got == [4, 6, 7, 11, 13, 14] and dt < 60.0
@@ -71,7 +71,7 @@ def test_criterion_02_alpha_table():
 
 def test_criterion_03_waldschmidt():
     P = complement_ideal(builtin_fano())
-    table = alpha_table(P, 6)
+    table = alpha_table(ContainmentEngine(P), 6)
     ok = (
         table.waldschmidt_upper == Fraction(7, 3)
         and waldschmidt_exact(P) == Fraction(7, 3)

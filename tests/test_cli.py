@@ -19,7 +19,7 @@ from steinerideals import (
     load_monomials,
     member_of_symbolic,
 )
-from steinerideals import claims, containment
+from steinerideals import containment, symbolic
 from steinerideals.claims import claim_ids, run_claims
 from steinerideals.cli import main
 from steinerideals.designs import FANO_BLOCKS
@@ -620,33 +620,41 @@ def test_each_claim_passes_on_its_own(cid):
 
 
 def record_claim_work(monkeypatch):
-    """Log each (decomposition, m) the engines fold and each (decomposition, M) alpha table."""
-    folds, tables = [], []
-    fold, table = containment.symbolic_power, claims.alpha_table
+    """Log each (decomposition, m) the engines fold and each one whose initial degree is searched.
+
+    Every search for alpha(I^(m)), on any path, starts with a decision
+    search at degree m, so those are logged, not the callers.
+    """
+    folds, alphas = [], []
+    fold, search = containment.symbolic_power, symbolic._search_total
+
+    def logged_search(P, m, degree, collect, budget):
+        if degree == m and not collect:
+            alphas.append((P, m))
+        return search(P, m, degree, collect, budget)
+
     monkeypatch.setattr(
         containment, "symbolic_power", lambda P, m, **kw: folds.append((P, m)) or fold(P, m, **kw)
     )
-    monkeypatch.setattr(
-        claims, "alpha_table", lambda P, M, **kw: tables.append((P, M)) or table(P, M, **kw)
-    )
-    return folds, tables
+    monkeypatch.setattr(symbolic, "_search_total", logged_search)
+    return folds, alphas
 
 
-def test_one_run_of_the_claims_folds_each_power_and_builds_each_alpha_table_once(monkeypatch):
-    folds, tables = record_claim_work(monkeypatch)
+def test_one_run_of_the_claims_folds_each_power_and_searches_each_initial_degree_once(monkeypatch):
+    folds, alphas = record_claim_work(monkeypatch)
     assert all(ok for _, _, ok, _, _ in run_claims())
     assert folds and len(set(folds)) == len(folds)
-    assert tables and len(set(tables)) == len(tables)
+    assert alphas and len(set(alphas)) == len(alphas)
 
 
 def test_separate_runs_of_the_claims_share_nothing(monkeypatch):
-    folds, tables = record_claim_work(monkeypatch)
+    folds, alphas = record_claim_work(monkeypatch)
     list(run_claims())
-    first = list(folds), list(tables)
+    first = list(folds), list(alphas)
     folds.clear()
-    tables.clear()
+    alphas.clear()
     list(run_claims())
-    assert (folds, tables) == first
+    assert (folds, alphas) == first
 
 
 # the benchmark tracer wraps the package's public functions and engine

@@ -16,6 +16,7 @@ from steinerideals import (
     Monomial,
     PrimeDecomposition,
     ResourceLimit,
+    alpha_table,
     builtin_fano,
     builtin_sqs8,
     chudnovsky_check,
@@ -457,8 +458,8 @@ def test_chudnovsky_needs_ambient_without_provenance():
 
 
 def test_chudnovsky_and_demailly_with_another_ambient_dim_on_a_complement():
-    # the Demailly closed form assumes N = n; with N = 4 on the Fano
-    # complement (n = 3) the right sides are (4+3)/4 and (6+3)/(2+3)
+    # with N = 4 on the Fano complement (n = 3) the right sides are
+    # (4+3)/4 and (6+3)/(2+3)
     engine = ContainmentEngine(complement_ideal(builtin_fano()))
     chud = chudnovsky_check(engine, 2, ambient_dim=4)
     assert [i.params for i in chud.instances] == [
@@ -496,6 +497,25 @@ def test_demailly_validation():
         demailly_check(engine, 0, 2)
     with pytest.raises(ValueError):
         demailly_check(engine, 1, 0)
+
+
+def test_the_engine_audits_every_initial_degree_of_a_complement(monkeypatch):
+    # a closed form that disagrees with the search is caught on every
+    # path that reads an initial degree, whatever the ambient dimension,
+    # and never consulted for a decomposition without Steiner provenance
+    formula = containment.complement_alpha_formula
+    monkeypatch.setattr(containment, "complement_alpha_formula", lambda v, n, m: formula(v, n, m) + 1)
+    calls = (
+        lambda e: e.alpha(1),
+        lambda e: alpha_table(e, 2),
+        lambda e: demailly_check(e, 2, 2, ambient_dim=4),
+        lambda e: e.check(2, 2),
+    )
+    for call in calls:
+        with pytest.raises(InternalInconsistency, match="closed form"):
+            call(ContainmentEngine(complement_ideal(builtin_fano())))
+    for call in calls:
+        call(ContainmentEngine(cover_ideal(builtin_fano().hypergraph())))
 
 
 # resurgence
