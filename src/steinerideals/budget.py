@@ -22,9 +22,9 @@ class Budget:
     """Resource limits shared by every long computation.
 
     ``generator_cap`` bounds the candidate rows of one symbolic-power fold
-    step; ``deadline`` is a ``time.monotonic()`` value or None; ``progress``
-    receives (supports folded, supports total, generators kept) after each
-    fold step.  Long loops call ``check`` as they go.
+    step or ordinary-power multiply; ``deadline`` is a ``time.monotonic()``
+    value or None; ``progress`` receives (supports folded, supports total,
+    generators kept) after each fold step.  Long loops call ``check``.
     """
 
     generator_cap: int = DEFAULT_GENERATOR_CAP

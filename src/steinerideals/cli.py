@@ -424,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--audit",
         action="store_true",
-        help="disable closed-form shortcuts; force the generator scan",
+        help="disable shortcuts; force the generator scan and check omega_r against I^r",
     )
     _add_limits(p)
     p.set_defaults(fn=cmd_containment)

@@ -23,6 +23,9 @@ members; every generator it leaves goes, in canonical order, to the
 exact search member_of_power, so the witness is the canonically first
 non-member.
 
+The report field omega_r = r * omega(I) decides nothing; I^r is built
+only in audit mode, to cross-check it.
+
 Every reported failure witness is independently confirmed: membership in
 the symbolic power by the linear support predicate, non-membership in
 M^slack * I^r by exhaustive multiset enumeration when the search space
@@ -143,16 +146,17 @@ class ConjectureVerdict:
 class ContainmentEngine:
     """Shared state for repeated containment checks on one decomposition.
 
-    Caches symbolic powers, initial degrees, ordinary powers and the base
-    ideal, so scans reuse instead of recomputing.  A new symbolic power
-    I^(m) is folded from the largest cached I^(k), k < m, if any, since
-    I^(m) lies in I^(k); no power is folded only to serve as a seed.  The
-    engine is the one memo of initial degrees, and audits those of a
-    Steiner complement against the closed form.  alpha_table, the
-    conjecture families and the resurgence scans take the engine as their
-    first argument and read the decomposition from it.  The budget
-    applies to every symbolic power, initial-degree search, ordinary
-    power, membership scan and witness enumeration the engine runs.
+    Caches symbolic powers, initial degrees, the base ideal and the
+    ordinary powers audit mode builds, so scans reuse instead of
+    recomputing.  A new symbolic power I^(m) is folded from the largest
+    cached I^(k), k < m, if any, since I^(m) lies in I^(k); no power is
+    folded only to serve as a seed.  The engine is the one memo of
+    initial degrees, and audits those of a Steiner complement against
+    the closed form.  alpha_table, the conjecture families and the
+    resurgence scans take the engine as their first argument and read
+    the decomposition from it.  The budget applies to every symbolic
+    power, initial-degree search, ordinary power, membership scan and
+    witness enumeration the engine runs.
     """
 
     def __init__(self, decomposition: PrimeDecomposition, *, budget: Budget | None = None):
@@ -216,28 +220,22 @@ class ContainmentEngine:
         return val
 
     def omega_r(self, r: int, audit: bool = False) -> int:
-        """Largest minimal-generator degree of I^r.
+        """Largest minimal-generator degree of I^r: r * omega(I), I = I^(1).
 
-        For Steiner complements the closed form r * (v - n) applies (all
-        generators of I have degree v - n and powers stay equigenerated);
-        audit=True forces materializing I^r and cross-checks the formula.
+        I is squarefree, so no minimal generator of I^r exceeds r * omega(I).
+        For a generator u of top degree, a product of r generators dividing
+        u^r has every factor supported inside u; each factor then divides u
+        and so equals u, hence u^r is minimal in I^r.  audit=True builds
+        I^r and raises InternalInconsistency on a mismatch.
         """
-        P = self.decomposition
-        if P.steiner is not None:
-            _, n, v = P.steiner
-            formula = r * (v - n)
-            if not audit:
-                return formula
+        val = r * self.base_ideal().max_degree()
+        if audit:
             got = self.ordinary_power(r).max_degree()
-            if got != formula:
+            if got != val:
                 raise InternalInconsistency(
-                    f"omega(I^{r}) = {got} disagrees with closed form {formula}"
+                    f"omega(I^{r}) = {got} disagrees with r * omega(I) = {val}"
                 )
-            return formula
-        got = self.ordinary_power(r).max_degree()
-        if got is None:
-            raise InternalInconsistency("ordinary power of a nonzero ideal is zero")
-        return got
+        return val
 
     # witness confirmation, deliberately on independent code paths
 
@@ -277,9 +275,9 @@ class ContainmentEngine:
     def check(self, m: int, r: int, slack: int = 0, *, audit: bool = False) -> ContainmentReport:
         """Decide I^(m) <= M^slack * I^r and report with witness on failure.
 
-        audit=True disables the true-result shortcut and the omega closed
-        form, forcing the membership scan; used by sanity checks that
-        exist to exercise the real engine.
+        audit=True disables the true-result shortcuts, forcing the
+        membership scan, and checks omega_r against the built I^r; used
+        by sanity checks that exist to exercise the real engine.
 
         The scan takes the generators of I^(m) in chunks of about
         _SCAN_CHUNK generator-by-base-row tests and checks the budget once

@@ -372,8 +372,9 @@ def multiply(
 ) -> MonomialIdeal:
     """Product ideal; generated by pairwise products.
 
-    The budget, if given, is checked once per block of the product's
-    minimalization (stage "ordinary-power", reporting ``partial``).
+    The budget, if given, is checked (stage "ordinary-power", reporting
+    ``partial``) with the |I| * |J| products as the candidate count
+    before any is built, and once per block of their minimalization.
     """
     _check_same_ring(I, J)
     if I.is_zero or J.is_zero:
@@ -385,6 +386,8 @@ def multiply(
     A, B = I.rows, J.rows
     if int(A.max()) + int(B.max()) > EXPONENT_LIMIT * _FOLD_LIMIT:
         raise OverflowError("product exponents exceed supported range")
+    if budget is not None:
+        budget.check("ordinary-power", partial or {}, len(A) * len(B))
     chunks = []
     for lo in range(0, len(A), 128):
         part = A[lo : lo + 128, None, :] + B[None, :, :]
@@ -396,9 +399,10 @@ def multiply(
 def power(I: MonomialIdeal, r: int, *, budget: Budget | None = None) -> MonomialIdeal:
     """r-th power of the ideal; power(I, 0) is the unit ideal.
 
-    The budget, if given, is checked before every multiply step and once
-    per block inside each step's minimalization (stage "ordinary-power";
-    ``factors_done`` counts the factors multiplied so far).
+    The budget, if given, is checked by every multiply step, before it
+    builds its products and once per block of their minimalization
+    (stage "ordinary-power"; ``factors_done`` counts the factors
+    multiplied so far).
     """
     if r < 0:
         raise ValueError("power exponent must be >= 0")
@@ -408,10 +412,7 @@ def power(I: MonomialIdeal, r: int, *, budget: Budget | None = None) -> Monomial
         return MonomialIdeal.unit(I.variable_count)
     out = I
     for done in range(1, r):
-        partial = {"r": r, "factors_done": done}
-        if budget is not None:
-            budget.check("ordinary-power", partial)
-        out = multiply(out, I, budget=budget, partial=partial)
+        out = multiply(out, I, budget=budget, partial={"r": r, "factors_done": done})
     return out
 
 

@@ -433,28 +433,28 @@ def _search_total(
 def initial_degree(P: PrimeDecomposition, m: int, *, budget: Budget | None = None) -> int:
     """alpha(I^(m)): least degree of a monomial in the symbolic power.
 
-    Tries the degrees m, m + 1, ... in turn, one decision search each,
-    and returns the first that is feasible; never enumerates the
-    generating set.  The support tables are built on the first search
-    of P and shared by every degree, every m and every later call.  Each
-    degree below the counting bound max(m, ceil(m * #supports / f_max))
-    costs one budget check and no expansion, since the search's root cut
-    is that bound.  The loop ends by m * variable_count at the latest,
-    where the all-m vector is feasible.  Exponents are capped at m:
-    lowering an exponent above m to m keeps a member in I^(m) and lowers
-    its degree.  Each search expands a
-    depth-first stack of frontier chunks, one numpy step per chunk and
-    variable, and cuts a node when the degree left, times the most
-    supports on any variable still free, is below the summed support
-    deficit: one unit of degree lowers that sum by at most that many
-    (details in _search_total).  Raises ResourceLimit (stage
+    Tries the degrees from the counting bound max(m, ceil(m * #supports
+    / f_max)) up, one decision search each, and returns the first that
+    is feasible; never enumerates the generating set.  No degree below
+    that bound is tried, since the search's root cut would refute it.
+    The support tables are built on the first search of P and shared by
+    every degree, every m and every later call.  The loop ends by
+    m * variable_count at the latest, where the all-m vector is
+    feasible.  Exponents are capped at m: lowering an exponent above m
+    to m keeps a member in I^(m) and lowers its degree.  Each search
+    expands a depth-first stack of frontier chunks, one numpy step per
+    chunk and variable, and cuts a node when the degree left, times the
+    most supports on any variable still free, is below the summed
+    support deficit: one unit of degree lowers that sum by at most that
+    many (details in _search_total).  Raises ResourceLimit (stage
     "initial-degree") when the budget's deadline passes; the search
     checks it at each degree's root and once per chunk.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     budget = budget or Budget()
-    return next(d for d in itertools.count(m) if _search_total(P, m, d, False, budget))
+    bound = max(m, -(-m * P._tables.start[-1] // P._tables.fsuf[0]))
+    return next(d for d in itertools.count(bound) if _search_total(P, m, d, False, budget))
 
 
 def min_degree_generators(

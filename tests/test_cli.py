@@ -24,6 +24,8 @@ from steinerideals.claims import claim_ids, run_claims
 from steinerideals.cli import main
 from steinerideals.designs import FANO_BLOCKS
 
+import oracles
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -368,6 +370,19 @@ def test_containment_audit_flag(capsys):
     assert doc["holds"] is True and doc["method"] == "generator-scan"
 
 
+def test_containment_reports_omega_of_the_pg23_complement(capsys, tmp_path):
+    # PG(2,3) = S(2,4,13): its complement ideal has generators of degree
+    # 10, above v - n = 9, so omega(I) is 10, with or without --audit
+    path = tmp_path / "pg23.json"
+    path.write_text(json.dumps(oracles.pg23().to_dict()))
+    for audit in ((), ("--audit",)):
+        code, doc, _ = run_json(
+            capsys, "containment", str(path), "--source", "complement", "2", "1", *audit
+        )
+        assert code == 0
+        assert doc["holds"] is True and doc["omega_r"] == 10
+
+
 def test_containment_invalid_parameters(capsys):
     code, _, err = run(
         capsys, "containment", "builtin:fano", "--source", "complement", "0", "1"
@@ -620,17 +635,18 @@ def test_each_claim_passes_on_its_own(cid):
 
 
 def record_claim_work(monkeypatch):
-    """Log each (decomposition, m) the engines fold and each one whose initial degree is searched.
+    """Log each (decomposition, m) the engines fold and each (decomposition, m, degree) decided.
 
-    Every search for alpha(I^(m)), on any path, starts with a decision
-    search at degree m, so those are logged, not the callers.
+    Every search for alpha(I^(m)), on any path, runs one decision search
+    per degree from the same lower bound up, so searching one initial
+    degree twice logs some (decomposition, m, degree) twice.
     """
     folds, alphas = [], []
     fold, search = containment.symbolic_power, symbolic._search_total
 
     def logged_search(P, m, degree, collect, budget):
-        if degree == m and not collect:
-            alphas.append((P, m))
+        if not collect:
+            alphas.append((P, m, degree))
         return search(P, m, degree, collect, budget)
 
     monkeypatch.setattr(

@@ -4,6 +4,7 @@ import dataclasses
 import time
 import traceback
 from fractions import Fraction
+from random import Random
 
 import pytest
 
@@ -29,6 +30,8 @@ from steinerideals import (
     member_of_power,
     member_of_symbolic,
     min_degree_generators,
+    minimalize,
+    power,
     resurgence_region,
     resurgence_search,
     stable_harbourne_scan,
@@ -269,8 +272,57 @@ def test_omega_formula_and_audit(fano_c, fano_j):
     assert fano_c.omega_r(1) == 4
     assert fano_c.omega_r(2) == 8
     assert fano_c.omega_r(2, audit=True) == 8
-    # no provenance: omega comes from the materialized power
+    # with or without provenance, omega(I^r) is r * omega(I)
     assert fano_j.omega_r(1) == fano_j.base_ideal().max_degree()
+
+
+def test_omega_is_r_times_omega_of_the_base_on_random_decompositions():
+    rng = Random(16)
+    for _ in range(40):
+        nv, sups = oracles.random_supports(rng)
+        engine = ContainmentEngine(PrimeDecomposition(nv, tuple(sups)))
+        for r in (1, 2, 3):
+            assert engine.omega_r(r) == power(engine.base_ideal(), r).max_degree(), (sups, r)
+
+
+def test_omega_identity_needs_a_squarefree_ideal():
+    # I = (x^2, y^2, xyz): the generators of I^2 are x^4, x^2y^2, y^4,
+    # x^3yz and xy^3z, since x^2y^2 divides (xyz)^2; so omega(I^2) = 5 < 6
+    I = minimalize([Monomial((2, 0, 0)), Monomial((0, 2, 0)), Monomial((1, 1, 1))])
+    assert I.max_degree() == 3
+    assert power(I, 2).max_degree() == 5
+
+
+def test_omega_on_the_pg23_complement():
+    # its base ideal has generators of degree 9 = v - n and 10
+    engine = ContainmentEngine(complement_ideal(oracles.pg23()))
+    assert engine.omega_r(1) == 10
+    assert engine.omega_r(2, audit=True) == 20
+    assert engine.check(2, 1).omega_r == 10
+
+
+def test_a_check_outside_audit_mode_never_builds_the_ordinary_power(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("power called outside audit mode")
+
+    monkeypatch.setattr(containment, "power", refuse)
+    engine = ContainmentEngine(cover_ideal(builtin_fano().hypergraph()))
+    scan = resurgence_search(engine, 6, 4)
+    assert [rep.omega_r for rep in scan.cells] == [3 * rep.r for rep in scan.cells]
+    assert engine.check(2, 2, slack=1).method == "degree-obstruction"
+    assert not engine._ordinary
+    with pytest.raises(AssertionError, match="outside audit mode"):
+        engine.check(4, 2, audit=True)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("design", [oracles.ag23, oracles.cyclic_sts13, oracles.pg23])
+def test_omega_agrees_with_audit_on_the_ladder(design):
+    S = design()
+    for P in (cover_ideal(S.hypergraph()), complement_ideal(S)):
+        engine = ContainmentEngine(P)
+        for r in (1, 2):
+            assert engine.omega_r(r, audit=True) == engine.omega_r(r)
 
 
 # resource limits
@@ -325,12 +377,12 @@ def test_time_budget_stops_the_exact_search():
 
 def test_time_budget_stops_the_ordinary_power():
     # (x1, x2)^r has r + 1 generators; its r - 1 multiply steps at
-    # r = 3000 take seconds, and omega_r materializes that power
+    # r = 3000 take seconds, and audit mode materializes that power
     engine = ContainmentEngine(PrimeDecomposition(2, ((1, 2),)))
     engine.alpha(1)  # the alpha search obeys the budget too
     engine.budget.deadline = time.monotonic() + 0.3
     with pytest.raises(ResourceLimit) as ei:
-        engine.check(1, 3000)
+        engine.check(1, 3000, audit=True)
     late = time.monotonic() - engine.budget.deadline
     assert ei.value.stage == "ordinary-power"
     assert ei.value.partial["r"] == 3000

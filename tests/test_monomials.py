@@ -442,6 +442,26 @@ def test_power_checks_the_budget_before_each_multiply_step():
     assert ei.value.partial == {"r": 3, "factors_done": 1}
 
 
+def test_power_checks_the_generator_cap_before_building_the_products(monkeypatch):
+    # I has four generators and I^2 ten: the first step's 4 * 4 products
+    # fit a cap of 16, the second step's 10 * 4 do not, and are never built
+    I = minimalize([M(1, 0, 0, 0), M(0, 2, 0, 0), M(0, 0, 3, 0), M(0, 0, 0, 4)])
+    minimalized = []
+    real = monomials._minimal_rows
+    monkeypatch.setattr(
+        monomials, "_minimal_rows", lambda rows, check=None: minimalized.append(len(rows)) or real(rows, check)
+    )
+    with pytest.raises(ResourceLimit) as ei:
+        power(I, 3, budget=Budget(generator_cap=16))
+    exc = ei.value
+    assert exc.stage == "ordinary-power"
+    assert exc.partial == {"r": 3, "factors_done": 2}
+    assert "count 40 exceeds cap 16" in str(exc)
+    frames = [f.name for f in traceback.extract_tb(exc.__traceback__)]
+    assert frames[frames.index("multiply") + 1] == "check"
+    assert minimalized == [16]
+
+
 def test_multiply_checks_the_budget_inside_the_minimalization(monkeypatch):
     class StopAtThirdCheck(Budget):
         calls = 0
@@ -452,7 +472,8 @@ def test_multiply_checks_the_budget_inside_the_minimalization(monkeypatch):
                 raise ResourceLimit(stage, "stop", partial)
 
     # I^2 has ten generators of degrees 2 to 8, so 8-row blocks give its
-    # minimalization two checks after power's own check before the step
+    # minimalization two checks after the step's own check before it
+    # builds its products
     monkeypatch.setattr(monomials, "_BLOCK", 8)
     I = minimalize([M(1, 0, 0, 0), M(0, 2, 0, 0), M(0, 0, 3, 0), M(0, 0, 0, 4)])
     with pytest.raises(ResourceLimit) as ei:

@@ -319,7 +319,8 @@ def test_initial_degree_search_obeys_the_budget():
             search(P, 4, budget=expired)
         exc = ei.value
         assert exc.stage == "initial-degree"
-        assert exc.partial == {"m": 4, "degree_tried": 4}
+        # the first degree tried is the counting bound ceil(4 * 28 / 12)
+        assert exc.partial == {"m": 4, "degree_tried": 10}
     with pytest.raises(ResourceLimit):
         alpha_table(ContainmentEngine(P, budget=expired), 2)
     assert initial_degree(P, 4, budget=Budget(deadline=time.monotonic() + 600)) == 11
@@ -454,8 +455,8 @@ def test_alpha_search_tree_is_pinned():
     # these counts fix the number of chunks, and so the shape of the
     # pruned search tree and how it is cut into chunks
     cases = (
-        (lambda b: alpha_table(ContainmentEngine(fano_complement(), budget=b), 6), 106),
-        (lambda b: alpha_table(ContainmentEngine(sqs8_complement(), budget=b), 6), 145),
+        (lambda b: alpha_table(ContainmentEngine(fano_complement(), budget=b), 6), 76),
+        (lambda b: alpha_table(ContainmentEngine(sqs8_complement(), budget=b), 6), 124),
     )
     for run, checks in cases:
         budget = CountingBudget()
@@ -464,7 +465,7 @@ def test_alpha_search_tree_is_pinned():
     budget = CountingBudget()
     gens = min_degree_generators(cover_ideal(builtin_sqs8().hypergraph()), 3, budget=budget)
     assert len(gens) == 8
-    assert budget.calls == 28
+    assert budget.calls == 25
 
 
 def test_alpha_search_matches_the_reference_search():
@@ -510,10 +511,10 @@ def test_alpha_search_splits_a_row_with_too_many_children(monkeypatch):
     budget = CountingBudget()
     P = PrimeDecomposition(2, ((1,), (2,)))
     assert min_degree_generators(P, 3, budget=budget) == (Monomial((3, 3)),)
-    # alpha = 6: degrees 3 to 5 stop at the root (3 checks); at degree 6
-    # the decision and the collecting search each check at the root and
-    # at every child of x1 and of x2, one chunk each: 3 + 2 * (1 + 4 + 4)
-    assert budget.calls == 21
+    # alpha = 6 is the counting bound, the first degree tried: the
+    # decision and the collecting search each check at the root and at
+    # every child of x1 and of x2, one chunk each: 2 * (1 + 4 + 4)
+    assert budget.calls == 18
 
 
 def test_alpha_search_past_the_int8_range():
