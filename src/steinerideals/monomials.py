@@ -149,6 +149,33 @@ def _distinct(rows: np.ndarray) -> np.ndarray:
     return order[fresh]
 
 
+def _bit_columns(columns: np.ndarray) -> np.ndarray:
+    """A block's columns, each padded with _NEVER to whole uint64 words."""
+    pad = np.full((len(columns), -columns.shape[1] % 64), _NEVER)
+    return np.concatenate([columns, pad], axis=1)
+
+
+def _column_bits(columns: np.ndarray, values: np.ndarray, acc: np.ndarray | None = None) -> np.ndarray:
+    """For each row of ``values``, the bitset of the block rows at or below it.
+
+    ``columns`` holds a block's columns, as _bit_columns pads them.  Row
+    i of the result, in uint64 words, has bit k set iff columns[j][k] <=
+    values[i, j] for every column j, and bit k of ``acc[i]`` is set if
+    ``acc`` is given (it is updated in place).  For each column, one
+    np.packbits call builds a bitset per distinct value of that column,
+    found by one sort of ``values``, and each row gathers its own.
+    """
+    srt = np.sort(values, axis=0)
+    fresh = np.ones(srt.shape, dtype=bool)
+    fresh[1:] = srt[1:] != srt[:-1]
+    for j, col in enumerate(columns):
+        distinct = srt[fresh[:, j], j]
+        bits = np.packbits(col <= distinct[:, None], axis=1).view(np.uint64)
+        bits = bits[np.searchsorted(distinct, values[:, j])]
+        acc = bits if acc is None else np.bitwise_and(acc, bits, out=acc)
+    return acc
+
+
 def _dominated(
     cands: np.ndarray,
     doms: np.ndarray,
@@ -169,15 +196,15 @@ def _dominated(
     candidate with every block row decides the block: a handful of numpy
     calls whatever the column count, on a temporary of at most
     _BROADCAST bytes.  Larger tests go through bitsets, in chunks of
-    candidates.  For each column j, a chunk gets one bitset over the
-    block per distinct candidate value e: bit i is set iff the block's
-    row i has row[j] <= e (np.packbits, viewed as uint64 words).  A
-    candidate is dominated iff the AND of its column bitsets is nonzero.
-    That costs about five numpy calls per column, a fixed cost that
-    swamps a small test (a few hundred microseconds on four candidates
-    against five rows, which the broadcast decides in tens), while on a
-    large one the bitsets AND 64 block rows per word operation where the
-    broadcast compares every candidate, row and column one by one.
+    candidates (_column_bits): for each column j, a chunk gets one
+    bitset over the block per distinct candidate value e, bit i set iff
+    the block's row i has row[j] <= e, and a candidate is dominated iff
+    the AND of its column bitsets is nonzero.  That costs about five
+    numpy calls per column, a fixed cost that swamps a small test (a few
+    hundred microseconds on four candidates against five rows, which the
+    broadcast decides in tens), while on a large one the bitsets AND 64
+    block rows per word operation where the broadcast compares every
+    candidate, row and column one by one.
 
     ``check``, if given, is called before each block; a caller's budget
     check raises from it to stop a long query.
@@ -196,22 +223,12 @@ def _dominated(
             c[:, -1] -= 1
             hit[open_[(block <= c[:, None]).all(axis=2).any(axis=1)]] = True
             continue
-        pad = np.full((-len(block) % 64, doms.shape[1]), _NEVER)
-        columns = np.vstack([block, pad]).T.copy()
+        columns = _bit_columns(block.T)
         for c0 in range(0, len(open_), _CHUNK):
             idx = open_[c0 : c0 + _CHUNK]
             chunk = cands[idx]
             chunk[:, -1] -= 1
-            # distinct values of each chunk column, from one sort
-            srt = np.sort(chunk, axis=0)
-            fresh = np.ones(srt.shape, dtype=bool)
-            fresh[1:] = srt[1:] != srt[:-1]
-            acc = None
-            for j, col in enumerate(columns):
-                values = srt[fresh[:, j], j]
-                bits = np.packbits(col <= values[:, None], axis=1).view(np.uint64)
-                bits = bits[np.searchsorted(values, chunk[:, j])]
-                acc = bits if acc is None else np.bitwise_and(acc, bits, out=acc)
+            acc = _column_bits(columns, chunk)
             hit[idx[np.bitwise_or.reduce(acc, axis=1) != 0]] = True
     return hit
 

@@ -37,7 +37,8 @@ from .errors import (
     InternalInconsistency,
     MixedAmbient,
 )
-from .monomials import Monomial, MonomialIdeal, _canonical_order, _distinct, _dominated
+from .fold import _surviving_lifts
+from .monomials import Monomial, MonomialIdeal, _canonical_order
 
 logger = logging.getLogger(__name__)
 
@@ -149,45 +150,6 @@ def member_of_symbolic(w: Monomial, P: PrimeDecomposition, m: int) -> bool:
     return all(support_degree(w, s) >= m for s in P.supports)
 
 
-@functools.cache
-def _compositions(total: int, parts: int) -> np.ndarray:
-    """All weak compositions of total into parts, as read-only int64 rows."""
-    rows = []
-    for cut in itertools.combinations(range(total + parts - 1), parts - 1):
-        prev = -1
-        comp = []
-        for c in cut:
-            comp.append(c - prev - 1)
-            prev = c
-        comp.append(total + parts - 2 - prev)
-        rows.append(comp)
-    rows = np.array(rows, dtype=np.int64)
-    rows.flags.writeable = False
-    return rows
-
-
-def _lifts(todo: np.ndarray, idx: list[int], deficits: np.ndarray) -> np.ndarray:
-    """Distinct lifts of the todo rows to idx-degree m, canonically ordered.
-
-    ``deficits`` holds m minus each todo row's idx-degree.  A row g with
-    deficit d lifts to g + c for every weak composition c of d over the
-    columns idx: the minimal monomials above g of idx-degree m.  Columns
-    outside idx are copied unchanged.  When every row has the same
-    deficit (always so at m = 1), the rows are lifted as they are, with
-    no split by deficit and no join.
-    """
-    present = np.flatnonzero(np.bincount(deficits)).tolist()
-    pieces = []
-    for d in present:
-        group = todo if len(present) == 1 else todo[deficits == d]
-        comps = _compositions(d, len(idx))
-        lifted = np.repeat(group[:, None, :], len(comps), axis=1)
-        lifted[:, :, idx] += comps
-        pieces.append(lifted.reshape(-1, todo.shape[1]))
-    lifts = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
-    return lifts[_distinct(lifts)]
-
-
 def symbolic_power(
     P: PrimeDecomposition,
     m: int,
@@ -217,10 +179,14 @@ def symbolic_power(
     tight ok row below x, or a todo row whose lift g' + (x - g') on
     sigma lies strictly below x.  The lift's own parent g is never such
     a g', as offdeg(g) = offdeg(x).  So each step is one one-sided query
-    (_dominated) of the distinct lifts against those rows of G, with
-    offdeg as the strictly compared last column; the ok rows of larger
-    sigma-degree never enter it.  The result is sorted canonically once,
-    after the last step.
+    of the lifts against those rows of G, with offdeg as the strictly
+    compared last column; the ok rows of larger sigma-degree never enter
+    it.  A lift x = g + c has x_off = g_off, as c is zero off sigma; so
+    the query's test off sigma, offdeg included, is the same for all of
+    g's lifts.  _surviving_lifts runs it once per parent and dominator
+    block, tests each lift on the sigma columns only, and builds full
+    rows only for the lifts that survive.  The result is sorted
+    canonically once, after the last step.
 
     The argument holds for any antichain G to start from.  Since I^(m)
     is contained in I^(k) for k < m, folding every p_sigma^m into the
@@ -261,13 +227,14 @@ def symbolic_power(
         budget.check("symbolic-power", partial, candidate)
         if counts.any():
             rows[:, -1] = rows[:, :-1].sum(axis=1) - sdeg
-            lifts = _lifts(rows[short], idx, deficits)
             doms = rows[sdeg <= m]
             # least offdeg first: those rows dominate the most lifts, and a
             # lift found dominated leaves the later blocks' queries
             doms = doms[np.argsort(doms[:, -1], kind="stable")]
-            hit = _dominated(lifts, doms, lambda: budget.check("symbolic-power", partial))
-            rows = np.concatenate([rows[~short], lifts[~hit]])
+            lifts = _surviving_lifts(
+                rows[short], idx, deficits, doms, lambda: budget.check("symbolic-power", partial)
+            )
+            rows = np.concatenate([rows[~short], lifts])
         if budget.progress is not None:
             budget.progress(step + 1, total, len(rows))
     rows = rows[:, :-1]

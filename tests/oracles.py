@@ -1,7 +1,10 @@
 """Brute-force reference implementations used to cross-check the engine.
 
-Everything here works by exhaustive enumeration over bounded monomial or
+Most of these work by exhaustive enumeration over bounded monomial or
 assignment spaces, deliberately avoiding the package's own algorithms.
+The reference alpha search and the reference fold keep the package's
+contracts but take the plain route: one search node, or one full lift
+row, at a time.
 """
 
 from __future__ import annotations
@@ -9,7 +12,11 @@ from __future__ import annotations
 import itertools
 from random import Random
 
-from steinerideals import Hypergraph, Monomial, validate_steiner
+import numpy as np
+
+from steinerideals import Hypergraph, Monomial, MonomialIdeal, validate_steiner
+from steinerideals.fold import _compositions
+from steinerideals.monomials import _canonical_order, _distinct, _dominated
 
 
 def iter_monomials(nvars: int, max_degree: int):
@@ -227,3 +234,47 @@ def search_total(P, m: int, degree: int, collect: bool):
 
     hit = dfs(0, degree, m * len(sups))
     return found if collect else hit
+
+
+def fold_step(todo, idx, deficits, doms):
+    """Reference fold step: build every lift, deduplicate, then query them all.
+
+    Same contract as ``fold._surviving_lifts``: ``todo`` and ``doms``
+    carry the degree off the support ``idx`` as a last column, and
+    ``deficits`` holds m minus each todo row's support degree.  Each
+    todo row g is lifted to g + c for every weak composition c of its
+    deficit over idx, the distinct lifts are sorted canonically, and
+    ``_dominated`` drops those above some dominator row, the last column
+    compared strictly.  Returns the surviving lifts in canonical order.
+    """
+    pieces = []
+    for d in np.flatnonzero(np.bincount(deficits)).tolist():
+        comps = _compositions(d, len(idx))
+        lifted = np.repeat(todo[deficits == d][:, None, :], len(comps), axis=1)
+        lifted[:, :, idx] += comps
+        pieces.append(lifted.reshape(-1, todo.shape[1]))
+    lifts = np.concatenate(pieces)
+    lifts = lifts[_distinct(lifts)]
+    return lifts[~_dominated(lifts, doms)]
+
+
+def symbolic_power(P, m: int) -> MonomialIdeal:
+    """Reference fold of every p_sigma^m into the unit ideal, one step at a time.
+
+    The loop of ``symbolic.symbolic_power`` without its budget: each
+    support keeps the rows of support degree >= m and adds fold_step's
+    surviving lifts of the others, queried against the rows of support
+    degree <= m.
+    """
+    nv = P.variable_count
+    rows = np.zeros((1, nv + 1), dtype=np.int64)
+    for s in P.supports:
+        idx = np.array(s) - 1
+        sdeg = rows[:, idx].sum(axis=1)
+        short = sdeg < m
+        if short.any():
+            rows[:, -1] = rows[:, :-1].sum(axis=1) - sdeg
+            lifts = fold_step(rows[short], idx, m - sdeg[short], rows[sdeg <= m])
+            rows = np.concatenate([rows[~short], lifts])
+    rows = rows[:, :-1]
+    return MonomialIdeal(nv, rows[_canonical_order(rows)])

@@ -35,7 +35,7 @@ from steinerideals.monomials import (
     _greedy_members,
     _minimal_rows,
 )
-from steinerideals.symbolic import _lifts
+from steinerideals.fold import _surviving_lifts
 
 import oracles
 
@@ -318,13 +318,30 @@ def _brute_lifts(todo, idx, m):
     return sorted(out, key=lambda r: (sum(r), tuple(-e for e in r)))
 
 
+def _step(anti, idx, m):
+    """One fold step's kernel inputs: the deficient rows, their deficits, the dominators.
+
+    Every row gets its degree off the columns idx as one more column.
+    The dominators are the rows of support-degree <= m, least offdeg
+    first, as symbolic_power orders them.
+    """
+    anti = np.asarray(anti, dtype=np.int64).reshape(len(anti), -1)
+    sdeg = anti[:, idx].sum(axis=1)
+    ext = np.column_stack([anti, anti.sum(axis=1) - sdeg])
+    doms = ext[sdeg <= m]
+    return ext[sdeg < m], m - sdeg[sdeg < m], doms[np.argsort(doms[:, -1], kind="stable")]
+
+
+def _canonical(rows):
+    return rows[_canonical_order(rows)].tolist()
+
+
 def test_fold_step_query_matches_full_minimalization(monkeypatch):
     # One fold step as symbolic_power takes it: keep the antichain's rows
-    # of support-degree >= m, and drop each lift that a row of
-    # support-degree <= m lies below with a smaller degree off the
-    # support.  That must equal minimalizing all kept and lifted rows.
-    # Small blocks and chunks put many boundaries inside each query.
-    # Both parts run once through each path of _dominated.
+    # of support-degree >= m, and add the lifts that _surviving_lifts
+    # keeps.  That must equal minimalizing all kept and lifted rows.
+    # Small blocks and chunks put many boundaries inside each query,
+    # which runs once through each path of the kernel.
     monkeypatch.setattr(monomials, "_BLOCK", 70)
     monkeypatch.setattr(monomials, "_CHUNK", 9)
     for path in (BITSET_ONLY, BROADCAST_ONLY):
@@ -334,7 +351,6 @@ def test_fold_step_query_matches_full_minimalization(monkeypatch):
             nv = rng.randint(1, 6)
             anti = _minimal_rows(np.array(_random_rows(rng, rng.randint(1, 150), nv, 3)))
             idx = sorted(rng.sample(range(nv), rng.randint(1, nv)))
-            off = [j for j in range(nv) if j not in idx]
             m = rng.randint(1, 4)
             sdeg = anti[:, idx].sum(axis=1)
             ok, todo = anti[sdeg >= m], anti[sdeg < m]
@@ -342,14 +358,9 @@ def test_fold_step_query_matches_full_minimalization(monkeypatch):
             want = _minimal_rows(np.array(ok.tolist() + lifted).reshape(-1, nv))
             step = ok
             if len(todo):
-                lifts = _lifts(todo, idx, m - todo[:, idx].sum(axis=1))
-                assert list(map(tuple, lifts.tolist())) == lifted
-                doms = anti[sdeg <= m]
-                hit = _dominated(
-                    np.column_stack([lifts, lifts[:, off].sum(axis=1)]),
-                    np.column_stack([doms, doms[:, off].sum(axis=1)]),
-                )
-                step = np.vstack([ok, lifts[~hit]])
+                todo, deficits, doms = _step(anti, idx, m)
+                lifts = _surviving_lifts(todo, np.array(idx), deficits, doms)
+                step = np.vstack([ok, lifts[:, :-1]])
             assert np.array_equal(step[_canonical_order(step)], want)
         # the whole fold, on supports of mixed sizes: its generators are the
         # minimal members, and a minimal generator has no exponent above m
@@ -366,6 +377,56 @@ def test_fold_step_query_matches_full_minimalization(monkeypatch):
                 }
                 got = symbolic_power(P, m).rows.tolist()
                 assert list(map(tuple, got)) == sorted(gens, key=lambda r: (sum(r), tuple(-e for e in r)))
+
+
+@pytest.mark.parametrize("path", [BITSET_ONLY, BROADCAST_ONLY], ids=["bitset", "broadcast"])
+def test_surviving_lifts_match_the_reference_step(monkeypatch, path):
+    # The kernel against oracles.fold_step, which builds, deduplicates
+    # and queries every lift.  Blocks of 5 dominators and chunks of 2
+    # parents or lifts put every input across several blocks and chunks.
+    monkeypatch.setattr(monomials, "_BLOCK", 5)
+    monkeypatch.setattr(monomials, "_CHUNK", 2)
+    monkeypatch.setattr(monomials, "_BROADCAST", path)
+
+    def agree(anti, idx, m):
+        todo, deficits, doms = _step(anti, idx, m)
+        if len(todo):
+            got = _surviving_lifts(todo, np.array(idx), deficits, doms)
+            assert _canonical(got) == oracles.fold_step(todo, np.array(idx), deficits, doms).tolist()
+
+    # one parent; parents of two deficits, one with an off-support
+    # dominator (h) and one without; two parents with one off-support
+    # part, whose lifts meet
+    agree([[0, 0, 0, 0]], [0, 1], 3)
+    agree([[0, 0, 1, 0], [0, 0, 0, 3], [1, 0, 0, 1]], [0, 1], 2)
+    agree([[1, 0, 2], [0, 1, 2], [0, 0, 3]], [0, 1], 3)
+    rng = Random(71)
+    for _ in range(40):
+        nv = rng.randint(1, 6)
+        anti = _minimal_rows(np.array(_random_rows(rng, rng.randint(1, 60), nv, 3)))
+        for _ in range(3):
+            agree(anti, sorted(rng.sample(range(nv), rng.randint(1, nv))), rng.randint(1, 4))
+    # seeded starts: I^(k) folded towards m > k, deficits 1 to m - k
+    for _ in range(6):
+        nv, sups = oracles.random_supports(rng, max_vars=5, max_supports=4, max_size=3)
+        P = PrimeDecomposition(nv, tuple(sups))
+        for k in (1, 2):
+            seed = symbolic_power(P, k).rows
+            for s in P.supports:
+                agree(seed, [i - 1 for i in s], k + rng.randint(1, 2))
+
+
+@pytest.mark.parametrize("path", [BITSET_ONLY, BROADCAST_ONLY], ids=["bitset", "broadcast"])
+def test_surviving_lifts_check_once_per_block_on_both_paths(monkeypatch, path):
+    # no dominator has a smaller offdeg than the parent, so no lift is
+    # dropped and every one of the three blocks runs
+    monkeypatch.setattr(monomials, "_BLOCK", 70)
+    monkeypatch.setattr(monomials, "_BROADCAST", path)
+    todo = np.array([[0, 0, 1, 1]])
+    doms = np.column_stack([np.ones((150, 3), dtype=np.int64), np.full(150, 1)])
+    calls = []
+    lifts = _surviving_lifts(todo, np.array([0]), np.array([2]), doms, lambda: calls.append(1))
+    assert lifts.tolist() == [[2, 0, 1, 1]] and len(calls) == 3
 
 
 def test_minimalize_idempotent_on_random_input():

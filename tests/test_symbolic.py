@@ -308,7 +308,7 @@ def test_fold_checks_the_budget_inside_the_minimalization(monkeypatch):
     assert set(exc.partial) == {"supports_folded", "supports_total", "kept"}
     assert 1 <= exc.partial["supports_folded"] < exc.partial["supports_total"]
     frames = [f.name for f in traceback.extract_tb(exc.__traceback__)]
-    assert frames[frames.index("symbolic_power") + 1] == "_dominated"
+    assert frames[frames.index("symbolic_power") + 1] == "_surviving_lifts"
 
 
 def test_initial_degree_search_obeys_the_budget():
@@ -618,6 +618,24 @@ def test_symbolic_power_digests_on_the_ladder(case):
     dump_monomials(text, I)
     assert I.generator_count == count
     assert hashlib.sha256(text.getvalue().encode()).hexdigest() == digest
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize(
+    "build, m",
+    [
+        (lambda: cover_ideal(oracles.cyclic_sts13().hypergraph()), 3),
+        (lambda: cover_ideal(oracles.pg23().hypergraph()), 3),
+        (lambda: complement_ideal(oracles.pg23()), 2),
+        (lambda: cover_ideal(oracles.ag23().hypergraph()), 4),
+        (lambda: complement_ideal(oracles.ag23()), 4),
+    ],
+    ids=["sts13-cover-3", "pg23-cover-3", "pg23-complement-2", "ag23-cover-4", "ag23-complement-4"],
+)
+def test_symbolic_power_matches_the_reference_fold_on_the_ladder(build, m):
+    # the reference fold builds and queries every lift of every step
+    P = build()
+    assert symbolic_power(P, m) == oracles.symbolic_power(P, m)
 
 
 def test_alpha_table_rejects_inconsistent_data():
