@@ -4,9 +4,11 @@ symbolic_power folds one prime power p_sigma^m at a time; each step
 lifts the rows of sigma-degree below m to sigma-degree m and keeps the
 lifts that no row of the running antichain lies below (the proof is in
 symbolic_power's docstring).  _surviving_lifts answers that query
-without building the dropped lifts.  It shares _dominated's block,
-chunk and broadcast sizes and its bitset helpers, read from monomials
-at call time.
+without building the dropped lifts.  It tests the dominators a block at
+a time, as _dominated does, and on large tests looks the parents and
+the lifts up in each block's threshold tables (bitsets, one table off
+sigma and one on it).  The block, chunk and broadcast sizes are
+monomials', read at call time.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ from typing import Callable
 import numpy as np
 
 from . import monomials
-from .monomials import _bit_columns, _column_bits, _distinct
+from .bitsets import _table_bits, _threshold_table
+from .monomials import _distinct
 
 
 @cache
@@ -68,13 +71,15 @@ def _surviving_lifts(
     from it to stop a long query.  As in _dominated, a block is decided
     by one of two paths.  When the open lifts and the parents, times the
     block's entries, stay within _BROADCAST, one broadcast comparison
-    per part decides it.  Otherwise each chunk of at most _CHUNK parents
-    with open lifts gets its bitsets off sigma over the block
-    (_column_bits).  A parent whose bitset is empty keeps all its lifts
-    for this block.  The lifts of the other parents, in chunks of at
-    most _CHUNK, start from their parent's bitset and AND in only the
-    sigma columns' bitsets.  Every temporary holds at most
-    _BLOCK x _CHUNK bits.
+    per part decides it.  Otherwise the block gets two threshold tables,
+    built once: one over its columns off sigma and one over its sigma
+    columns (_threshold_table).  Each chunk of at most _CHUNK parents
+    with open lifts looks its part off sigma up in the first
+    (_table_bits), which gives each parent the bitset of the block rows
+    below it off sigma.  A parent whose bitset is empty keeps all its
+    lifts for this block.  The lifts of the other parents, in chunks of
+    at most _CHUNK, start from their parent's bitset and AND in only
+    their sigma columns' bitsets from the second table.
     """
     off = np.ones(todo.shape[1], dtype=bool)
     off[idx] = False
@@ -113,14 +118,14 @@ def _surviving_lifts(
             keep = ~hit.any(axis=1)
             lifts, owner = lifts[:, keep], owner[keep]
             continue
-        off_columns, sig_columns = _bit_columns(block_off), _bit_columns(block_sig)
+        off_table, sig_table = _threshold_table(block_off), _threshold_table(block_sig)
         starts = np.flatnonzero(np.diff(owner, prepend=-1))
         runs = np.diff(starts, append=len(owner))
         hit = np.zeros(len(owner), dtype=bool)
         for p0 in range(0, len(starts), chunk_rows):
             first = starts[p0 : p0 + chunk_rows]
-            bits = _column_bits(off_columns, parts[:, owner[first]].T)
-            live = np.bitwise_or.reduce(bits, axis=1) != 0
+            bits = _table_bits(off_table, parts[:, owner[first]])
+            live = bits.any(axis=1)
             if not live.any():
                 continue
             # the lifts of the live parents, and each one's parent row in bits
@@ -130,8 +135,8 @@ def _surviving_lifts(
             tested += first[0]
             for c0 in range(0, len(tested), chunk_rows):
                 chunk = tested[c0 : c0 + chunk_rows]
-                acc = _column_bits(sig_columns, lifts[:, chunk].T, bits[slot[c0 : c0 + chunk_rows]])
-                hit[chunk] = np.bitwise_or.reduce(acc, axis=1) != 0
+                acc = _table_bits(sig_table, lifts[:, chunk], bits[slot[c0 : c0 + chunk_rows]])
+                hit[chunk] = acc.any(axis=1)
         lifts, owner = lifts[:, ~hit], owner[~hit]
     out = todo[owner]
     out[:, idx] = lifts.T

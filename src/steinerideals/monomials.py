@@ -20,6 +20,7 @@ from typing import Callable, Iterable, Sequence, TextIO
 
 import numpy as np
 
+from .bitsets import _table_bits, _threshold_table
 from .budget import Budget
 from .errors import FormatError, MixedAmbient
 
@@ -121,17 +122,15 @@ def _canonical_order(rows: np.ndarray) -> np.ndarray:
 
 
 # _dominated tests blocks of at most _BLOCK rows against chunks of at
-# most _CHUNK candidates, so each temporary holds at most _BLOCK x _CHUNK
-# bits or bytes whatever the row count and the exponent sizes.
+# most _CHUNK candidates, so each temporary of a test holds at most
+# _BLOCK x _CHUNK bits or bytes whatever the row count and the exponent
+# sizes; a block's threshold table holds one _BLOCK-bit row per level.
 _BLOCK = 4096
 _CHUNK = 1024
 # A block whose open candidates, rows and columns multiply to at most
 # _BROADCAST is decided by one broadcast comparison instead of bitsets;
 # the two cost about the same near it.
-_BROADCAST = 1 << 16
-# Padding value for the rows that fill a block up to whole uint64 words:
-# no candidate value reaches it, so a padding row dominates nothing.
-_NEVER = np.iinfo(np.int64).max
+_BROADCAST = 1 << 15
 
 
 def _distinct(rows: np.ndarray) -> np.ndarray:
@@ -147,33 +146,6 @@ def _distinct(rows: np.ndarray) -> np.ndarray:
     fresh = np.ones(len(rows), dtype=bool)
     fresh[1:] = (srt[1:] != srt[:-1]).any(axis=1)
     return order[fresh]
-
-
-def _bit_columns(columns: np.ndarray) -> np.ndarray:
-    """A block's columns, each padded with _NEVER to whole uint64 words."""
-    pad = np.full((len(columns), -columns.shape[1] % 64), _NEVER)
-    return np.concatenate([columns, pad], axis=1)
-
-
-def _column_bits(columns: np.ndarray, values: np.ndarray, acc: np.ndarray | None = None) -> np.ndarray:
-    """For each row of ``values``, the bitset of the block rows at or below it.
-
-    ``columns`` holds a block's columns, as _bit_columns pads them.  Row
-    i of the result, in uint64 words, has bit k set iff columns[j][k] <=
-    values[i, j] for every column j, and bit k of ``acc[i]`` is set if
-    ``acc`` is given (it is updated in place).  For each column, one
-    np.packbits call builds a bitset per distinct value of that column,
-    found by one sort of ``values``, and each row gathers its own.
-    """
-    srt = np.sort(values, axis=0)
-    fresh = np.ones(srt.shape, dtype=bool)
-    fresh[1:] = srt[1:] != srt[:-1]
-    for j, col in enumerate(columns):
-        distinct = srt[fresh[:, j], j]
-        bits = np.packbits(col <= distinct[:, None], axis=1).view(np.uint64)
-        bits = bits[np.searchsorted(distinct, values[:, j])]
-        acc = bits if acc is None else np.bitwise_and(acc, bits, out=acc)
-    return acc
 
 
 def _dominated(
@@ -195,16 +167,15 @@ def _dominated(
     entries stay within _BROADCAST, one broadcast comparison of every
     candidate with every block row decides the block: a handful of numpy
     calls whatever the column count, on a temporary of at most
-    _BROADCAST bytes.  Larger tests go through bitsets, in chunks of
-    candidates (_column_bits): for each column j, a chunk gets one
-    bitset over the block per distinct candidate value e, bit i set iff
-    the block's row i has row[j] <= e, and a candidate is dominated iff
-    the AND of its column bitsets is nonzero.  That costs about five
-    numpy calls per column, a fixed cost that swamps a small test (a few
-    hundred microseconds on four candidates against five rows, which the
-    broadcast decides in tens), while on a large one the bitsets AND 64
-    block rows per word operation where the broadcast compares every
-    candidate, row and column one by one.
+    _BROADCAST bytes.  It is column-major (one row per column), as numpy
+    reduces across the rows of a small 3-d array much faster than along
+    its last axis.  Larger tests build the block's threshold table once
+    (_threshold_table) and look the candidates up in it a chunk at a
+    time (_table_bits): a candidate is dominated iff the AND of its
+    columns' bitsets is nonzero.  A lookup costs a few numpy calls,
+    however many candidates the chunk has, and ANDs 64 block rows per
+    word operation where the broadcast compares every candidate, row and
+    column one by one.
 
     ``check``, if given, is called before each block; a caller's budget
     check raises from it to stop a long query.
@@ -217,19 +188,18 @@ def _dominated(
         open_ = np.flatnonzero(~hit)
         if len(open_) == 0:
             break
-        block = doms[lo : lo + _BLOCK]
+        block = np.ascontiguousarray(doms[lo : lo + _BLOCK].T)
         if len(open_) * block.size <= _BROADCAST:
-            c = cands[open_]
-            c[:, -1] -= 1
-            hit[open_[(block <= c[:, None]).all(axis=2).any(axis=1)]] = True
+            c = cands[open_].T
+            c[-1] -= 1
+            hit[open_[(block[:, :, None] <= c[:, None]).all(axis=0).any(axis=0)]] = True
             continue
-        columns = _bit_columns(block.T)
+        table = _threshold_table(block)
         for c0 in range(0, len(open_), _CHUNK):
             idx = open_[c0 : c0 + _CHUNK]
-            chunk = cands[idx]
-            chunk[:, -1] -= 1
-            acc = _column_bits(columns, chunk)
-            hit[idx[np.bitwise_or.reduce(acc, axis=1) != 0]] = True
+            chunk = cands[idx].T
+            chunk[-1] -= 1
+            hit[idx[_table_bits(table, chunk).any(axis=1)]] = True
     return hit
 
 

@@ -30,6 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import monomials
 from .budget import Budget
 from .designs import Hypergraph, SteinerSystem, complement_blocks
 from .errors import (
@@ -96,6 +97,13 @@ class PrimeDecomposition:
     def _tables(self) -> _SearchTables:
         """The alpha search's tables, built on first use and kept with P."""
         return _search_tables(self)
+
+    @functools.cached_property
+    def _fold_columns(self) -> tuple[np.ndarray, ...]:
+        """Each support's 0-based variable indices, built on first fold and kept with P."""
+        flat = np.fromiter(itertools.chain.from_iterable(self.supports), dtype=np.intp) - 1
+        ends = itertools.accumulate(len(s) for s in self.supports)
+        return tuple(flat[end - len(s) : end] for s, end in zip(self.supports, ends))
 
     @property
     def support_count(self) -> int:
@@ -212,8 +220,7 @@ def symbolic_power(
     rows = np.zeros((len(seed), nv + 1), dtype=np.int64)
     rows[:, :-1] = seed
 
-    for step, sup in enumerate(_support_arrays(P)):
-        idx = np.array(sup)
+    for step, idx in enumerate(P._fold_columns):
         sdeg = rows[:, idx].sum(axis=1)
         short = sdeg < m
         deficits = m - sdeg[short]
@@ -228,9 +235,11 @@ def symbolic_power(
         if counts.any():
             rows[:, -1] = rows[:, :-1].sum(axis=1) - sdeg
             doms = rows[sdeg <= m]
-            # least offdeg first: those rows dominate the most lifts, and a
-            # lift found dominated leaves the later blocks' queries
-            doms = doms[np.argsort(doms[:, -1], kind="stable")]
+            if len(doms) > monomials._BLOCK:
+                # least offdeg first: those rows dominate the most lifts, and a
+                # lift found dominated leaves the later blocks' queries; one
+                # block tests every row whatever their order
+                doms = doms[np.argsort(doms[:, -1], kind="stable")]
             lifts = _surviving_lifts(
                 rows[short], idx, deficits, doms, lambda: budget.check("symbolic-power", partial)
             )

@@ -27,7 +27,8 @@ from steinerideals import (
     power,
     symbolic_power,
 )
-from steinerideals import monomials
+from steinerideals import bitsets, monomials
+from steinerideals.bitsets import _table_bits, _threshold_table
 from steinerideals.monomials import (
     EXPONENT_LIMIT,
     _canonical_order,
@@ -267,6 +268,38 @@ def test_dominated_checks_once_per_block_on_both_paths(monkeypatch, path):
     assert not hit.any() and len(calls) == 3
 
 
+def test_threshold_table_lookups_and_levels(monkeypatch):
+    # _table_bits against a direct comparison: bit i of a lookup is set
+    # iff block row i is <= the looked-up values in every column.  The
+    # values include -1 (the strictly compared last column, minus one)
+    # and values above every block entry.  Small values index the table
+    # by value; entries up to 2 * EXPONENT_LIMIT rank it, and then each
+    # column has at most (its distinct values + 1) levels, so the table
+    # does not grow with the range.  A small _SLICE builds the bitsets
+    # a few levels at a time and gathers one column at a time; the block
+    # sizes end mid-word.
+    monkeypatch.setattr(bitsets, "_SLICE", 1 << 12)
+    rng = Random(73)
+    wide = [0, 1, 2, EXPONENT_LIMIT - 1, EXPONENT_LIMIT, 2 * EXPONENT_LIMIT]
+    for n in (1, 5, 63, 64, 65, 130):
+        for values, ranked in ((range(4), False), (wide, True)):
+            block = np.array([[rng.choice(values) for _ in range(3)] for _ in range(n)])
+            table = _threshold_table(block.T)
+            assert (table.keys is not None) == ranked
+            if ranked:
+                assert len(table.bits) <= sum(len(set(col)) + 1 for col in block.T.tolist())
+            probe = [-1, 0, 1, 3, 4, EXPONENT_LIMIT, 2 * EXPONENT_LIMIT, 3 * EXPONENT_LIMIT]
+            looked = np.array([[rng.choice(probe) for _ in range(3)] for _ in range(40)])
+            bits = _table_bits(table, looked.T)
+            got = np.unpackbits(bits.view(np.uint8), axis=1)
+            assert not got[:, n:].any()  # padding rows never match
+            want = (block[None, :, :] <= looked[:, None, :]).all(axis=2)
+            assert np.array_equal(got[:, :n].astype(bool), want)
+            # a given accumulator is ANDed in place
+            acc = np.zeros_like(bits)
+            assert not _table_bits(table, looked.T, acc).any() and not acc.any()
+
+
 def test_canonical_order_paths_agree(monkeypatch):
     # The lexsort taken at or below _LEXSORT_ROWS rows and the packed-word
     # sort above it return the same stable indices: row counts around the
@@ -392,7 +425,11 @@ def test_surviving_lifts_match_the_reference_step(monkeypatch, path):
         todo, deficits, doms = _step(anti, idx, m)
         if len(todo):
             got = _surviving_lifts(todo, np.array(idx), deficits, doms)
-            assert _canonical(got) == oracles.fold_step(todo, np.array(idx), deficits, doms).tolist()
+            want = oracles.fold_step(todo, np.array(idx), deficits, doms)
+            assert _canonical(got) == want.tolist()
+            # and the same lifts by a comparison in plain Python
+            lifts = np.array(_brute_lifts(todo, idx, m), dtype=np.int64).reshape(-1, todo.shape[1])
+            assert want.tolist() == lifts[~_reference_dominated(lifts, doms)].tolist()
 
     # one parent; parents of two deficits, one with an off-support
     # dominator (h) and one without; two parents with one off-support
@@ -414,6 +451,15 @@ def test_surviving_lifts_match_the_reference_step(monkeypatch, path):
             seed = symbolic_power(P, k).rows
             for s in P.supports:
                 agree(seed, [i - 1 for i in s], k + rng.randint(1, 2))
+    # entries up to 2 * EXPONENT_LIMIT off the support: the off-support
+    # tables are ranked, and the offdeg column is far above any exponent
+    wide = [0, 0, 1, 2, 3, EXPONENT_LIMIT - 1, EXPONENT_LIMIT, 2 * EXPONENT_LIMIT]
+    for _ in range(30):
+        nv = rng.randint(2, 6)
+        rows = [[rng.choice(wide) for _ in range(nv)] for _ in range(rng.randint(1, 60))]
+        anti = _minimal_rows(np.array(rows))
+        for _ in range(3):
+            agree(anti, sorted(rng.sample(range(nv), rng.randint(1, nv - 1))), rng.randint(1, 4))
 
 
 @pytest.mark.parametrize("path", [BITSET_ONLY, BROADCAST_ONLY], ids=["bitset", "broadcast"])

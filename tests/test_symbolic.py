@@ -194,7 +194,7 @@ def test_sqs8_generator_counts():
         assert symbolic_power(Pi, m).generator_count == count, m
 
 
-def test_symbolic_power_agrees_with_generic_intersection():
+def test_symbolic_power_agrees_with_generic_intersection(monkeypatch):
     for P in (fano_complement(), cover_ideal(builtin_fano().hypergraph())):
         assert symbolic_power(P, 1) == _generic_fold(P, 1)
     tiny = tiny_complement()
@@ -206,6 +206,21 @@ def test_symbolic_power_agrees_with_generic_intersection():
         P = PrimeDecomposition(nv, tuple(sups))
         for m in (1, 2, 3):
             assert symbolic_power(P, m) == _generic_fold(P, m)
+    # The reference fold, with the dominators in one block (left in fold
+    # order) and in blocks of 8 (sorted by offdeg first).
+    cases = [
+        (P, 4)
+        for S in (builtin_fano(), builtin_sqs8())
+        for P in (complement_ideal(S), cover_ideal(S.hypergraph()))
+    ]
+    for _ in range(8):
+        nv, sups = oracles.random_supports(rng, max_vars=6, max_supports=5, max_size=4)
+        cases.append((PrimeDecomposition(nv, tuple(sups)), 3))
+    for block in (monomials._BLOCK, 8):
+        monkeypatch.setattr(monomials, "_BLOCK", block)
+        for P, top in cases:
+            for m in range(1, top + 1):
+                assert symbolic_power(P, m) == oracles.symbolic_power(P, m), (P, m, block)
 
 
 def test_symbolic_membership_equals_predicate():
