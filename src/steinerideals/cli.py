@@ -490,7 +490,7 @@ def main(argv=None) -> int:
     except (DesignError, Uncolourable) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except SteinerIdealsError as exc:

@@ -55,7 +55,6 @@ from .symbolic import (
     member_of_symbolic,
     min_degree_generators,
     symbolic_power,
-    waldschmidt_exact,
 )
 
 _NAIVE_RECHECK_CAP = 250_000  # multiset count below which the brute recheck runs
@@ -346,12 +345,15 @@ def alpha_table(engine: ContainmentEngine, M: int) -> AlphaTable:
     """Table of alpha(I^(m)) for m = 1..M with Waldschmidt bounds.
 
     The entries are the engine's cached and audited initial degrees, so
-    a table costs no search the engine has already run.
+    a table costs no search the engine has already run.  The lower bound
+    is the exact Waldschmidt constant v / n of an S(t, n, v) complement,
+    and None without Steiner provenance.
     """
     if M < 1:
         raise ValueError("M must be >= 1")
     entries = tuple((m, engine.alpha(m)) for m in range(1, M + 1))
-    return AlphaTable(entries, waldschmidt_exact(engine.decomposition))
+    steiner = engine.decomposition.steiner
+    return AlphaTable(entries, None if steiner is None else Fraction(steiner[2], steiner[1]))
 
 
 def _r_family(

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Sequence, TextIO
+from typing import Callable, Sequence, TextIO
 
 import numpy as np
 
@@ -246,7 +246,7 @@ class MonomialIdeal:
     canonical order, is the only stored form; ``generators`` builds the
     Monomial objects on first read.  The constructor copies rows and
     checks shape and range but trusts them to be a canonical antichain;
-    build from arbitrary rows with from_rows / minimalize.
+    from_rows builds an ideal from arbitrary rows.
     """
 
     variable_count: int
@@ -278,8 +278,16 @@ class MonomialIdeal:
 
     @classmethod
     def from_rows(cls, variable_count: int, rows: np.ndarray) -> "MonomialIdeal":
-        rows = np.asarray(rows, dtype=np.int64).reshape(-1, variable_count)
-        return cls(variable_count, _minimal_rows(rows))
+        """The ideal generated by any exponent rows, minimalized.
+
+        An empty input is the zero ideal.  Any other input must be a
+        matrix of variable_count columns with entries in range: the
+        constructor's checks run on it before it is minimalized.
+        """
+        rows = np.asarray(rows, dtype=np.int64)
+        if rows.size == 0:
+            return cls.zero(variable_count)
+        return cls(variable_count, _minimal_rows(cls(variable_count, rows).rows))
 
     @cached_property
     def generators(self) -> tuple[Monomial, ...]:
@@ -312,48 +320,6 @@ class MonomialIdeal:
         return bool((self.rows <= np.array(w.exponents)).all(axis=1).any())
 
 
-def minimalize(
-    gens: Iterable[Monomial], variable_count: int | None = None
-) -> MonomialIdeal:
-    """Unique minimal generating set of the ideal generated by gens.
-
-    variable_count is required when gens is empty (the zero ideal has no
-    generator to read the ambient ring from).
-    """
-    gens = tuple(gens)
-    if variable_count is None:
-        if not gens:
-            raise ValueError("variable_count required for an empty generating set")
-        variable_count = gens[0].variable_count
-    for g in gens:
-        if g.variable_count != variable_count:
-            raise MixedAmbient(variable_count, g.variable_count)
-    rows = np.array([g.exponents for g in gens], dtype=np.int64)
-    return MonomialIdeal.from_rows(variable_count, rows)
-
-
-def _check_same_ring(I: MonomialIdeal, J: MonomialIdeal) -> None:
-    if I.variable_count != J.variable_count:
-        raise MixedAmbient(I.variable_count, J.variable_count)
-
-
-def intersect(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
-    """Intersection; generated by pairwise lcms of the two generating sets."""
-    _check_same_ring(I, J)
-    if I.is_zero or J.is_zero:
-        return MonomialIdeal.zero(I.variable_count)
-    if I.is_unit:
-        return J
-    if J.is_unit:
-        return I
-    A, B = I.rows, J.rows
-    chunks = []
-    for lo in range(0, len(A), 128):
-        part = np.maximum(A[lo : lo + 128, None, :], B[None, :, :])
-        chunks.append(part.reshape(-1, I.variable_count))
-    return MonomialIdeal.from_rows(I.variable_count, np.vstack(chunks))
-
-
 def multiply(
     I: MonomialIdeal, J: MonomialIdeal, *, budget: Budget | None = None, partial: dict | None = None
 ) -> MonomialIdeal:
@@ -363,7 +329,8 @@ def multiply(
     ``partial``) with the |I| * |J| products as the candidate count
     before any is built, and once per block of their minimalization.
     """
-    _check_same_ring(I, J)
+    if I.variable_count != J.variable_count:
+        raise MixedAmbient(I.variable_count, J.variable_count)
     if I.is_zero or J.is_zero:
         return MonomialIdeal.zero(I.variable_count)
     if I.is_unit:

@@ -13,9 +13,11 @@ is the independent oracle used to cross-check the generator enumeration.
 
 Two constructions feed decompositions from designs: cover_ideal takes the
 edges of a hypergraph as supports; complement_ideal takes the non-blocks
-of a Steiner system S(t, n, v) and records the (t, n, v) provenance, which
-unlocks closed-form initial degrees and the exact Waldschmidt constant
-v / n used by the faster containment paths.
+of a Steiner system S(t, n, v) and records the (t, n, v) provenance.
+Initial degrees are always searched; the provenance unlocks the audit of
+each searched alpha against complement_alpha_formula, the containment
+engine's regularity-threshold shortcut, the Stable Harbourne threshold
+v / (n - 1) and the Waldschmidt lower bound v / n of alpha_table.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ import logging
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Sequence
 
 import numpy as np
 
@@ -39,7 +40,7 @@ from .errors import (
     MixedAmbient,
 )
 from .fold import _surviving_lifts
-from .monomials import Monomial, MonomialIdeal, _canonical_order
+from .monomials import EXPONENT_LIMIT, Monomial, MonomialIdeal, _canonical_order
 
 logger = logging.getLogger(__name__)
 
@@ -142,11 +143,6 @@ def complement_ideal(S: SteinerSystem) -> PrimeDecomposition:
     return PrimeDecomposition(S.v, comp, steiner=(S.t, S.n, S.v))
 
 
-def support_degree(w: Monomial, support: Sequence[int]) -> int:
-    """Sum of the exponents of w over the (1-based) support."""
-    return sum(w.exponents[i - 1] for i in support)
-
-
 def member_of_symbolic(w: Monomial, P: PrimeDecomposition, m: int) -> bool:
     """Decide w in I^(m) by the linear predicate, one support at a time."""
     if w.variable_count != P.variable_count:
@@ -155,7 +151,7 @@ def member_of_symbolic(w: Monomial, P: PrimeDecomposition, m: int) -> bool:
         raise ValueError("m must be >= 0")
     if m == 0:
         return True
-    return all(support_degree(w, s) >= m for s in P.supports)
+    return all(sum(w.exponents[i - 1] for i in s) >= m for s in P.supports)
 
 
 def symbolic_power(
@@ -206,10 +202,14 @@ def symbolic_power(
     Raises ResourceLimit when the candidate row count would exceed the
     budget's generator cap or its deadline passes; the deadline is also
     checked once per dominator block of each step's query.  The
-    exception's ``partial`` dict records how far the fold got.
+    exception's ``partial`` dict records how far the fold got.  Raises
+    OverflowError, before folding, when m exceeds EXPONENT_LIMIT: the
+    m-th multiple of a minimal transversal is a generator of I^(m).
     """
     if m < 1:
         raise ValueError("m must be >= 1")
+    if m > EXPONENT_LIMIT:
+        raise OverflowError(f"symbolic exponent {m} exceeds limit {EXPONENT_LIMIT}")
     budget = budget or Budget()
     nv = P.variable_count
     total = len(P.supports)
@@ -254,10 +254,6 @@ def symbolic_power(
 # by bound-and-search on exponent vectors without enumerating generators.
 
 
-def _support_arrays(P: PrimeDecomposition):
-    return [tuple(i - 1 for i in s) for s in P.supports]
-
-
 # Rows per frontier chunk of the alpha search.  A chunk has fewer rows
 # when its expansion, up to m + 1 children per row, would hold more than
 # _CHUNK_CELLS entries of need, so that decompositions with thousands of
@@ -284,7 +280,7 @@ class _SearchTables:
 
 
 def _search_tables(P: PrimeDecomposition) -> _SearchTables:
-    sups = sorted(_support_arrays(P), key=max)
+    sups = sorted((tuple(i - 1 for i in s) for s in P.supports), key=max)
     nv = P.variable_count
     incidence = np.zeros((nv, len(sups)), dtype=np.int8)
     incidence[
@@ -470,14 +466,6 @@ def complement_alpha_formula(v: int, n: int, m: int) -> int:
     if q == 1:
         return p * v + (v - n)
     return p * v + (v - n + q)
-
-
-def waldschmidt_exact(P: PrimeDecomposition) -> Fraction | None:
-    """Exact Waldschmidt constant v / n for Steiner complements, else None."""
-    if P.steiner is None:
-        return None
-    _, n, v = P.steiner
-    return Fraction(v, n)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from random import Random
 
 import numpy as np
 
-from steinerideals import Hypergraph, Monomial, MonomialIdeal, validate_steiner
+from steinerideals import Hypergraph, MonomialIdeal, validate_steiner
 from steinerideals.fold import _compositions
 from steinerideals.monomials import _canonical_order, _distinct, _dominated
 
@@ -49,6 +49,16 @@ def product_members_up_to(gA: list[tuple], gB: list[tuple], nvars: int, D: int) 
     """Membership of the product ideal: divisibility by some g+h."""
     sums = [tuple(a + b for a, b in zip(g, h)) for g in gA for h in gB]
     return members_up_to(sums, nvars, D)
+
+
+def intersect(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
+    """Intersection of two monomial ideals in one ring: the pairwise lcms of their generators.
+
+    The slow generic route, building all |I| * |J| lcm rows at once;
+    the package folds symbolic powers without it.
+    """
+    lcms = np.maximum(I.rows[:, None, :], J.rows[None, :, :])
+    return MonomialIdeal.from_rows(I.variable_count, lcms.reshape(-1, I.variable_count))
 
 
 def brute_member_of_power(w: tuple, gens: list[tuple], r: int, slack: int) -> bool:
@@ -105,10 +115,6 @@ def random_generators(rng: Random, max_vars=5, max_gens=6, max_degree=4):
             exps[rng.randrange(nv)] += 1
         gens.append(tuple(exps))
     return nv, gens
-
-
-def as_monomials(gens):
-    return [Monomial(g) for g in gens]
 
 
 def random_hypergraph(rng: Random, max_vertices=8) -> Hypergraph:

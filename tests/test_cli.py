@@ -19,6 +19,7 @@ from steinerideals import (
     load_monomials,
     member_of_symbolic,
 )
+import steinerideals
 from steinerideals import containment, symbolic
 from steinerideals.claims import claim_ids, run_claims
 from steinerideals.cli import main
@@ -317,6 +318,21 @@ def test_bad_resource_flags(capsys):
         "--time-cap", "-5",
     )
     assert code == 2
+
+
+def test_exponent_past_the_limit_exits_2(capsys, tmp_path):
+    # m = EXPONENT_LIMIT + 1 is refused before the fold, and r past the
+    # ordinary-power limit before the audit builds I^r
+    path = tmp_path / "h.json"
+    path.write_text(json.dumps({"vertices": 3, "edges": [[1], [2, 3]]}))
+    for argv in (
+        ("symbolic", str(path), "--source", "cover", "-m", "1048577"),
+        ("containment", "builtin:fano", "--source", "cover", "1", "1048577", "--audit"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "exceeds limit 1048576" in err and "Traceback" not in err
 
 
 def test_alpha_command_deterministic(capsys):
@@ -714,3 +730,14 @@ def test_readme_library_example_runs():
         [sys.executable, "-c", example], capture_output=True, text=True, env=env, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_every_public_name_is_used_or_documented():
+    # each exported name is used by the CLI, the claims or the benchmark,
+    # or documented in the README; a name found in none of them is dead API
+    root = Path(__file__).resolve().parents[1]
+    files = [root / "src/steinerideals/cli.py", root / "src/steinerideals/claims.py", root / "README.md"]
+    files += sorted((root / "perfbench").glob("*.py"))
+    text = "\n".join(f.read_text() for f in files)
+    unused = [name for name in steinerideals.__all__ if not re.search(rf"\b{name}\b", text)]
+    assert unused == []

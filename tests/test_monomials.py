@@ -2,6 +2,7 @@
 
 import io
 import itertools
+import re
 import time
 import traceback
 from dataclasses import FrozenInstanceError
@@ -19,10 +20,8 @@ from steinerideals import (
     PrimeDecomposition,
     ResourceLimit,
     dump_monomials,
-    intersect,
     load_monomials,
     member_of_power,
-    minimalize,
     multiply,
     power,
     symbolic_power,
@@ -65,18 +64,31 @@ def test_monomial_rejects_bad_exponents():
         M(1, 0).divides(M(1, 0, 0))
 
 
-def test_minimalize_and_canonical_order():
-    I = minimalize([M(2, 0), M(1, 1), M(2, 1), M(0, 3)])
+def test_from_rows_minimalizes_in_canonical_order():
+    I = MonomialIdeal.from_rows(2, [[2, 0], [1, 1], [2, 1], [0, 3]])
     # degree ascending, then exponent tuple descending
     assert I.generators == (M(2, 0), M(1, 1), M(0, 3))
     assert I.min_degree() == 2 and I.max_degree() == 3
-    assert minimalize([M(0, 0), M(1, 2)]).is_unit
-    Z = minimalize([], variable_count=4)
-    assert Z.is_zero and Z.variable_count == 4
-    with pytest.raises(ValueError):
-        minimalize([])
-    with pytest.raises(MixedAmbient):
-        minimalize([M(1, 0), M(1, 0, 0)])
+    assert MonomialIdeal.from_rows(2, [[0, 0], [1, 2]]).is_unit
+    for empty in ([], np.zeros((0, 4)), np.zeros(0, dtype=np.int64)):
+        Z = MonomialIdeal.from_rows(4, empty)
+        assert Z.is_zero and Z == MonomialIdeal.zero(4)
+
+
+def test_from_rows_rejects_rows_of_the_wrong_shape():
+    # only an empty input is reshaped; a wrong width is never read as
+    # rows of another width, and out-of-range entries fail before the sort
+    for bad, err in (
+        (np.array([[1, 0, 0], [0, 1, 0]]), "shape (2, 3) for 2 variables"),
+        (np.array([[1], [0], [0], [1]]), "shape (4, 1) for 2 variables"),
+        (np.array([1, 0]), "shape (2,) for 2 variables"),
+        (np.array([[[1, 0]]]), "shape (1, 1, 2) for 2 variables"),
+        (np.array([[1, -1], [0, 2]]), "negative exponent"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(err)):
+            MonomialIdeal.from_rows(2, bad)
+    with pytest.raises(OverflowError):
+        MonomialIdeal.from_rows(2, [[EXPONENT_LIMIT + 1, 0], [0, 1]])
 
 
 def _assert_canonical(I):
@@ -122,8 +134,8 @@ def test_rows_are_canonical_on_every_route():
         _, gB = oracles.random_generators(rng, max_vars=nv)
         gB = [g[:nv] + (0,) * (nv - len(g)) for g in gB]
         I = MonomialIdeal.from_rows(nv, np.array(gA))
-        J = minimalize(oracles.as_monomials(gB))
-        for K in (I, J, multiply(I, J), intersect(I, J)):
+        J = MonomialIdeal.from_rows(nv, gB)
+        for K in (I, J, multiply(I, J)):
             _assert_canonical(K)
     for _ in range(10):
         nv, sups = oracles.random_supports(rng, max_vars=5, max_supports=4)
@@ -137,10 +149,10 @@ def test_equality_across_construction_routes():
         nv, gens = oracles.random_generators(rng)
         rows = np.array(gens + gens[:2])
         I = MonomialIdeal.from_rows(nv, rows)
-        assert I == minimalize(oracles.as_monomials(gens))
+        assert I == MonomialIdeal.from_rows(nv, gens)
         assert I == MonomialIdeal.from_rows(nv, rows[::-1])
         assert I == MonomialIdeal(nv, I.rows)
-        assert I == intersect(I, I) == multiply(I, MonomialIdeal.unit(nv))
+        assert I == multiply(I, MonomialIdeal.unit(nv))
         assert I != MonomialIdeal.zero(nv) and I != I.generators
     # same rows, different rings
     assert MonomialIdeal.zero(2) != MonomialIdeal.zero(3)
@@ -154,7 +166,7 @@ def test_zero_and_unit_ideals():
     assert U.is_unit and not U.is_zero and U.generator_count == 1
     assert U.min_degree() == 0 and U.max_degree() == 0
     assert U.generators == (Monomial.one(3),) and U.contains(M(0, 0, 0)) and U.contains(M(0, 5, 1))
-    assert not minimalize([M(0, 0, 1)]).is_unit
+    assert not MonomialIdeal.from_rows(3, [[0, 0, 1]]).is_unit
     with pytest.raises(MixedAmbient):
         U.contains(M(0, 0))
 
@@ -475,12 +487,12 @@ def test_surviving_lifts_check_once_per_block_on_both_paths(monkeypatch, path):
     assert lifts.tolist() == [[2, 0, 1, 1]] and len(calls) == 3
 
 
-def test_minimalize_idempotent_on_random_input():
+def test_from_rows_idempotent_on_random_input():
     rng = Random(11)
     for _ in range(50):
         nv, gens = oracles.random_generators(rng)
-        I = minimalize(oracles.as_monomials(gens))
-        assert minimalize(I.generators) == I
+        I = MonomialIdeal.from_rows(nv, gens)
+        assert MonomialIdeal.from_rows(nv, I.rows) == I
         D = max(sum(g) for g in gens) + 2
         want = oracles.members_up_to(gens, nv, D)
         for w in oracles.iter_monomials(nv, D):
@@ -493,9 +505,9 @@ def test_intersect_matches_oracle():
         nv, gA = oracles.random_generators(rng)
         _, gB = oracles.random_generators(rng, max_vars=nv)
         gB = [g[:nv] + (0,) * (nv - len(g)) for g in gB]
-        I = minimalize(oracles.as_monomials(gA))
-        J = minimalize(oracles.as_monomials(gB))
-        K = intersect(I, J)
+        I = MonomialIdeal.from_rows(nv, gA)
+        J = MonomialIdeal.from_rows(nv, gB)
+        K = oracles.intersect(I, J)
         D = max(sum(g) for g in gA + gB) + 2
         want = oracles.members_up_to(gA, nv, D) & oracles.members_up_to(gB, nv, D)
         for w in oracles.iter_monomials(nv, D):
@@ -508,8 +520,8 @@ def test_multiply_matches_oracle():
         nv, gA = oracles.random_generators(rng)
         _, gB = oracles.random_generators(rng, max_vars=nv)
         gB = [g[:nv] + (0,) * (nv - len(g)) for g in gB]
-        I = minimalize(oracles.as_monomials(gA))
-        J = minimalize(oracles.as_monomials(gB))
+        I = MonomialIdeal.from_rows(nv, gA)
+        J = MonomialIdeal.from_rows(nv, gB)
         K = multiply(I, J)
         D = max(sum(g) for g in gA) + max(sum(g) for g in gB) + 1
         want = oracles.product_members_up_to(gA, gB, nv, D)
@@ -520,17 +532,17 @@ def test_multiply_matches_oracle():
 def test_unit_and_zero_shortcuts():
     U = MonomialIdeal.unit(3)
     Z = MonomialIdeal.zero(3)
-    I = minimalize([M(1, 1, 0)])
-    assert intersect(U, I) == I
-    assert intersect(Z, I).is_zero
+    I = MonomialIdeal.from_rows(3, [[1, 1, 0]])
+    assert oracles.intersect(U, I) == I
+    assert oracles.intersect(Z, I).is_zero
     assert multiply(U, I) == I
     assert multiply(Z, I).is_zero
     with pytest.raises(MixedAmbient):
-        intersect(I, MonomialIdeal.unit(2))
+        multiply(I, MonomialIdeal.unit(2))
 
 
 def test_power_basics():
-    I = minimalize([M(1, 0), M(0, 2)])
+    I = MonomialIdeal.from_rows(2, [[1, 0], [0, 2]])
     assert power(I, 0).is_unit
     assert power(I, 1) == I
     assert power(I, 2) == multiply(I, I)
@@ -540,7 +552,7 @@ def test_power_basics():
 
 
 def test_power_checks_the_budget_before_each_multiply_step():
-    I = minimalize([M(1, 0), M(0, 2)])
+    I = MonomialIdeal.from_rows(2, [[1, 0], [0, 2]])
     expired = Budget(deadline=time.monotonic() - 1.0)
     assert power(I, 1, budget=expired) == I  # no multiply step, no check
     with pytest.raises(ResourceLimit) as ei:
@@ -552,7 +564,7 @@ def test_power_checks_the_budget_before_each_multiply_step():
 def test_power_checks_the_generator_cap_before_building_the_products(monkeypatch):
     # I has four generators and I^2 ten: the first step's 4 * 4 products
     # fit a cap of 16, the second step's 10 * 4 do not, and are never built
-    I = minimalize([M(1, 0, 0, 0), M(0, 2, 0, 0), M(0, 0, 3, 0), M(0, 0, 0, 4)])
+    I = MonomialIdeal.from_rows(4, [[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 3, 0], [0, 0, 0, 4]])
     minimalized = []
     real = monomials._minimal_rows
     monkeypatch.setattr(
@@ -582,7 +594,7 @@ def test_multiply_checks_the_budget_inside_the_minimalization(monkeypatch):
     # minimalization two checks after the step's own check before it
     # builds its products
     monkeypatch.setattr(monomials, "_BLOCK", 8)
-    I = minimalize([M(1, 0, 0, 0), M(0, 2, 0, 0), M(0, 0, 3, 0), M(0, 0, 0, 4)])
+    I = MonomialIdeal.from_rows(4, [[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 3, 0], [0, 0, 0, 4]])
     with pytest.raises(ResourceLimit) as ei:
         power(I, 3, budget=StopAtThirdCheck())
     exc = ei.value
@@ -600,7 +612,7 @@ def test_power_chain_is_descending():
     rng = Random(44)
     for _ in range(10):
         nv, gens = oracles.random_generators(rng, max_gens=4, max_degree=3)
-        I = minimalize(oracles.as_monomials(gens))
+        I = MonomialIdeal.from_rows(nv, gens)
         prev = power(I, 1)
         for r in (2, 3):
             cur = power(I, r)
@@ -613,7 +625,7 @@ def test_member_of_power_matches_brute_force():
     rng = Random(55)
     for _ in range(60):
         nv, gens = oracles.random_generators(rng, max_vars=4, max_gens=5, max_degree=3)
-        I = minimalize(oracles.as_monomials(gens))
+        I = MonomialIdeal.from_rows(nv, gens)
         raw = [tuple(g.exponents) for g in I.generators]
         for _ in range(8):
             w = tuple(rng.randint(0, 4) for _ in range(nv))
@@ -630,7 +642,7 @@ def test_greedy_path_and_exact_search_match_brute_force():
     rng = Random(57)
     for _ in range(60):
         nv, gens = oracles.random_generators(rng, max_vars=4, max_gens=5, max_degree=3)
-        I = minimalize(oracles.as_monomials(gens))
+        I = MonomialIdeal.from_rows(nv, gens)
         raw = [tuple(g.exponents) for g in I.generators]
         targets = np.array([[rng.randint(0, 5) for _ in range(nv)] for _ in range(10)])
         for r in range(4):
@@ -647,7 +659,7 @@ def test_exact_search_decides_what_the_greedy_path_misses():
     # The search tries x2^2 first.  For x1^2*x2^2 that leaves x1^2, which
     # no generator divides, yet (x1*x2)^2 proves it a member; x1^3*x2 has
     # enough degree but is no member.
-    I = minimalize([M(1, 1), M(0, 2)])
+    I = MonomialIdeal.from_rows(2, [[1, 1], [0, 2]])
     assert not _greedy_members(np.array([[2, 2], [3, 1]]), I, 2, 0).any()
     assert member_of_power(M(2, 2), I, 2)
     assert not member_of_power(M(3, 1), I, 2)
@@ -661,7 +673,7 @@ def test_exact_search_decides_what_the_greedy_path_misses():
 
 
 def test_member_of_power_edge_cases():
-    I = minimalize([M(1, 1)])
+    I = MonomialIdeal.from_rows(2, [[1, 1]])
     assert member_of_power(M(2, 1), I, 0, slack=3)
     assert not member_of_power(M(2, 1), I, 0, slack=4)
     assert not member_of_power(M(5, 5), MonomialIdeal.zero(2), 1)
@@ -672,7 +684,7 @@ def test_member_of_power_edge_cases():
 
 
 def test_text_format_round_trip(tmp_path):
-    I = minimalize([M(2, 0, 1), M(0, 3, 0)])
+    I = MonomialIdeal.from_rows(3, [[2, 0, 1], [0, 3, 0]])
     path = tmp_path / "gens.txt"
     dump_monomials(str(path), I)
     nv, items = load_monomials(str(path))

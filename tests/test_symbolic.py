@@ -8,6 +8,7 @@ import traceback
 from fractions import Fraction
 from random import Random
 
+import numpy as np
 import pytest
 
 from steinerideals import (
@@ -29,17 +30,14 @@ from steinerideals import (
     cover_ideal,
     dump_monomials,
     initial_degree,
-    intersect,
     member_of_symbolic,
     min_degree_generators,
-    minimalize,
     power,
     symbolic_power,
     validate_steiner,
-    waldschmidt_exact,
 )
 from steinerideals import monomials, symbolic
-from steinerideals.symbolic import _search_total, support_degree
+from steinerideals.symbolic import _search_total
 
 import oracles
 
@@ -66,20 +64,13 @@ class CountingBudget(Budget):
         super().check(stage, partial, candidate)
 
 
-def _variable_prime(nv, support):
-    gens = []
-    for i in support:
-        e = [0] * nv
-        e[i - 1] = 1
-        gens.append(Monomial(tuple(e)))
-    return minimalize(gens)
-
-
 def _generic_fold(P, m):
     """Slow reference route: intersect the m-th prime powers pairwise."""
-    acc = MonomialIdeal.unit(P.variable_count)
+    nv = P.variable_count
+    acc = MonomialIdeal.unit(nv)
     for s in P.supports:
-        acc = intersect(acc, power(_variable_prime(P.variable_count, s), m))
+        prime = MonomialIdeal.from_rows(nv, np.eye(nv, dtype=np.int64)[np.array(s) - 1])
+        acc = oracles.intersect(acc, power(prime, m))
     return acc
 
 
@@ -149,7 +140,6 @@ def test_decomposition_rejects_bad_input():
 
 def test_membership_predicate_basics():
     P = tiny_complement()
-    assert support_degree(Monomial((1, 0, 1, 0)), (1, 3)) == 2
     # x1*x3 misses the support (2,4) entirely; x1*x2 meets all four
     assert not member_of_symbolic(Monomial((1, 0, 1, 0)), P, 1)
     w = Monomial((1, 1, 0, 0))
@@ -544,11 +534,15 @@ def test_alpha_search_past_the_int8_range():
 # Waldschmidt tables
 
 
-def test_waldschmidt_exact_values():
-    assert waldschmidt_exact(fano_complement()) == Fraction(7, 3)
-    assert waldschmidt_exact(sqs8_complement()) == Fraction(2)
-    assert waldschmidt_exact(tiny_complement()) == Fraction(2)
-    assert waldschmidt_exact(cover_ideal(builtin_fano().hypergraph())) is None
+def test_waldschmidt_lower_values():
+    # v / n from the Steiner provenance, None without it
+    for P, want in (
+        (fano_complement(), Fraction(7, 3)),
+        (sqs8_complement(), Fraction(2)),
+        (tiny_complement(), Fraction(2)),
+        (cover_ideal(builtin_fano().hypergraph()), None),
+    ):
+        assert alpha_table(ContainmentEngine(P), 1).waldschmidt_lower == want
 
 
 def test_fano_alpha_table():
