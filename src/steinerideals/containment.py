@@ -50,10 +50,10 @@ from .monomials import Monomial, MonomialIdeal, _greedy_members, member_of_power
 from .symbolic import (
     AlphaTable,
     PrimeDecomposition,
+    _search_total,
     complement_alpha_formula,
     initial_degree,
     member_of_symbolic,
-    min_degree_generators,
     symbolic_power,
 )
 
@@ -278,6 +278,11 @@ class ContainmentEngine:
         membership scan, and checks omega_r against the built I^r; used
         by sanity checks that exist to exercise the real engine.
 
+        A degree obstruction's witness is the canonically first generator
+        of I^(m), found without building I^(m): one largest-first alpha
+        search at degree alpha(I^(m)) returns it as its first feasible
+        vector.
+
         The scan takes the generators of I^(m) in chunks of about
         _SCAN_CHUNK generator-by-base-row tests and checks the budget once
         per chunk.  _greedy_members certifies what it can of each chunk;
@@ -302,7 +307,7 @@ class ContainmentEngine:
 
         # degree obstruction: too little degree to lie in M^slack * I^r
         if alpha_m < alpha_r + slack:
-            witness = min_degree_generators(P, m, budget=self.budget, alpha=alpha_m)[0]
+            witness = Monomial(_search_total(P, m, alpha_m, self.budget, largest_first=True))
             self._confirm_witness(witness, m, r, slack)
             return report(False, witness, "degree-obstruction")
 

@@ -296,16 +296,19 @@ def _search_total(
     P: PrimeDecomposition,
     m: int,
     degree: int,
-    collect: bool,
     budget: Budget,
-):
-    """Feasible vectors with total degree <= degree, natural variable order.
+    largest_first: bool = False,
+) -> tuple[int, ...] | None:
+    """The first feasible vector of total degree <= degree, or None.
 
-    collect=False: return True as soon as one exists.
-    collect=True: return every feasible vector of total degree exactly
-    degree (used for minimal-generator extraction at degree = alpha), as
-    tuples in ascending lex order.  The support tables are P's, built
-    on its first search and shared by every later one.
+    The search assigns the variables in their natural order and tries
+    each variable's exponents from 0 up, so the vector it returns is the
+    lex-smallest feasible one.  With largest_first the exponents run
+    from min(left, m) down and the vector is the lex-largest: at degree
+    = alpha, every feasible vector is a minimal generator of I^(m) of
+    degree alpha, so that is the canonically first generator of I^(m).
+    The support tables are P's, built on its first search and shared by
+    every later one.
 
     The search tree has one node per partial assignment of the variables
     0..idx-1.  It is expanded as a depth-first stack of frontier chunks:
@@ -330,17 +333,18 @@ def _search_total(
     The survivors go back on the stack in row-bounded slices, the first
     slice on top, so the search stays depth-first and its memory stays
     bounded; a lone row with more children than a chunk may hold (a
-    large m) is expanded a block of exponents at a time.  These are the cuts of a node-at-a-time depth-first search,
-    at the same nodes, so the pruned tree is the same; only the order of
-    its nodes differs, and collect mode sorts its leaves.  The budget is
-    checked at the root and once per chunk popped.
+    large m) is expanded a block of exponents at a time.  These are the
+    cuts of a node-at-a-time depth-first search, at the same nodes and
+    in the same order, so the first leaf that survives is that search's
+    first feasible vector.  The budget is checked at the root and once
+    per chunk popped.
 
     At the root the last two cuts are the counting bound itself: the
     search stops there, after one budget check, iff degree < m or degree
     * f_max < m * #supports, f_max being the most supports on any
     variable.
 
-    Exponents are capped at m.  Both modes stay exact: lowering an
+    Exponents are capped at m.  The search stays exact: lowering an
     exponent above m to m keeps every support degree >= m, so a feasible
     vector of total <= degree implies a capped one; and a feasible vector
     of least total degree is a minimal generator, none of whose exponents
@@ -351,26 +355,31 @@ def _search_total(
     partial = {"m": m, "degree_tried": degree}
     budget.check("initial-degree", partial)
     if m * start[nv] > degree * fsuf[0] or m > degree:
-        return [] if collect else False
+        return None
     dtype = np.int8 if m <= np.iinfo(np.int8).max else np.int64
     # rows are summed in int16 unless a deficit could overflow it
     acc = np.int16 if m * start[nv] <= np.iinfo(np.int16).max else np.int64
-    found = [np.zeros((0, nv), dtype)]
     zeros = np.zeros(start[nv], dtype)
     # a chunk is (idx, need, left, prefix, first): its rows' children
-    # have the exponents first..min(left, m) on variable idx
+    # take the exponents on variable idx from 0 up, or from min(left, m)
+    # down when largest_first, after skipping the first `first` of them
     stack = [(0, np.full((1, start[nv]), m, dtype), np.array([degree]), np.zeros((1, 0), dtype), 0)]
     while stack:
         budget.check("initial-degree", partial)
         idx, need, left, prefix, first = stack.pop()
-        counts = np.minimum(left, m) + 1 - first
+        top = np.minimum(left, m)
+        counts = top + 1 - first
         take = max(1, _CHUNK_CELLS // max(1, need.shape[1]))
         if counts[0] > take:
             # only a lone row (a large m) has more children than a chunk
             # may hold: expand the first take of them, the rest after
             stack.append((idx, need, left, prefix, first + take))
             counts = np.array([take])
-        e = first + np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+        offsets = np.cumsum(counts) - counts
+        if largest_first:
+            e = np.repeat(top - first + offsets, counts) - np.arange(counts.sum())
+        else:
+            e = first + np.arange(counts.sum()) - np.repeat(offsets, counts)
         left = np.repeat(left, counts) - e
         e = e.astype(dtype)
         # a zero row, not the scalar 0: numpy's int8 maximum is much
@@ -385,21 +394,15 @@ def _search_total(
         ok &= need.max(axis=1, initial=0) <= left
         prefix = np.column_stack([np.repeat(prefix, counts, axis=0), e])
         if idx + 1 == nv:
-            if collect:
-                found.append(prefix[ok & (left == 0)])
-            elif ok.any():
-                return True
+            if ok.any():
+                return tuple(prefix[ok.argmax()].tolist())
             continue
         need, left, prefix = need[ok], left[ok], prefix[ok]
         rows = max(1, min(_CHUNK_ROWS, _CHUNK_CELLS // ((m + 1) * max(1, need.shape[1]))))
         for lo in reversed(range(0, len(left), rows)):
             hi = lo + rows
             stack.append((idx + 1, need[lo:hi], left[lo:hi], prefix[lo:hi], 0))
-    if not collect:
-        return False
-    vecs = np.concatenate(found)
-    vecs = vecs[np.lexsort(vecs.T[::-1])]
-    return [tuple(v) for v in vecs.tolist()]
+    return None
 
 
 def initial_degree(P: PrimeDecomposition, m: int, *, budget: Budget | None = None) -> int:
@@ -420,35 +423,17 @@ def initial_degree(P: PrimeDecomposition, m: int, *, budget: Budget | None = Non
     support deficit: one unit of degree lowers that sum by at most that
     many (details in _search_total).  Raises ResourceLimit (stage
     "initial-degree") when the budget's deadline passes; the search
-    checks it at each degree's root and once per chunk.
+    checks it at each degree's root and once per chunk.  Raises
+    OverflowError, before searching, when m exceeds EXPONENT_LIMIT, as
+    symbolic_power does.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
+    if m > EXPONENT_LIMIT:
+        raise OverflowError(f"symbolic exponent {m} exceeds limit {EXPONENT_LIMIT}")
     budget = budget or Budget()
     bound = max(m, -(-m * P._tables.start[-1] // P._tables.fsuf[0]))
-    return next(d for d in itertools.count(bound) if _search_total(P, m, d, False, budget))
-
-
-def min_degree_generators(
-    P: PrimeDecomposition,
-    m: int,
-    *,
-    budget: Budget | None = None,
-    alpha: int | None = None,
-) -> tuple[Monomial, ...]:
-    """All minimal generators of I^(m) of degree alpha, canonical order.
-
-    A feasible vector of least total degree cannot strictly dominate
-    another member, so these are exactly the degree-alpha minimal
-    generators of the symbolic power.  ``alpha`` is alpha(I^(m)) when the
-    caller already knows it; by default it is searched for here.
-    """
-    budget = budget or Budget()
-    if alpha is None:
-        alpha = initial_degree(P, m, budget=budget)
-    # one degree, so the canonical order is descending lex
-    vecs = _search_total(P, m, alpha, True, budget)
-    return tuple(Monomial(v) for v in reversed(vecs))
+    return next(d for d in itertools.count(bound) if _search_total(P, m, d, budget) is not None)
 
 
 def complement_alpha_formula(v: int, n: int, m: int) -> int:

@@ -321,13 +321,17 @@ def test_bad_resource_flags(capsys):
 
 
 def test_exponent_past_the_limit_exits_2(capsys, tmp_path):
-    # m = EXPONENT_LIMIT + 1 is refused before the fold, and r past the
-    # ordinary-power limit before the audit builds I^r
+    # m = EXPONENT_LIMIT + 1 is refused before the fold and before the
+    # alpha search, and r past the ordinary-power limit before the audit
+    # builds I^r; the time cap turns a search that would not end into
+    # exit 4, so a regression fails here rather than hangs
     path = tmp_path / "h.json"
     path.write_text(json.dumps({"vertices": 3, "edges": [[1], [2, 3]]}))
     for argv in (
         ("symbolic", str(path), "--source", "cover", "-m", "1048577"),
         ("containment", "builtin:fano", "--source", "cover", "1", "1048577", "--audit"),
+        ("containment", "builtin:fano", "--source", "complement", "1048577", "1", "--time-cap", "5"),
+        ("containment", "builtin:fano", "--source", "cover", "1048577", "2", "--time-cap", "5"),
     ):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "", argv
@@ -653,17 +657,19 @@ def test_each_claim_passes_on_its_own(cid):
 def record_claim_work(monkeypatch):
     """Log each (decomposition, m) the engines fold and each (decomposition, m, degree) decided.
 
-    Every search for alpha(I^(m)), on any path, runs one decision search
-    per degree from the same lower bound up, so searching one initial
-    degree twice logs some (decomposition, m, degree) twice.
+    Every search for alpha(I^(m)), on any path, runs one 0-first decision
+    search per degree from the same lower bound up, so searching one
+    initial degree twice logs some (decomposition, m, degree) twice.  A
+    largest-first search finds a witness at a known alpha and is not
+    logged.
     """
     folds, alphas = [], []
     fold, search = containment.symbolic_power, symbolic._search_total
 
-    def logged_search(P, m, degree, collect, budget):
-        if not collect:
+    def logged_search(P, m, degree, budget, largest_first=False):
+        if not largest_first:
             alphas.append((P, m, degree))
-        return search(P, m, degree, collect, budget)
+        return search(P, m, degree, budget, largest_first)
 
     monkeypatch.setattr(
         containment, "symbolic_power", lambda P, m, **kw: folds.append((P, m)) or fold(P, m, **kw)

@@ -30,11 +30,11 @@ from steinerideals import (
     iter_resurgence_cells,
     member_of_power,
     member_of_symbolic,
-    min_degree_generators,
     power,
     resurgence_region,
     resurgence_search,
     stable_harbourne_scan,
+    symbolic_power,
 )
 
 import oracles
@@ -63,7 +63,7 @@ def test_degree_obstruction_failure(fano_c):
     assert not rep.holds
     assert rep.method == "degree-obstruction"
     assert (rep.alpha_m, rep.alpha_r, rep.omega_r) == (6, 8, 8)
-    assert rep.witness == min_degree_generators(fano_c.decomposition, 2)[0]
+    assert rep.witness == fano_c.symbolic(2).generators[0]
     assert rep.witness.degree == 6
 
 
@@ -149,6 +149,22 @@ def test_scan_cells_match_a_per_generator_search(design):
         gens = engine.symbolic(rep.m).generators
         want = next((g for g in gens if not member_of_power(g, base, rep.r)), None)
         assert (rep.holds, rep.witness) == (want is None, want), (rep.m, rep.r)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize(
+    "design, m_max", [(oracles.ag23, 4), (oracles.cyclic_sts13, 4), (oracles.pg23, 3)]
+)
+def test_obstruction_witness_is_the_first_generator_on_the_ladder(design, m_max):
+    # a slack of alpha(I^(m)) - alpha(I) + 1 forces the degree obstruction
+    # at every m; its witness, found without building I^(m), is the
+    # canonically first generator of the fold
+    engine = ContainmentEngine(cover_ideal(design().hypergraph()))
+    P = engine.decomposition
+    for m in range(1, m_max + 1):
+        rep = engine.check(m, 1, slack=engine.alpha(m) - engine.alpha(1) + 1)
+        assert rep.method == "degree-obstruction" and not rep.holds
+        assert rep.witness == symbolic_power(P, m).generators[0], m
 
 
 @pytest.mark.slow

@@ -31,7 +31,6 @@ from steinerideals import (
     dump_monomials,
     initial_degree,
     member_of_symbolic,
-    min_degree_generators,
     power,
     symbolic_power,
     validate_steiner,
@@ -319,9 +318,13 @@ def test_fold_checks_the_budget_inside_the_minimalization(monkeypatch):
 def test_initial_degree_search_obeys_the_budget():
     P = fano_complement()
     expired = Budget(deadline=time.monotonic() - 1.0)
-    for search in (initial_degree, min_degree_generators):
+    searches = (
+        lambda: initial_degree(P, 4, budget=expired),
+        lambda: _search_total(P, 4, 10, expired, largest_first=True),
+    )
+    for search in searches:
         with pytest.raises(ResourceLimit) as ei:
-            search(P, 4, budget=expired)
+            search()
         exc = ei.value
         assert exc.stage == "initial-degree"
         # the first degree tried is the counting bound ceil(4 * 28 / 12)
@@ -372,29 +375,35 @@ def test_alpha_formula_cases():
         complement_alpha_formula(3, 7, 1)
 
 
-def test_min_degree_generators_canonical():
+def test_largest_first_search_finds_the_canonical_first_generator():
+    # at degree alpha, the largest-first search returns the first
+    # generator of I^(m) in canonical order, and the 0-first search the
+    # last one of degree alpha
     P = cover_ideal(builtin_sqs8().hypergraph())
-    gens = min_degree_generators(P, 3)
-    assert gens[0] == Monomial((1, 1, 1, 1, 1, 1, 1, 0))
-    assert len(gens) == 8
     alpha = initial_degree(P, 3)
-    for g in gens:
-        assert g.degree == alpha
-        assert member_of_symbolic(g, P, 3)
-    # canonical order: exponent tuple descending within the degree
-    assert list(gens) == sorted(gens, key=lambda g: tuple(-e for e in g.exponents))
+    first = _search_total(P, 3, alpha, Budget(), largest_first=True)
+    assert first == (1, 1, 1, 1, 1, 1, 1, 0)
+    assert member_of_symbolic(Monomial(first), P, 3)
+    head = [g for g in symbolic_power(P, 3).generators if g.degree == alpha]
+    assert len(head) == 8
+    assert head[0].exponents == first
+    assert head[-1].exponents == _search_total(P, 3, alpha, Budget())
 
 
-def test_min_degree_generators_match_symbolic_power():
+def test_alpha_search_ends_match_symbolic_power():
     P = fano_complement()
     for m in (1, 2, 3):
         I = symbolic_power(P, m)
         alpha = I.min_degree()
-        head = tuple(g for g in I.generators if g.degree == alpha)
-        assert min_degree_generators(P, m) == head
+        head = [g.exponents for g in I.generators if g.degree == alpha]
+        assert _search_total(P, m, alpha, Budget(), largest_first=True) == head[0]
+        assert _search_total(P, m, alpha, Budget()) == head[-1]
 
 
-def test_min_degree_generators_match_brute_force():
+def test_alpha_search_ends_match_brute_force():
+    # the brute-force members of least degree, sorted canonically
+    # (descending lex): the largest-first search gives the first, the
+    # 0-first search the last
     rng = Random(17)
     for _ in range(25):
         nv, sups = oracles.random_supports(rng)
@@ -403,8 +412,9 @@ def test_min_degree_generators_match_brute_force():
             degree = 0
             while not (want := oracles.brute_symbolic_members(P.supports, nv, m, degree)):
                 degree += 1
-            gens = min_degree_generators(P, m)
-            assert [g.exponents for g in gens] == sorted(want, key=lambda w: tuple(-e for e in w))
+            want = sorted(want, key=lambda w: tuple(-e for e in w))
+            assert _search_total(P, m, degree, Budget(), largest_first=True) == want[0]
+            assert _search_total(P, m, degree, Budget()) == want[-1]
 
 
 def test_alpha_search_prunings_are_admissible():
@@ -425,7 +435,8 @@ def test_alpha_search_prunings_are_admissible():
             members = oracles.brute_symbolic_members(P.supports, nv, m, alpha)
             assert min(sum(w) for w in members) == alpha
             want = sorted((w for w in members if sum(w) == alpha), key=lambda w: tuple(-e for e in w))
-            assert [g.exponents for g in min_degree_generators(P, m)] == want
+            assert _search_total(P, m, alpha, Budget(), largest_first=True) == want[0]
+            assert _search_total(P, m, alpha, Budget()) == want[-1]
 
 
 def test_alpha_search_root_cut_is_the_counting_bound():
@@ -448,9 +459,9 @@ def test_alpha_search_root_cut_is_the_counting_bound():
             bound = max(m, -(-m * P.support_count // fmax))
             for degree in range(bound + 1):
                 budget = CountingBudget()
-                hit = _search_total(P, m, degree, False, budget)
+                hit = _search_total(P, m, degree, budget)
                 if degree < bound:
-                    assert hit is False and budget.calls == 1
+                    assert hit is None and budget.calls == 1
                 else:
                     assert budget.calls > 1
 
@@ -467,16 +478,21 @@ def test_alpha_search_tree_is_pinned():
         budget = CountingBudget()
         run(budget)
         assert budget.calls == checks
+    # the alpha search of the SQS(8) cover at m = 3, then the largest-first
+    # search at alpha that the degree obstruction's witness comes from
+    P = cover_ideal(builtin_sqs8().hypergraph())
     budget = CountingBudget()
-    gens = min_degree_generators(cover_ideal(builtin_sqs8().hypergraph()), 3, budget=budget)
-    assert len(gens) == 8
+    alpha = initial_degree(P, 3, budget=budget)
+    assert _search_total(P, 3, alpha, budget, largest_first=True) == (1, 1, 1, 1, 1, 1, 1, 0)
     assert budget.calls == 25
 
 
 def test_alpha_search_matches_the_reference_search():
     # the chunked search cuts the same tree as the node-at-a-time
-    # recursive search in oracles: the same decision and the same sorted
-    # vectors at every degree from m to alpha (none below alpha)
+    # recursive search in oracles, whose collect mode lists the vectors
+    # of one degree in ascending lex order: at alpha the 0-first search
+    # returns the first of them and the largest-first search the last,
+    # and below alpha both return None
     rng = Random(13)
     cases = [
         fano_complement(),
@@ -491,17 +507,20 @@ def test_alpha_search_matches_the_reference_search():
         for m in (1, 2, 3, 4):
             alpha = initial_degree(P, m)
             for degree in range(m, alpha + 1):
-                hit = _search_total(P, m, degree, False, Budget())
-                assert hit == oracles.search_total(P, m, degree, False) == (degree == alpha)
-                vecs = _search_total(P, m, degree, True, Budget())
-                assert vecs == oracles.search_total(P, m, degree, True)
-                assert bool(vecs) == hit
+                assert oracles.search_total(P, m, degree, False) == (degree == alpha)
+                vecs = oracles.search_total(P, m, degree, True)
+                low = _search_total(P, m, degree, Budget())
+                high = _search_total(P, m, degree, Budget(), largest_first=True)
+                if degree < alpha:
+                    assert vecs == [] and low is None and high is None
+                else:
+                    assert (low, high) == (vecs[0], vecs[-1])
 
 
 def test_alpha_search_splits_a_row_with_too_many_children(monkeypatch):
     # with one need entry per chunk, every row is expanded one child at
     # a time, as a row with more than _CHUNK_CELLS // #supports children
-    # is; the decisions and vectors must not change
+    # is; the vectors found must not change
     monkeypatch.setattr(symbolic, "_CHUNK_CELLS", 1)
     rng = Random(31)
     cases = [fano_complement(), cover_ideal(builtin_sqs8().hypergraph())]
@@ -512,14 +531,21 @@ def test_alpha_search_splits_a_row_with_too_many_children(monkeypatch):
         for m in (1, 2, 3):
             alpha = initial_degree(P, m)
             assert not oracles.search_total(P, m, alpha - 1, False)
-            assert _search_total(P, m, alpha, True, Budget()) == oracles.search_total(P, m, alpha, True)
-    budget = CountingBudget()
+            vecs = oracles.search_total(P, m, alpha, True)
+            assert _search_total(P, m, alpha, Budget()) == vecs[0]
+            assert _search_total(P, m, alpha, Budget(), largest_first=True) == vecs[-1]
     P = PrimeDecomposition(2, ((1,), (2,)))
-    assert min_degree_generators(P, 3, budget=budget) == (Monomial((3, 3)),)
+    budget = CountingBudget()
+    assert initial_degree(P, 3, budget=budget) == 6
     # alpha = 6 is the counting bound, the first degree tried: the
-    # decision and the collecting search each check at the root and at
-    # every child of x1 and of x2, one chunk each: 2 * (1 + 4 + 4)
-    assert budget.calls == 18
+    # 0-first search checks at the root and at every child of x1 and of
+    # x2, one chunk each: 1 + 4 + 4
+    assert budget.calls == 9
+    budget = CountingBudget()
+    assert _search_total(P, 3, 6, budget, largest_first=True) == (3, 3)
+    # the largest-first search's first child of x1, then of x2, is (3, 3):
+    # it checks at the root and at one chunk of each
+    assert budget.calls == 3
 
 
 def test_alpha_search_past_the_int8_range():
@@ -528,7 +554,8 @@ def test_alpha_search_past_the_int8_range():
     P = PrimeDecomposition(2, ((1,), (2,)))
     for m in (127, 128, 1000):
         assert initial_degree(P, m) == 2 * m
-        assert [g.exponents for g in min_degree_generators(P, m)] == [(m, m)]
+        for largest_first in (False, True):
+            assert _search_total(P, m, 2 * m, Budget(), largest_first) == (m, m)
 
 
 # Waldschmidt tables
