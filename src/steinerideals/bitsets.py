@@ -1,20 +1,61 @@
-"""Threshold bitsets: which rows of a block lie at or below given rows.
+"""The dominance query: which candidate rows lie above no dominator row.
 
-_dominated (monomials) and the fold's _surviving_lifts (fold) test
-candidate rows against blocks of dominator rows.  For a large test they
-build each block's threshold table once (_threshold_table) and look the
-candidates up in it a chunk at a time (_table_bits).
+A dominator d lies below a candidate x when d[j] <= x[j] in every column
+but the last and d[-1] < x[-1], tested as d[-1] + 1 <= x[-1].
+_undominated answers it for the symbolic-power fold
+(fold._surviving_lifts, on the lifts of a step's deficient rows) and for
+the minimalization behind multiply (monomials._minimal_rows through
+_nonminimal, on rows against rows of smaller degree).
+
+A candidate is a parent row with its own values on columns sigma (never
+the last); off sigma it equals its parent.  So the part off sigma is
+tested once per parent, and the sigma columns once per candidate.  With
+no sigma columns, as in the minimalization, each candidate is its own
+parent, whose test decides.
+
+The dominators are tested a block of at most _BLOCK rows at a time,
+least last column first once they fill more than one block: those lie
+below the most candidates, and a candidate found dominated leaves the
+later blocks.  ``check``, if given, is called before each block; a
+caller's budget check raises from it to stop a long query.  A block is
+held column-major (one row per column) and decided by one of two paths:
+
+- Broadcast, when the open candidates (with sigma columns, also their
+  parents) times the block's entries stay within _BROADCAST: one
+  broadcast comparison per part, a handful of numpy calls whatever the
+  column count.  numpy reduces across the rows of a small 3-d array
+  much faster than along its last axis, hence column-major.
+- Threshold tables otherwise: the block's tables off sigma and on sigma
+  are built once (_threshold_table).  Each chunk of at most _CHUNK
+  parents looks its part off sigma up in the first (_table_bits), which
+  gives each parent the bitset of the block rows below it off sigma; a
+  parent whose bitset is empty keeps all its candidates.  The
+  candidates of the others, _CHUNK at a time, start from their parent's
+  bitset and AND in their sigma columns' bitsets; nonzero means
+  dominated.  A lookup costs a few numpy calls however many rows the
+  chunk has, and ANDs 64 block rows per word operation.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
+# The query tests blocks of at most _BLOCK dominators against chunks of
+# at most _CHUNK parents or candidates, so each temporary of a test holds
+# at most _BLOCK x _CHUNK bits or bytes whatever the row count and the
+# exponent sizes; a block's threshold table holds one _BLOCK-bit row per
+# level.
+_BLOCK = 4096
+_CHUNK = 1024
+# A block is decided by one broadcast comparison instead of bitsets when
+# its entries times the rows it tests come to at most _BROADCAST; the
+# two cost about the same near it.
+_BROADCAST = 1 << 15
 # Each temporary of a table build or lookup holds at most _SLICE bits or
-# bytes, as large as one of _dominated's block x chunk tests.
-_SLICE = 1 << 22
+# bytes, as large as one block x chunk test.
+_SLICE = _BLOCK * _CHUNK
 
 
 class _Table(NamedTuple):
@@ -96,3 +137,99 @@ def _table_bits(table: _Table, values: np.ndarray, acc: np.ndarray | None = None
         part = np.bitwise_and.reduce(part, axis=0) if len(part) > 1 else part[0]
         acc = part if acc is None else np.bitwise_and(acc, part, out=acc)
     return acc
+
+
+def _undominated(
+    parents: np.ndarray,
+    owner: np.ndarray,
+    doms: np.ndarray,
+    check: Callable[[], None] | None = None,
+    idx: np.ndarray | None = None,
+    lifts: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """The candidates that lie above no dominator row, as (owner, lifts).
+
+    Candidate i is the row ``parents[owner[i]]`` with its columns ``idx``
+    (sigma) replaced by ``lifts[:, i]``, one row of lifts per sigma
+    column; without idx and lifts it is that parent row itself.
+    ``owner`` is nondecreasing, so each parent's candidates form one run.
+    The survivors come back in input order.
+    """
+    off = np.ones(parents.shape[1], dtype=bool)
+    if lifts is None:
+        parts = parents.T
+    else:
+        off[idx] = False
+        parts = parents.T[off]
+    if len(doms) > _BLOCK:
+        doms = doms[np.argsort(doms[:, -1], kind="stable")]
+    for lo in range(0, len(doms), _BLOCK):
+        if check is not None:
+            check()
+        if len(owner) == 0:
+            break
+        block = doms[lo : lo + _BLOCK]
+        block_off = block.T[off]  # a copy (boolean index), so raising its last row is safe
+        block_off[-1] += 1
+        if lifts is None and len(owner) * block.size <= _BROADCAST:
+            hit = (block_off[:, :, None] <= parts[:, None, owner]).all(axis=0).any(axis=0)
+        elif lifts is not None and (len(owner) + parts.shape[1]) * block.size <= _BROADCAST:
+            hit = (block_off[:, None] <= parts[:, :, None]).all(axis=0)[owner]
+            hit &= (block.T[idx][:, None] <= lifts[:, :, None]).all(axis=0)
+            hit = hit.any(axis=1)
+        else:
+            off_table = _threshold_table(block_off)
+            hit = np.zeros(len(owner), dtype=bool)
+            if lifts is None:  # every candidate is its own parent, which decides
+                for c0 in range(0, len(owner), _CHUNK):
+                    bits = _table_bits(off_table, parts[:, owner[c0 : c0 + _CHUNK]])
+                    hit[c0 : c0 + _CHUNK] = bits.any(axis=1)
+                owner = owner[~hit]
+                continue
+            sig_table = _threshold_table(block.T[idx])
+            starts = np.flatnonzero(np.diff(owner, prepend=-1))
+            runs = np.diff(starts, append=len(owner))
+            for p0 in range(0, len(starts), _CHUNK):
+                first = starts[p0 : p0 + _CHUNK]
+                bits = _table_bits(off_table, parts[:, owner[first]])
+                live = bits.any(axis=1)
+                if not live.any():
+                    continue
+                # the candidates of the live parents, and each one's parent row in bits
+                slot = np.repeat(np.arange(len(first)), runs[p0 : p0 + _CHUNK])
+                tested = np.flatnonzero(live[slot])
+                slot = slot[tested]
+                tested += first[0]
+                for c0 in range(0, len(tested), _CHUNK):
+                    chunk = tested[c0 : c0 + _CHUNK]
+                    acc = _table_bits(sig_table, lifts[:, chunk], bits[slot[c0 : c0 + _CHUNK]])
+                    hit[chunk] = acc.any(axis=1)
+        owner = owner[~hit]
+        if lifts is not None:
+            lifts = lifts[:, ~hit]
+    return owner, lifts
+
+
+def _nonminimal(rows: np.ndarray, check: Callable[[], None] | None = None) -> np.ndarray:
+    """Mask of the rows that lie above another row, rows sorted by their last column.
+
+    A row can lie above only rows of strictly smaller last column, which
+    come before it.  The rows are split into blocks of _BLOCK; each
+    block's still-kept rows are the dominators of one query, with no
+    sigma columns, of the still-kept rows of larger last column.  Rows
+    found dominated later in the same block still act as dominators,
+    which cannot change the answer: whatever lies above them lies above
+    the rows below them.
+    """
+    last = np.ascontiguousarray(rows[:, -1])
+    dropped = np.zeros(len(rows), dtype=bool)
+    for lo in range(0, len(rows), _BLOCK):
+        first = np.searchsorted(last, last[lo], side="right")
+        open_ = first + np.flatnonzero(~dropped[first:])
+        if len(open_) == 0:
+            break
+        block = rows[lo : lo + _BLOCK][~dropped[lo : lo + _BLOCK]]
+        kept, _ = _undominated(rows, open_, block, check)
+        dropped[open_] = True
+        dropped[kept] = False
+    return dropped

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -81,13 +82,15 @@ def _deadline(args) -> float | None:
     if tcap is None:
         env = os.environ.get("STEINERIDEALS_TIME_CAP")
         tcap = float(env) if env else None
-    if tcap is not None and tcap <= 0:
-        raise ValueError("time cap must be positive")
+    if tcap is not None and not 0 < tcap < math.inf:
+        raise ValueError(f"time cap must be positive and finite, not {tcap}")
     return None if tcap is None else time.monotonic() + tcap
 
 
 def _progress_printer(interval: float):
     """A progress sink printing at most one stderr line per interval seconds."""
+    if not math.isfinite(interval):
+        raise ValueError(f"progress interval must be finite, not {interval}")
     if interval <= 0:
         return None
     last = 0.0

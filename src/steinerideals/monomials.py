@@ -16,11 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence, TextIO
+from typing import Callable, Iterator, Sequence, TextIO
 
 import numpy as np
 
-from .bitsets import _table_bits, _threshold_table
+from .bitsets import _nonminimal
 from .budget import Budget
 from .errors import FormatError, MixedAmbient
 
@@ -121,18 +121,6 @@ def _canonical_order(rows: np.ndarray) -> np.ndarray:
     return np.lexsort(words[::-1])
 
 
-# _dominated tests blocks of at most _BLOCK rows against chunks of at
-# most _CHUNK candidates, so each temporary of a test holds at most
-# _BLOCK x _CHUNK bits or bytes whatever the row count and the exponent
-# sizes; a block's threshold table holds one _BLOCK-bit row per level.
-_BLOCK = 4096
-_CHUNK = 1024
-# A block whose open candidates, rows and columns multiply to at most
-# _BROADCAST is decided by one broadcast comparison instead of bitsets;
-# the two cost about the same near it.
-_BROADCAST = 1 << 15
-
-
 def _distinct(rows: np.ndarray) -> np.ndarray:
     """Indices of the distinct rows, in canonical order.
 
@@ -148,94 +136,21 @@ def _distinct(rows: np.ndarray) -> np.ndarray:
     return order[fresh]
 
 
-def _dominated(
-    cands: np.ndarray,
-    doms: np.ndarray,
-    check: Callable[[], None] | None = None,
-    hit: np.ndarray | None = None,
-) -> np.ndarray:
-    """Mask of the candidate rows that lie above some dominator row.
-
-    A dominator d lies below a candidate c when d[j] <= c[j] in every
-    column but the last and d[-1] < c[-1]; the last column is compared
-    as d[-1] <= c[-1] - 1.  ``hit``, if given, is the mask to update in
-    place: the candidates it already marks are not tested again.
-
-    The dominators are split into blocks, and each block is tested
-    against the still-unmarked candidates by one of two paths, picked by
-    the size of the test.  When the open candidates times the block's
-    entries stay within _BROADCAST, one broadcast comparison of every
-    candidate with every block row decides the block: a handful of numpy
-    calls whatever the column count, on a temporary of at most
-    _BROADCAST bytes.  It is column-major (one row per column), as numpy
-    reduces across the rows of a small 3-d array much faster than along
-    its last axis.  Larger tests build the block's threshold table once
-    (_threshold_table) and look the candidates up in it a chunk at a
-    time (_table_bits): a candidate is dominated iff the AND of its
-    columns' bitsets is nonzero.  A lookup costs a few numpy calls,
-    however many candidates the chunk has, and ANDs 64 block rows per
-    word operation where the broadcast compares every candidate, row and
-    column one by one.
-
-    ``check``, if given, is called before each block; a caller's budget
-    check raises from it to stop a long query.
-    """
-    if hit is None:
-        hit = np.zeros(len(cands), dtype=bool)
-    for lo in range(0, len(doms), _BLOCK):
-        if check is not None:
-            check()
-        open_ = np.flatnonzero(~hit)
-        if len(open_) == 0:
-            break
-        block = np.ascontiguousarray(doms[lo : lo + _BLOCK].T)
-        if len(open_) * block.size <= _BROADCAST:
-            c = cands[open_].T
-            c[-1] -= 1
-            hit[open_[(block[:, :, None] <= c[:, None]).all(axis=0).any(axis=0)]] = True
-            continue
-        table = _threshold_table(block)
-        for c0 in range(0, len(open_), _CHUNK):
-            idx = open_[c0 : c0 + _CHUNK]
-            chunk = cands[idx].T
-            chunk[-1] -= 1
-            hit[idx[_table_bits(table, chunk).any(axis=1)]] = True
-    return hit
-
-
 def _minimal_rows(rows: np.ndarray, check: Callable[[], None] | None = None) -> np.ndarray:
     """Minimal rows under componentwise <=, canonically ordered.
 
     After _distinct, two distinct rows x <= c have deg x < deg c, so a
     row is dominated iff a row of strictly smaller degree, hence earlier
-    in canonical order, is <= it.  Testing only strictly smaller degrees
-    also keeps a row from dominating itself; the degree enters the test
-    as the last column of _dominated, which compares it strictly.
+    in canonical order, is <= it: bitsets' dominance query with the
+    degree as the strictly compared last column (_nonminimal).
 
-    The rows are split into blocks.  Each block's still-kept rows are
-    tested against every still-kept row of higher degree.  Rows found
-    dominated later in the same block still act as dominators, which
-    cannot change the answer: whatever lies above them lies above the
-    rows that dominate them.
-
-    ``check``, if given, is called before each block; a caller's budget
-    check raises from it to stop a long minimalization.
+    ``check``, if given, is called before each dominator block; a
+    caller's budget check raises from it to stop a long minimalization.
     """
     if len(rows) == 0:
         return rows.reshape(0, rows.shape[1])
     rows = rows[_distinct(rows)]
-    deg = rows.sum(axis=1)
-    ext = np.column_stack([rows, deg])
-    dropped = np.zeros(len(rows), dtype=bool)
-    for lo in range(0, len(rows), _BLOCK):
-        if check is not None:
-            check()
-        first = np.searchsorted(deg, deg[lo], side="right")
-        if dropped[first:].all():
-            break
-        block = ext[lo : lo + _BLOCK][~dropped[lo : lo + _BLOCK]]
-        _dominated(ext[first:], block, hit=dropped[first:])
-    return rows[~dropped]
+    return rows[~_nonminimal(np.column_stack([rows, rows.sum(axis=1)]), check)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -387,8 +302,9 @@ def member_of_power(
     materialized.  The generators are tried in degree-descending order
     (the reverse of the canonical order), each pick at or after the
     previous one.  At each node one numpy call tests every remaining
-    generator against the residual, and the search recurses into those
-    that divide it, in that order.
+    generator against the residual, and the search descends into those
+    that divide it, in that order.  The open nodes are held on an
+    explicit stack, so r is not bounded by Python's recursion limit.
 
     The budget, if given, is checked at every search node (stage
     "membership-scan", reporting ``partial``).
@@ -403,28 +319,33 @@ def member_of_power(
         return False
     rows = I.rows[::-1]
     min_deg = I.min_degree()
-    target = np.array(w.exponents, dtype=np.int64)
     partial = partial or {}
     failed: set[tuple] = set()
-
-    def dfs(residual: np.ndarray, rem: int, start: int) -> bool:
+    # one entry per open node: its failure key, residual, picks left and
+    # the generators still to try as its next pick
+    stack: list[tuple[tuple, np.ndarray, int, Iterator[int]]] = []
+    residual, rem, start = np.array(w.exponents, dtype=np.int64), r, 0
+    while True:
         if budget is not None:
             budget.check("membership-scan", partial)
-        if rem == 0:
-            return int(residual.sum()) >= slack
-        if int(residual.sum()) < rem * min_deg + slack:
-            return False
-        key = (residual.tobytes(), rem, start)
-        if key in failed:
-            return False
-        fits = (rows[start:] <= residual).all(axis=1)
-        for gi in (np.flatnonzero(fits) + start).tolist():
-            if dfs(residual - rows[gi], rem - 1, gi):
+        if int(residual.sum()) >= rem * min_deg + slack:
+            if rem == 0:
                 return True
-        failed.add(key)
-        return False
-
-    return dfs(target, r, 0)
+            key = (residual.tobytes(), rem, start)
+            if key not in failed:
+                fits = (rows[start:] <= residual).all(axis=1)
+                stack.append((key, residual, rem, iter((np.flatnonzero(fits) + start).tolist())))
+        # the next node: the next pick of the deepest node that has one
+        while stack:
+            key, parent, left, picks = stack[-1]
+            gi = next(picks, None)
+            if gi is not None:
+                residual, rem, start = parent - rows[gi], left - 1, gi
+                break
+            failed.add(key)
+            stack.pop()
+        else:
+            return False
 
 
 def _greedy_members(targets: np.ndarray, I: MonomialIdeal, r: int, slack: int) -> np.ndarray:

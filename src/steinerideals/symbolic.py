@@ -31,7 +31,6 @@ from math import comb
 
 import numpy as np
 
-from . import monomials
 from .budget import Budget
 from .designs import Hypergraph, SteinerSystem, complement_blocks
 from .errors import (
@@ -235,11 +234,6 @@ def symbolic_power(
         if counts.any():
             rows[:, -1] = rows[:, :-1].sum(axis=1) - sdeg
             doms = rows[sdeg <= m]
-            if len(doms) > monomials._BLOCK:
-                # least offdeg first: those rows dominate the most lifts, and a
-                # lift found dominated leaves the later blocks' queries; one
-                # block tests every row whatever their order
-                doms = doms[np.argsort(doms[:, -1], kind="stable")]
             lifts = _surviving_lifts(
                 rows[short], idx, deficits, doms, lambda: budget.check("symbolic-power", partial)
             )

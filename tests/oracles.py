@@ -16,7 +16,8 @@ import numpy as np
 
 from steinerideals import Hypergraph, MonomialIdeal, validate_steiner
 from steinerideals.fold import _compositions
-from steinerideals.monomials import _canonical_order, _distinct, _dominated
+from steinerideals.bitsets import _undominated
+from steinerideals.monomials import _canonical_order, _distinct
 
 
 def iter_monomials(nvars: int, max_degree: int):
@@ -250,8 +251,13 @@ def fold_step(todo, idx, deficits, doms):
     ``deficits`` holds m minus each todo row's support degree.  Each
     todo row g is lifted to g + c for every weak composition c of its
     deficit over idx, the distinct lifts are sorted canonically, and
-    ``_dominated`` drops those above some dominator row, the last column
-    compared strictly.  Returns the surviving lifts in canonical order.
+    those above some dominator row, the last column compared strictly,
+    are dropped.  Returns the surviving lifts in canonical order.
+
+    The drop runs the kernel's own block loop (bitsets._undominated,
+    each lift its own parent, with no sigma columns), so this reference
+    checks the lifting, the split of the test and the deduplication, not
+    the query itself; the tests check that against a plain-Python filter.
     """
     pieces = []
     for d in np.flatnonzero(np.bincount(deficits)).tolist():
@@ -261,7 +267,8 @@ def fold_step(todo, idx, deficits, doms):
         pieces.append(lifted.reshape(-1, todo.shape[1]))
     lifts = np.concatenate(pieces)
     lifts = lifts[_distinct(lifts)]
-    return lifts[~_dominated(lifts, doms)]
+    kept, _ = _undominated(lifts, np.arange(len(lifts)), doms)
+    return lifts[kept]
 
 
 def symbolic_power(P, m: int) -> MonomialIdeal:

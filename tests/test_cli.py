@@ -320,6 +320,23 @@ def test_bad_resource_flags(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_limits_exit_2(capsys, monkeypatch, value):
+    # time.monotonic() > nan is never true and an inf cap never expires,
+    # so either would silently mean "no cap"; a nan or inf progress
+    # interval would never print
+    argv = ("alpha", "builtin:fano", "--source", "complement", "-M", "2")
+    for extra in (("--time-cap", value), ("--progress-interval", value)):
+        code, out, err = run(capsys, *argv, *extra)
+        assert code == 2 and out == "", extra
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "finite" in err and "Traceback" not in err
+    monkeypatch.setenv("STEINERIDEALS_TIME_CAP", value)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: time cap") and err.count("\n") == 1, err
+
+
 def test_exponent_past_the_limit_exits_2(capsys, tmp_path):
     # m = EXPONENT_LIMIT + 1 is refused before the fold and before the
     # alpha search, and r past the ordinary-power limit before the audit

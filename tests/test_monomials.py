@@ -27,11 +27,10 @@ from steinerideals import (
     symbolic_power,
 )
 from steinerideals import bitsets, monomials
-from steinerideals.bitsets import _table_bits, _threshold_table
+from steinerideals.bitsets import _table_bits, _threshold_table, _undominated
 from steinerideals.monomials import (
     EXPONENT_LIMIT,
     _canonical_order,
-    _dominated,
     _greedy_members,
     _minimal_rows,
 )
@@ -190,7 +189,8 @@ def _check_kernel(rows):
 
 
 # _BROADCAST values that send every dominator block down one path of
-# _dominated: 0 selects the bitset kernel, the huge value the broadcast
+# the dominance query: 0 selects the bitset kernel, the huge value the
+# broadcast
 BITSET_ONLY, BROADCAST_ONLY = 0, 1 << 62
 
 
@@ -206,7 +206,7 @@ def _layered_rows(nv, low, high):
 
 def test_minimal_rows_matches_the_quadratic_filter(monkeypatch):
     for path in (BITSET_ONLY, BROADCAST_ONLY):
-        monkeypatch.setattr(monomials, "_BROADCAST", path)
+        monkeypatch.setattr(bitsets, "_BROADCAST", path)
         rng = Random(41)
         for _ in range(40):
             _check_kernel(_random_rows(rng, rng.randint(1, 150), rng.randint(1, 6), 3))
@@ -223,10 +223,10 @@ def test_minimal_rows_across_block_chunk_and_word_boundaries(monkeypatch):
     # quadratic filter can still check; 70 rows per block also splits
     # each block's bitsets across two uint64 words.  Each input runs once
     # through the bitset kernel and once through the broadcast.
-    monkeypatch.setattr(monomials, "_BLOCK", 70)
-    monkeypatch.setattr(monomials, "_CHUNK", 9)
+    monkeypatch.setattr(bitsets, "_BLOCK", 70)
+    monkeypatch.setattr(bitsets, "_CHUNK", 9)
     for path in (BITSET_ONLY, BROADCAST_ONLY):
-        monkeypatch.setattr(monomials, "_BROADCAST", path)
+        monkeypatch.setattr(bitsets, "_BROADCAST", path)
         rng = Random(43)
         for n in (63, 64, 65, 69, 70, 71, 139, 140, 141, 400):
             _check_kernel(_random_rows(rng, n, 5, 2))
@@ -247,12 +247,13 @@ def _reference_dominated(cands, doms):
 
 @pytest.mark.parametrize("path", [BITSET_ONLY, BROADCAST_ONLY], ids=["bitset", "broadcast"])
 def test_dominated_compares_the_last_column_strictly_on_both_paths(monkeypatch, path):
-    # Many candidates equal a dominator but for the last column, which
-    # then decides: equal is not dominated, one more is.  Huge exponents
-    # sit next to small ones, and the 70-row blocks end mid-word.
-    monkeypatch.setattr(monomials, "_BLOCK", 70)
-    monkeypatch.setattr(monomials, "_CHUNK", 9)
-    monkeypatch.setattr(monomials, "_BROADCAST", path)
+    # The dominance query with no sigma columns.  Many candidates equal
+    # a dominator but for the last column, which then decides: equal is
+    # not dominated, one more is.  Huge exponents sit next to small ones,
+    # and the 70-row blocks end mid-word.
+    monkeypatch.setattr(bitsets, "_BLOCK", 70)
+    monkeypatch.setattr(bitsets, "_CHUNK", 9)
+    monkeypatch.setattr(bitsets, "_BROADCAST", path)
     rng = Random(61)
     values = [0, 1, 2, EXPONENT_LIMIT - 1, EXPONENT_LIMIT]
     for n in (1, 5, 69, 70, 71, 150):
@@ -260,24 +261,28 @@ def test_dominated_compares_the_last_column_strictly_on_both_paths(monkeypatch, 
         cands = doms[rng.choices(range(n), k=n)]
         cands[:, -1] += np.array([rng.choice((0, 1)) for _ in range(n)])
         cands = np.vstack([cands, [[rng.choice(values) for _ in range(4)] for _ in range(20)]])
-        assert np.array_equal(_dominated(cands, doms), _reference_dominated(cands, doms))
-        # a preset hit stays set and is not tested again
+        before = (cands.copy(), doms.copy())
+        kept, _ = _undominated(cands, np.arange(len(cands)), doms)
+        assert kept.tolist() == np.flatnonzero(~_reference_dominated(cands, doms)).tolist()
+        # the query compares the last column strictly on its own copies
+        assert np.array_equal(cands, before[0]) and np.array_equal(doms, before[1])
+        # a candidate left out of owner is not tested and stays out
         hit = np.zeros(len(cands), dtype=bool)
         hit[::3] = True
-        want = _reference_dominated(cands, doms) | hit
-        assert np.array_equal(_dominated(cands, doms, hit=hit.copy()), want)
+        kept, _ = _undominated(cands, np.flatnonzero(~hit), doms)
+        assert kept.tolist() == np.flatnonzero(~(_reference_dominated(cands, doms) | hit)).tolist()
 
 
 @pytest.mark.parametrize("path", [BITSET_ONLY, BROADCAST_ONLY], ids=["bitset", "broadcast"])
 def test_dominated_checks_once_per_block_on_both_paths(monkeypatch, path):
     # no candidate is dominated, so every one of the three blocks runs
-    monkeypatch.setattr(monomials, "_BLOCK", 70)
-    monkeypatch.setattr(monomials, "_BROADCAST", path)
+    monkeypatch.setattr(bitsets, "_BLOCK", 70)
+    monkeypatch.setattr(bitsets, "_BROADCAST", path)
     doms = np.ones((150, 3), dtype=np.int64)
     cands = np.zeros((10, 3), dtype=np.int64)
     calls = []
-    hit = _dominated(cands, doms, lambda: calls.append(1))
-    assert not hit.any() and len(calls) == 3
+    kept, _ = _undominated(cands, np.arange(10), doms, lambda: calls.append(1))
+    assert len(kept) == 10 and len(calls) == 3
 
 
 def test_threshold_table_lookups_and_levels(monkeypatch):
@@ -387,10 +392,10 @@ def test_fold_step_query_matches_full_minimalization(monkeypatch):
     # keeps.  That must equal minimalizing all kept and lifted rows.
     # Small blocks and chunks put many boundaries inside each query,
     # which runs once through each path of the kernel.
-    monkeypatch.setattr(monomials, "_BLOCK", 70)
-    monkeypatch.setattr(monomials, "_CHUNK", 9)
+    monkeypatch.setattr(bitsets, "_BLOCK", 70)
+    monkeypatch.setattr(bitsets, "_CHUNK", 9)
     for path in (BITSET_ONLY, BROADCAST_ONLY):
-        monkeypatch.setattr(monomials, "_BROADCAST", path)
+        monkeypatch.setattr(bitsets, "_BROADCAST", path)
         rng = Random(59)
         for _ in range(60):
             nv = rng.randint(1, 6)
@@ -427,11 +432,14 @@ def test_fold_step_query_matches_full_minimalization(monkeypatch):
 @pytest.mark.parametrize("path", [BITSET_ONLY, BROADCAST_ONLY], ids=["bitset", "broadcast"])
 def test_surviving_lifts_match_the_reference_step(monkeypatch, path):
     # The kernel against oracles.fold_step, which builds, deduplicates
-    # and queries every lift.  Blocks of 5 dominators and chunks of 2
-    # parents or lifts put every input across several blocks and chunks.
-    monkeypatch.setattr(monomials, "_BLOCK", 5)
-    monkeypatch.setattr(monomials, "_CHUNK", 2)
-    monkeypatch.setattr(monomials, "_BROADCAST", path)
+    # and queries every lift, and against a plain-Python filter of the
+    # brute-force lifts: fold_step runs the same dominance query as the
+    # kernel, so only that filter checks the query independently.
+    # Blocks of 5 dominators and chunks of 2 parents or lifts put every
+    # input across several blocks and chunks.
+    monkeypatch.setattr(bitsets, "_BLOCK", 5)
+    monkeypatch.setattr(bitsets, "_CHUNK", 2)
+    monkeypatch.setattr(bitsets, "_BROADCAST", path)
 
     def agree(anti, idx, m):
         todo, deficits, doms = _step(anti, idx, m)
@@ -478,8 +486,8 @@ def test_surviving_lifts_match_the_reference_step(monkeypatch, path):
 def test_surviving_lifts_check_once_per_block_on_both_paths(monkeypatch, path):
     # no dominator has a smaller offdeg than the parent, so no lift is
     # dropped and every one of the three blocks runs
-    monkeypatch.setattr(monomials, "_BLOCK", 70)
-    monkeypatch.setattr(monomials, "_BROADCAST", path)
+    monkeypatch.setattr(bitsets, "_BLOCK", 70)
+    monkeypatch.setattr(bitsets, "_BROADCAST", path)
     todo = np.array([[0, 0, 1, 1]])
     doms = np.column_stack([np.ones((150, 3), dtype=np.int64), np.full(150, 1)])
     calls = []
@@ -593,7 +601,7 @@ def test_multiply_checks_the_budget_inside_the_minimalization(monkeypatch):
     # I^2 has ten generators of degrees 2 to 8, so 8-row blocks give its
     # minimalization two checks after the step's own check before it
     # builds its products
-    monkeypatch.setattr(monomials, "_BLOCK", 8)
+    monkeypatch.setattr(bitsets, "_BLOCK", 8)
     I = MonomialIdeal.from_rows(4, [[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 3, 0], [0, 0, 0, 4]])
     with pytest.raises(ResourceLimit) as ei:
         power(I, 3, budget=StopAtThirdCheck())
@@ -670,6 +678,35 @@ def test_exact_search_decides_what_the_greedy_path_misses():
         member_of_power(M(2, 2), I, 2, budget=expired, partial={"generators_checked": 4})
     assert ei.value.stage == "membership-scan"
     assert ei.value.partial == {"generators_checked": 4}
+
+
+def test_member_of_power_past_the_recursion_limit():
+    # r = 5000 picks, far past Python's recursion limit.  For (x) and
+    # (x, y) the degree count decides: w is in M^slack * (x)^r iff its
+    # x-exponent is >= r, and in M^slack * (x, y)^r iff deg w >= r + slack.
+    class CountingBudget(Budget):
+        nodes = 0
+
+        def check(self, stage, partial, candidate=0):
+            assert stage == "membership-scan" and partial == {"generators_checked": 1}
+            self.nodes += 1
+
+    r = 5000
+    x = MonomialIdeal.from_rows(2, [[1, 0]])
+    xy = MonomialIdeal.from_rows(2, [[1, 0], [0, 1]])
+    for w, I, slack, want, nodes in (
+        ((r, 1), x, 0, True, r + 1),
+        # r - 1 picks fit, then the search backs out through every level
+        ((r - 1, 7), x, 0, False, r),
+        ((r // 2, r // 2), xy, 0, True, r + 1),
+        ((r // 2, r // 2 - 1), xy, 0, False, 1),
+        ((3000, 3000), xy, 1000, True, r + 1),
+        ((3000, 3000), xy, 1001, False, 1),
+    ):
+        assert want == (w[0] >= r if I is x else sum(w) >= r + slack)
+        budget = CountingBudget()
+        got = member_of_power(M(*w), I, r, slack, budget=budget, partial={"generators_checked": 1})
+        assert got == want and budget.nodes == nodes, (w, slack)
 
 
 def test_member_of_power_edge_cases():

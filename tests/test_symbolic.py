@@ -35,7 +35,7 @@ from steinerideals import (
     symbolic_power,
     validate_steiner,
 )
-from steinerideals import monomials, symbolic
+from steinerideals import bitsets, symbolic
 from steinerideals.symbolic import _search_total
 
 import oracles
@@ -205,8 +205,8 @@ def test_symbolic_power_agrees_with_generic_intersection(monkeypatch):
     for _ in range(8):
         nv, sups = oracles.random_supports(rng, max_vars=6, max_supports=5, max_size=4)
         cases.append((PrimeDecomposition(nv, tuple(sups)), 3))
-    for block in (monomials._BLOCK, 8):
-        monkeypatch.setattr(monomials, "_BLOCK", block)
+    for block in (bitsets._BLOCK, 8):
+        monkeypatch.setattr(bitsets, "_BLOCK", block)
         for P, top in cases:
             for m in range(1, top + 1):
                 assert symbolic_power(P, m) == oracles.symbolic_power(P, m), (P, m, block)
@@ -302,9 +302,9 @@ def test_fold_checks_the_budget_inside_the_minimalization(monkeypatch):
             if self.calls == 12:
                 raise ResourceLimit(stage, "stop", partial)
 
-    # small blocks give each fold step's minimalization several checks;
+    # small blocks give each fold step's dominance query several checks;
     # the traceback shows that the check that raised was the kernel's
-    monkeypatch.setattr(monomials, "_BLOCK", 8)
+    monkeypatch.setattr(bitsets, "_BLOCK", 8)
     with pytest.raises(ResourceLimit) as ei:
         symbolic_power(fano_complement(), 2, budget=StopAtCheck())
     exc = ei.value
