@@ -2,6 +2,7 @@
 
 It lives in its own module so that the lowest layer (``monomials``) and
 the layers built on it (``symbolic``, ``containment``) can all check it.
+A function given ``budget=None`` runs under ``Budget()``.
 """
 
 from __future__ import annotations
@@ -14,8 +15,6 @@ from .errors import ResourceLimit
 
 DEFAULT_GENERATOR_CAP = 2_000_000
 
-ProgressFn = Callable[[int, int, int], None]
-
 
 @dataclass
 class Budget:
@@ -23,16 +22,19 @@ class Budget:
 
     ``generator_cap`` bounds the candidate rows of one symbolic-power fold
     step or ordinary-power multiply; ``deadline`` is a ``time.monotonic()``
-    value or None; ``progress`` receives (supports folded, supports total,
-    generators kept) after each fold step.  Long loops call ``check``.
+    value or None; ``progress``, if set, receives every check's (stage,
+    partial) before the limits are tested; the partial is the loop's own
+    dict, so a sink that keeps it must copy it.  Long loops call ``check``.
     """
 
     generator_cap: int = DEFAULT_GENERATOR_CAP
     deadline: float | None = None
-    progress: ProgressFn | None = None
+    progress: Callable[[str, dict], None] | None = None
 
     def check(self, stage: str, partial: dict, candidate: int = 0) -> None:
-        """Raise ResourceLimit for ``stage`` with ``partial`` once a limit is passed."""
+        """Report to ``progress``; raise ResourceLimit once a limit is passed."""
+        if self.progress is not None:
+            self.progress(stage, partial)
         if candidate > self.generator_cap:
             raise ResourceLimit(
                 stage,

@@ -33,11 +33,13 @@ from .containment import (
     stable_harbourne_scan,
 )
 from .designs import (
+    _load_json,
     chromatic_number,
     complement_blocks,
+    design_from_dict,
+    hypergraph_from_dict,
     is_colourable,
     is_coverable,
-    load_hypergraph,
     resolve_design,
 )
 from .errors import (
@@ -88,23 +90,21 @@ def _deadline(args) -> float | None:
 
 
 def _progress_printer(interval: float):
-    """A progress sink printing at most one stderr line per interval seconds."""
+    """A Budget progress sink printing at most one stderr line per interval
+    seconds: ``progress: <stage> <partial as compact JSON>``."""
     if not math.isfinite(interval):
         raise ValueError(f"progress interval must be finite, not {interval}")
     if interval <= 0:
         return None
     last = 0.0
 
-    def fn(step: int, total: int, kept: int) -> None:
+    def fn(stage: str, partial: dict) -> None:
         nonlocal last
         now = time.monotonic()
         if now - last >= interval:
             last = now
-            print(
-                f"progress: folded {step}/{total} supports, {kept} generators",
-                file=sys.stderr,
-                flush=True,
-            )
+            line = json.dumps(partial, separators=(",", ":"))
+            print(f"progress: {stage} {line}", file=sys.stderr, flush=True)
 
     return fn
 
@@ -123,16 +123,19 @@ def _frac(x: Fraction | None) -> str | None:
 
 
 def _load_design_or_hypergraph(spec_str: str):
-    """Resolve input to (design or None, hypergraph)."""
+    """Resolve input to (design or None, hypergraph).
+
+    A file is read once; a document with a "blocks" key is a design,
+    any other a hypergraph.
+    """
     if spec_str.startswith("builtin:"):
         S = resolve_design(spec_str)
-        return S, S.hypergraph()
-    # try design schema first, fall back to hypergraph schema
-    try:
-        S = resolve_design(spec_str)
-        return S, S.hypergraph()
-    except FormatError:
-        return None, load_hypergraph(spec_str)
+    else:
+        doc = _load_json(spec_str)
+        if "blocks" not in doc:
+            return None, hypergraph_from_dict(doc)
+        S = design_from_dict(doc)
+    return S, S.hypergraph()
 
 
 def _decomposition(args):
@@ -484,15 +487,9 @@ def main(argv=None) -> int:
     except ResourceLimit as exc:
         _emit({"error": "resource-limit", "stage": exc.stage, "partial": exc.partial})
         return EXIT_RESOURCE
-    except FormatError as exc:
+    except (FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (DesignError, Uncolourable) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_INVALID
     except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

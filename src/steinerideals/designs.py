@@ -265,8 +265,8 @@ def _search_partition(
     upward, so the first complete assignment found has the
     lexicographically smallest label vector: it is the deterministic
     witness reported everywhere.  Returns it as a Partition, or None
-    after exhausting the space.  The budget, if given, is checked at
-    every search node (stage "partition-search"; ``nodes`` counts the
+    after exhausting the space.  The budget is checked at every
+    search node (stage "partition-search"; ``nodes`` counts the
     nodes this search visited).
     """
     budget = budget or Budget()
@@ -372,10 +372,17 @@ def chromatic_number(H: Hypergraph, *, budget: Budget | None = None) -> int:
 # ignore unknown keys, so every document the CLI emits round-trips.
 
 
+def _json_int(x) -> int:
+    """x itself when it is a JSON integer; floats, booleans and strings are not."""
+    if not isinstance(x, int) or isinstance(x, bool):
+        raise TypeError(f"{json.dumps(x)} is not an integer")
+    return x
+
+
 def design_from_dict(d: dict) -> SteinerSystem:
     try:
-        v, n, t = int(d["v"]), int(d["n"]), int(d["t"])
-        blocks = [tuple(int(x) for x in b) for b in d["blocks"]]
+        v, n, t = _json_int(d["v"]), _json_int(d["n"]), _json_int(d["t"])
+        blocks = [tuple(_json_int(x) for x in b) for b in d["blocks"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad design document: {exc}") from exc
     # validation errors (DesignError, ValueError) propagate: the document
@@ -385,8 +392,8 @@ def design_from_dict(d: dict) -> SteinerSystem:
 
 def hypergraph_from_dict(d: dict) -> Hypergraph:
     try:
-        vertices = int(d["vertices"])
-        edges = [tuple(int(x) for x in e) for e in d["edges"]]
+        vertices = _json_int(d["vertices"])
+        edges = [tuple(_json_int(x) for x in e) for e in d["edges"]]
         return Hypergraph(vertices, tuple(edges))
     except (KeyError, TypeError, ValueError) as exc:
         # out-of-range vertices, empty edges, uncovered vertices: all are
@@ -411,11 +418,6 @@ def _load_json(path: str | Path) -> dict:
 def load_design(path: str | Path) -> SteinerSystem:
     """Load a design JSON file: {"v":..., "n":..., "t":..., "blocks": [[...]]}."""
     return design_from_dict(_load_json(path))
-
-
-def load_hypergraph(path: str | Path) -> Hypergraph:
-    """Load a hypergraph JSON file: {"vertices":..., "edges": [[...]]}."""
-    return hypergraph_from_dict(_load_json(path))
 
 
 def resolve_design(spec_str: str) -> SteinerSystem:

@@ -240,9 +240,9 @@ def multiply(
 ) -> MonomialIdeal:
     """Product ideal; generated by pairwise products.
 
-    The budget, if given, is checked (stage "ordinary-power", reporting
-    ``partial``) with the |I| * |J| products as the candidate count
-    before any is built, and once per block of their minimalization.
+    The budget is checked (stage "ordinary-power", reporting ``partial``)
+    with the |I| * |J| products as the candidate count before any is
+    built, and once per block of their minimalization.
     """
     if I.variable_count != J.variable_count:
         raise MixedAmbient(I.variable_count, J.variable_count)
@@ -255,23 +255,23 @@ def multiply(
     A, B = I.rows, J.rows
     if int(A.max()) + int(B.max()) > EXPONENT_LIMIT * _FOLD_LIMIT:
         raise OverflowError("product exponents exceed supported range")
-    if budget is not None:
-        budget.check("ordinary-power", partial or {}, len(A) * len(B))
+    budget, partial = budget or Budget(), partial or {}
+    budget.check("ordinary-power", partial, len(A) * len(B))
     chunks = []
     for lo in range(0, len(A), 128):
         part = A[lo : lo + 128, None, :] + B[None, :, :]
         chunks.append(part.reshape(-1, I.variable_count))
-    check = None if budget is None else (lambda: budget.check("ordinary-power", partial or {}))
-    return MonomialIdeal(I.variable_count, _minimal_rows(np.vstack(chunks), check))
+    rows = _minimal_rows(np.vstack(chunks), lambda: budget.check("ordinary-power", partial))
+    return MonomialIdeal(I.variable_count, rows)
 
 
 def power(I: MonomialIdeal, r: int, *, budget: Budget | None = None) -> MonomialIdeal:
     """r-th power of the ideal; power(I, 0) is the unit ideal.
 
-    The budget, if given, is checked by every multiply step, before it
-    builds its products and once per block of their minimalization
-    (stage "ordinary-power"; ``factors_done`` counts the factors
-    multiplied so far).
+    The budget is checked by every multiply step, before it builds its
+    products and once per block of their minimalization (stage
+    "ordinary-power"; ``factors_done`` counts the factors multiplied so
+    far).
     """
     if r < 0:
         raise ValueError("power exponent must be >= 0")
@@ -306,8 +306,8 @@ def member_of_power(
     that divide it, in that order.  The open nodes are held on an
     explicit stack, so r is not bounded by Python's recursion limit.
 
-    The budget, if given, is checked at every search node (stage
-    "membership-scan", reporting ``partial``).
+    The budget is checked at every search node (stage "membership-scan",
+    reporting ``partial``).
     """
     if w.variable_count != I.variable_count:
         raise MixedAmbient(I.variable_count, w.variable_count)
@@ -319,15 +319,14 @@ def member_of_power(
         return False
     rows = I.rows[::-1]
     min_deg = I.min_degree()
-    partial = partial or {}
+    budget, partial = budget or Budget(), partial or {}
     failed: set[tuple] = set()
     # one entry per open node: its failure key, residual, picks left and
     # the generators still to try as its next pick
     stack: list[tuple[tuple, np.ndarray, int, Iterator[int]]] = []
     residual, rem, start = np.array(w.exponents, dtype=np.int64), r, 0
     while True:
-        if budget is not None:
-            budget.check("membership-scan", partial)
+        budget.check("membership-scan", partial)
         if int(residual.sum()) >= rem * min_deg + slack:
             if rem == 0:
                 return True

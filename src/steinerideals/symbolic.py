@@ -238,8 +238,6 @@ def symbolic_power(
                 rows[short], idx, deficits, doms, lambda: budget.check("symbolic-power", partial)
             )
             rows = np.concatenate([rows[~short], lifts])
-        if budget.progress is not None:
-            budget.progress(step + 1, total, len(rows))
     rows = rows[:, :-1]
     return MonomialIdeal(nv, rows[_canonical_order(rows)])
 

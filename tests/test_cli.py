@@ -3,6 +3,7 @@
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 import time
@@ -337,6 +338,38 @@ def test_non_finite_limits_exit_2(capsys, monkeypatch, value):
     assert err.startswith("error: time cap") and err.count("\n") == 1, err
 
 
+def _progress_stages(err):
+    """The stages of err's progress lines, each of which must carry a JSON partial."""
+    stages = []
+    for line in err.splitlines():
+        prefix, stage, partial = line.split(" ", 2)
+        assert prefix == "progress:" and isinstance(json.loads(partial), dict), line
+        stages.append(stage)
+    return set(stages)
+
+
+@pytest.mark.parametrize(
+    "argv, stages",
+    [
+        (("alpha", "builtin:sqs8", "--source", "cover", "-M", "6"), {"initial-degree"}),
+        (
+            ("containment", "builtin:fano", "--source", "cover", "3", "2"),
+            {"symbolic-power", "initial-degree", "membership-scan", "witness-enumeration"},
+        ),
+    ],
+)
+def test_progress_lines_come_from_every_long_loop(capsys, argv, stages):
+    # every Budget check reports, so a short interval shows each stage the
+    # command runs; stdout does not change
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    code, out_progress, err = run(capsys, *argv, "--progress-interval", "1e-9")
+    assert code == 0 and _progress_stages(err) == stages
+    assert without_timing(json.loads(out_progress)) == without_timing(json.loads(out))
+    if argv[0] == "alpha":
+        assert out_progress == out
+
+
 def test_exponent_past_the_limit_exits_2(capsys, tmp_path):
     # m = EXPONENT_LIMIT + 1 is refused before the fold and before the
     # alpha search, and r past the ordinary-power limit before the audit
@@ -425,6 +458,28 @@ def test_containment_invalid_parameters(capsys):
         capsys, "containment", "builtin:fano", "--source", "complement", "0", "1"
     )
     assert code == 2
+
+
+def test_design_documents_report_their_own_errors(capsys, tmp_path):
+    # a document with "blocks" is read as a design only, so its own error
+    # is reported, not the hypergraph schema's
+    doc = builtin_fano().to_dict()
+    del doc["t"]
+    no_t = tmp_path / "no_t.json"
+    no_t.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "coverability", str(no_t), "--colour", "2")
+    assert (code, out, err) == (3, "", "error: bad design document: 't'\n")
+    doc = builtin_fano().to_dict()
+    doc["blocks"][0] = [1, 2, "x"]
+    bad_block = tmp_path / "bad_block.json"
+    bad_block.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "symbolic", str(bad_block), "--source", "cover", "-m", "1")
+    assert (code, out, err) == (3, "", 'error: bad design document: "x" is not an integer\n')
+    # int(7.9) is 7, which would validate the Fano blocks as S(2,3,7)
+    path = tmp_path / "float_v.json"
+    path.write_text(json.dumps(dict(builtin_fano().to_dict(), v=7.9)))
+    code, out, err = run(capsys, "validate", str(path))
+    assert (code, out, err) == (3, "", "error: bad design document: 7.9 is not an integer\n")
 
 
 def test_complement_source_needs_a_design(capsys, tmp_path):
@@ -753,6 +808,18 @@ def test_readme_library_example_runs():
         [sys.executable, "-c", example], capture_output=True, text=True, env=env, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_command_lines_run(capsys, monkeypatch, tmp_path):
+    # every steinerideals line of the README's "Command line" block exits 0
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (block,) = re.findall(r"## Command line.*?```sh\n(.*?)```", readme, re.S)
+    lines = [shlex.split(line) for line in block.splitlines() if line.startswith("steinerideals ")]
+    assert len(lines) == 12
+    monkeypatch.chdir(tmp_path)
+    for argv in lines:
+        assert main(argv[1:]) == 0, argv
+    capsys.readouterr()
 
 
 def test_every_public_name_is_used_or_documented():

@@ -1,9 +1,11 @@
 """Containment decisions, conjecture scans, and the resurgence region."""
 
 import dataclasses
+import re
 import time
 import traceback
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -27,6 +29,7 @@ from steinerideals import (
     demailly_check,
     els_scan,
     harbourne_huneke_scan,
+    is_coverable,
     iter_resurgence_cells,
     member_of_power,
     member_of_symbolic,
@@ -441,6 +444,26 @@ def test_time_budget_stops_the_witness_enumeration():
     assert ei.value.partial == {
         "m": 1, "r": 50, "slack": 0, "multisets_checked": 0, "multisets_total": 51
     }
+
+
+def test_every_long_loop_reports_progress_with_its_documented_partial():
+    # FILE-FORMATS's stage table is the one progress schema: a recording
+    # sink on one Budget sees exactly its stages, each with its keys
+    doc = (Path(__file__).resolve().parents[1] / "FILE-FORMATS.md").read_text()
+    table = {
+        stage: set(re.findall(r"`(\w+)`", keys))
+        for stage, keys in re.findall(r"^\| `([a-z-]+)` \| (.*) \|$", doc, re.M)
+    }
+    seen: dict[str, set] = {}
+    budget = Budget(progress=lambda stage, partial: seen.setdefault(stage, set()).add(tuple(partial)))
+    H = builtin_fano().hypergraph()
+    # the cover ideal's (3, 2) cell fails, so the audited check folds,
+    # searches alpha, builds I^2, scans and enumerates the witness
+    assert not ContainmentEngine(cover_ideal(H), budget=budget).check(3, 2, audit=True).holds
+    assert is_coverable(H, 2, budget=budget) is None
+    assert len(table) == 6 and set(seen) == set(table)
+    for stage, key_tuples in seen.items():
+        assert {frozenset(keys) for keys in key_tuples} == {frozenset(table[stage])}, stage
 
 
 # conjecture families

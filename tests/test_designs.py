@@ -1,6 +1,7 @@
 """Design validation, hypergraph partitions, and the JSON loaders."""
 
 import json
+import re
 import time
 from random import Random
 
@@ -26,13 +27,12 @@ from steinerideals import (
     min_edge_size,
     validate_steiner,
 )
-from steinerideals import designs
+from steinerideals import cli, designs
 from steinerideals.designs import (
     FANO_BLOCKS,
     design_from_dict,
     hypergraph_from_dict,
     load_design,
-    load_hypergraph,
     resolve_design,
 )
 
@@ -313,11 +313,51 @@ def test_hypergraph_document_round_trip_and_errors(tmp_path):
     H = builtin_fano().hypergraph()
     path = tmp_path / "h.json"
     path.write_text(json.dumps(H.to_dict()))
-    assert load_hypergraph(path) == H
+    assert cli._load_design_or_hypergraph(str(path)) == (None, H)
     with pytest.raises(FormatError):
         hypergraph_from_dict({"vertices": 3})
     with pytest.raises(FormatError):
         hypergraph_from_dict({"vertices": 3, "edges": [[1, 2, 4]]})
+
+
+def _fano_doc(**changes):
+    return {"v": 7, "n": 3, "t": 2, "blocks": [list(b) for b in FANO_BLOCKS], **changes}
+
+
+def _fano_doc_with_first_block(block):
+    return _fano_doc(blocks=[block] + [list(b) for b in FANO_BLOCKS[1:]])
+
+
+@pytest.mark.parametrize(
+    "doc, bad",
+    [
+        (_fano_doc(v=7.9), "7.9"),
+        (_fano_doc(n="3"), '"3"'),
+        (_fano_doc(t=True), "true"),
+        (_fano_doc_with_first_block([1, 2, 3.7]), "3.7"),
+        (_fano_doc_with_first_block([1, "2", 3]), '"2"'),
+        (_fano_doc_with_first_block([True, 2, 3]), "true"),
+    ],
+)
+def test_design_documents_take_only_json_integers(doc, bad):
+    # int() would read each of these as an integer, some as the Fano plane
+    with pytest.raises(FormatError, match=f"^bad design document: {re.escape(bad)} is not an integer$"):
+        design_from_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "doc, bad",
+    [
+        ({"vertices": 3.0, "edges": [[1, 2], [2, 3]]}, "3.0"),
+        ({"vertices": "3", "edges": [[1, 2], [2, 3]]}, '"3"'),
+        ({"vertices": 3, "edges": [[True, 2], [2, 3]]}, "true"),
+        ({"vertices": 3, "edges": [[1, 2.5], [2, 3]]}, "2.5"),
+        ({"vertices": 3, "edges": [[1, 2], ["2", 3]]}, '"2"'),
+    ],
+)
+def test_hypergraph_documents_take_only_json_integers(doc, bad):
+    with pytest.raises(FormatError, match=f"^bad hypergraph document: {re.escape(bad)} is not an integer$"):
+        hypergraph_from_dict(doc)
 
 
 def test_load_rejects_bad_files(tmp_path):

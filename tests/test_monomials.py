@@ -27,6 +27,7 @@ from steinerideals import (
     symbolic_power,
 )
 from steinerideals import bitsets, monomials
+from steinerideals.budget import DEFAULT_GENERATOR_CAP
 from steinerideals.bitsets import _table_bits, _threshold_table, _undominated
 from steinerideals.monomials import (
     EXPONENT_LIMIT,
@@ -587,6 +588,17 @@ def test_power_checks_the_generator_cap_before_building_the_products(monkeypatch
     frames = [f.name for f in traceback.extract_tb(exc.__traceback__)]
     assert frames[frames.index("multiply") + 1] == "check"
     assert minimalized == [16]
+
+
+def test_power_without_a_budget_stops_at_the_default_cap():
+    # budget=None means Budget(), as in symbolic_power: (x, y)^1414 has
+    # 1415 generators, so squaring it builds 2,002,225 > 2,000,000 products
+    I = MonomialIdeal(2, [[1414 - i, i] for i in range(1415)])
+    with pytest.raises(ResourceLimit) as ei:
+        power(I, 2)
+    assert ei.value.stage == "ordinary-power"
+    assert ei.value.partial == {"r": 2, "factors_done": 1}
+    assert f"count 2002225 exceeds cap {DEFAULT_GENERATOR_CAP}" in str(ei.value)
 
 
 def test_multiply_checks_the_budget_inside_the_minimalization(monkeypatch):

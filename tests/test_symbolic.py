@@ -335,11 +335,15 @@ def test_initial_degree_search_obeys_the_budget():
 
 
 def test_symbolic_power_progress_callback():
+    # the fold reports through its budget checks: before each step and
+    # once per dominator block, so the last report is from inside step 28
     calls = []
-    budget = Budget(progress=lambda s, t, k: calls.append((s, t, k)))
+    budget = Budget(progress=lambda stage, partial: calls.append((stage, dict(partial))))
     symbolic_power(fano_complement(), 2, budget=budget)
-    assert calls
-    assert calls[-1] == (28, 28, 14)
+    assert calls[0] == ("symbolic-power", {"supports_folded": 0, "supports_total": 28, "kept": 1})
+    assert calls[-1] == ("symbolic-power", {"supports_folded": 27, "supports_total": 28, "kept": 18})
+    folded = [partial["supports_folded"] for _, partial in calls]
+    assert folded == sorted(folded) and set(folded) == set(range(28))
 
 
 # initial degrees
