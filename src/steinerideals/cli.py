@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 from fractions import Fraction
@@ -66,24 +65,18 @@ EXIT_RESOURCE = 4
 
 
 def _budget(args) -> Budget:
-    """The Budget of a long command: its limit flags, else their environment defaults.
+    """The Budget of a long command, from its limit flags.
 
     The time cap starts counting here, before the input is loaded.
     """
-    cap = args.generator_cap
-    if cap is None:
-        cap = int(os.environ.get("STEINERIDEALS_GENERATOR_CAP", DEFAULT_GENERATOR_CAP))
-    if cap < 1:
+    if args.generator_cap < 1:
         raise ValueError("generator cap must be positive")
-    return Budget(cap, _deadline(args), _progress_printer(args.progress_interval))
+    return Budget(args.generator_cap, _deadline(args), _progress_printer(args.progress_interval))
 
 
 def _deadline(args) -> float | None:
-    """The monotonic deadline of --time-cap, else of STEINERIDEALS_TIME_CAP; None without either."""
+    """The monotonic deadline of --time-cap; None without it."""
     tcap = args.time_cap
-    if tcap is None:
-        env = os.environ.get("STEINERIDEALS_TIME_CAP")
-        tcap = float(env) if env else None
     if tcap is not None and not 0 < tcap < math.inf:
         raise ValueError(f"time cap must be positive and finite, not {tcap}")
     return None if tcap is None else time.monotonic() + tcap
@@ -349,9 +342,8 @@ def _add_limits(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--generator-cap",
         type=int,
-        default=None,
-        help="abort with a partial report beyond this many generators "
-        "(default: STEINERIDEALS_GENERATOR_CAP or 2000000)",
+        default=DEFAULT_GENERATOR_CAP,
+        help="abort with a partial report beyond this many generators (default: %(default)s)",
     )
     _add_time_cap(p)
     p.add_argument(
@@ -367,7 +359,7 @@ def _add_time_cap(p: argparse.ArgumentParser) -> None:
         "--time-cap",
         type=float,
         default=None,
-        help="wall-clock budget in seconds (default: STEINERIDEALS_TIME_CAP or none)",
+        help="wall-clock budget in seconds (default: none)",
     )
 
 

@@ -40,7 +40,7 @@ from enum import Enum
 from fractions import Fraction
 from itertools import combinations_with_replacement, islice
 from math import ceil, comb
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -575,7 +575,7 @@ class ResurgenceScan:
     Cells with m <= r are skipped: such ratios m/r <= 1 never improve a
     resurgence lower bound (rho >= 1 always), and symbolic-over-ordinary
     failures there carry no region information.  ``cells`` are in scan
-    order (see iter_resurgence_cells); max_ratio is the best m/r over
+    order (see resurgence_search); max_ratio is the best m/r over
     failures, None when everything held.
     """
 
@@ -600,16 +600,15 @@ class ResurgenceScan:
         }
 
 
-def iter_resurgence_cells(
-    engine: ContainmentEngine, m_max: int, r_max: int
-) -> Iterator[ContainmentReport]:
-    """Yield per-cell reports over the scan box, smallest r first.
+def resurgence_search(engine: ContainmentEngine, m_max: int, r_max: int) -> ResurgenceScan:
+    """Check every cell of the scan box, smallest r first.
 
-    Within one r column, reports arrive with m ascending; cached symbolic
-    powers are shared across columns through the engine.
+    Within one r column, cells are checked with m ascending; cached
+    symbolic powers are shared across columns through the engine.
     """
     if m_max < 1 or r_max < 1:
         raise ValueError("m_max and r_max must be >= 1")
+    cells = []
     for r in range(1, r_max + 1):
         seen_hold = False
         for m in range(r + 1, m_max + 1):
@@ -622,9 +621,5 @@ def iter_resurgence_cells(
                 raise InternalInconsistency(
                     f"containment failed at m={m}, r={r} after holding at smaller m"
                 )
-            yield rep
-
-
-def resurgence_search(engine: ContainmentEngine, m_max: int, r_max: int) -> ResurgenceScan:
-    """Check every cell of the scan box; see iter_resurgence_cells."""
-    return ResurgenceScan(m_max, r_max, tuple(iter_resurgence_cells(engine, m_max, r_max)))
+            cells.append(rep)
+    return ResurgenceScan(m_max, r_max, tuple(cells))

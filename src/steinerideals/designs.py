@@ -237,19 +237,6 @@ class Partition:
             groups.setdefault(label, []).append(vtx)
         return cls(tuple(tuple(g) for g in groups.values()))
 
-    def assignment_vector(self) -> tuple[int, ...]:
-        """Class labels per vertex, classes numbered by smallest element."""
-        v = sum(len(c) for c in self.classes)
-        out = [0] * v
-        for label, c in enumerate(self.classes, start=1):
-            for vtx in c:
-                out[vtx - 1] = label
-        return tuple(out)
-
-    @property
-    def class_count(self) -> int:
-        return len(self.classes)
-
 
 def _search_partition(
     H: Hypergraph, k: int, mode: str, budget: Budget | None = None
@@ -265,9 +252,10 @@ def _search_partition(
     upward, so the first complete assignment found has the
     lexicographically smallest label vector: it is the deterministic
     witness reported everywhere.  Returns it as a Partition, or None
-    after exhausting the space.  The budget is checked at every
-    search node (stage "partition-search"; ``nodes`` counts the
-    nodes this search visited).
+    after exhausting the space.  The label vector itself is the path
+    from the root, so the vertex count is not bounded by Python's
+    recursion limit.  The budget is checked at every search node (stage
+    "partition-search"; ``nodes`` counts the nodes this search visited).
     """
     budget = budget or Budget()
     partial = {"mode": mode, "classes": k, "nodes": 0}
@@ -278,6 +266,7 @@ def _search_partition(
         for u in e:
             member_edges[u].append(ei)
     assign = [0] * v  # 0 = unassigned, labels 1..k
+    used = [0] * (v + 1)  # used[u]: classes opened by vertices 0..u-1
 
     def ok(u: int, c: int) -> bool:
         for ei in member_edges[u]:
@@ -298,27 +287,30 @@ def _search_partition(
                     return False
         return True
 
-    def dfs(u: int, used: int):
+    u = 0
+    while True:
+        # a search node: vertices 0..u-1 are assigned
         partial["nodes"] += 1
         budget.check("partition-search", partial)
-        if u == v:
-            if mode == "cover" and used != k:
-                return None
-            return list(assign)
-        # cover mode must still be able to open all k classes
-        if mode == "cover" and used + v - u < k:
-            return None
-        for c in range(1, min(k, used + 1) + 1):
-            if ok(u, c):
+        if mode == "cover" and used[u] + v - u < k:
+            u -= 1  # cover mode can no longer open all k classes
+        elif u == v:
+            return Partition.from_assignment(assign)
+        # the next node: the next label that fits at the deepest vertex
+        # that has one (from label 1 at a vertex just reached)
+        while u >= 0:
+            c, top = assign[u] + 1, min(k, used[u] + 1)
+            while c <= top and not ok(u, c):
+                c += 1
+            if c <= top:
                 assign[u] = c
-                got = dfs(u + 1, max(used, c))
-                if got is not None:
-                    return got
-                assign[u] = 0
-        return None
-
-    found = dfs(0, 0)
-    return None if found is None else Partition.from_assignment(found)
+                break
+            assign[u] = 0
+            u -= 1
+        else:
+            return None
+        used[u + 1] = max(used[u], assign[u])
+        u += 1
 
 
 def is_coverable(H: Hypergraph, c: int, *, budget: Budget | None = None) -> Partition | None:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterator, Sequence, TextIO
+from typing import Callable, Iterator, TextIO
 
 import numpy as np
 
@@ -45,10 +45,6 @@ class Monomial:
                 raise OverflowError(f"exponent {e} exceeds limit {EXPONENT_LIMIT}")
         object.__setattr__(self, "exponents", exps)
 
-    @classmethod
-    def one(cls, variable_count: int) -> "Monomial":
-        return cls((0,) * variable_count)
-
     @property
     def variable_count(self) -> int:
         return len(self.exponents)
@@ -60,11 +56,6 @@ class Monomial:
     @property
     def is_one(self) -> bool:
         return self.degree == 0
-
-    def divides(self, other: "Monomial") -> bool:
-        if len(self.exponents) != len(other.exponents):
-            raise MixedAmbient(len(self.exponents), len(other.exponents))
-        return all(a <= b for a, b in zip(self.exponents, other.exponents))
 
     def exponent_string(self) -> str:
         """Space-separated exponents, the plain-text exchange form."""
@@ -229,11 +220,6 @@ class MonomialIdeal:
         """Largest minimal-generator degree; None for the zero ideal."""
         return int(self.rows[-1].sum()) if len(self.rows) else None
 
-    def contains(self, w: Monomial) -> bool:
-        if w.variable_count != self.variable_count:
-            raise MixedAmbient(self.variable_count, w.variable_count)
-        return bool((self.rows <= np.array(w.exponents)).all(axis=1).any())
-
 
 def multiply(
     I: MonomialIdeal, J: MonomialIdeal, *, budget: Budget | None = None, partial: dict | None = None
@@ -242,7 +228,9 @@ def multiply(
 
     The budget is checked (stage "ordinary-power", reporting ``partial``)
     with the |I| * |J| products as the candidate count before any is
-    built, and once per block of their minimalization.
+    built, and once per block of their minimalization.  ``partial`` is
+    reported as given, {} by default: the stage's documented keys are
+    the ones power passes.
     """
     if I.variable_count != J.variable_count:
         raise MixedAmbient(I.variable_count, J.variable_count)
@@ -257,11 +245,8 @@ def multiply(
         raise OverflowError("product exponents exceed supported range")
     budget, partial = budget or Budget(), partial or {}
     budget.check("ordinary-power", partial, len(A) * len(B))
-    chunks = []
-    for lo in range(0, len(A), 128):
-        part = A[lo : lo + 128, None, :] + B[None, :, :]
-        chunks.append(part.reshape(-1, I.variable_count))
-    rows = _minimal_rows(np.vstack(chunks), lambda: budget.check("ordinary-power", partial))
+    rows = (A[:, None, :] + B[None, :, :]).reshape(-1, I.variable_count)
+    rows = _minimal_rows(rows, lambda: budget.check("ordinary-power", partial))
     return MonomialIdeal(I.variable_count, rows)
 
 
@@ -307,7 +292,9 @@ def member_of_power(
     explicit stack, so r is not bounded by Python's recursion limit.
 
     The budget is checked at every search node (stage "membership-scan",
-    reporting ``partial``).
+    reporting ``partial``).  ``partial`` is reported as given, {} by
+    default: the stage's documented keys are the ones the containment
+    engine passes.
     """
     if w.variable_count != I.variable_count:
         raise MixedAmbient(I.variable_count, w.variable_count)
@@ -376,15 +363,10 @@ def _greedy_members(targets: np.ndarray, I: MonomialIdeal, r: int, slack: int) -
 # starting with '#' are ignored.
 
 
-def dump_monomials(target: str | TextIO, monomials: Sequence[Monomial] | MonomialIdeal) -> None:
-    if isinstance(monomials, MonomialIdeal):
-        nv, rows = monomials.variable_count, monomials.rows.tolist()
-    else:
-        items = tuple(monomials)
-        if not items:
-            raise ValueError("cannot dump an empty monomial list (no variable count)")
-        nv, rows = items[0].variable_count, [m.exponents for m in items]
-    lines = [f"vars: {nv}"] + [" ".join(map(str, r)) for r in rows]
+def dump_monomials(target: str | TextIO, ideal: MonomialIdeal) -> None:
+    """Write the ideal's minimal generators, in canonical order, in the plain-text format."""
+    lines = [f"vars: {ideal.variable_count}"]
+    lines += [" ".join(map(str, r)) for r in ideal.rows.tolist()]
     text = "\n".join(lines) + "\n"
     if hasattr(target, "write"):
         target.write(text)

@@ -32,7 +32,7 @@ from math import comb
 import numpy as np
 
 from .budget import Budget
-from .designs import Hypergraph, SteinerSystem, complement_blocks
+from .designs import Hypergraph, SteinerSystem, _normalize_edge, complement_blocks
 from .errors import (
     ComplementEmpty,
     InternalInconsistency,
@@ -63,14 +63,7 @@ class PrimeDecomposition:
             raise ValueError("variable_count must be >= 1")
         if not self.supports:
             raise ValueError("a prime decomposition needs at least one support")
-        seen = set()
-        for s in self.supports:
-            vs = tuple(sorted(set(int(x) for x in s)))
-            if not vs:
-                raise ValueError("empty support")
-            if vs[0] < 1 or vs[-1] > self.variable_count:
-                raise ValueError(f"support {vs} outside 1..{self.variable_count}")
-            seen.add(vs)
+        seen = {_normalize_edge(s, self.variable_count, "support") for s in self.supports}
         # Equal-size supports cannot nest, so each support is only tested,
         # as a bitmask, against the kept supports of strictly smaller size.
         minimal = []
@@ -113,10 +106,6 @@ class PrimeDecomposition:
     def big_height(self) -> int:
         """Largest support size (max height of an associated prime)."""
         return max(len(s) for s in self.supports)
-
-    @property
-    def min_height(self) -> int:
-        return min(len(s) for s in self.supports)
 
 
 def cover_ideal(H: Hypergraph) -> PrimeDecomposition:
@@ -486,9 +475,6 @@ class AlphaTable:
     @property
     def waldschmidt_upper(self) -> Fraction:
         return min(Fraction(a, m) for m, a in self.entries)
-
-    def alpha(self, m: int) -> int:
-        return dict(self.entries)[m]
 
     def attained_at(self) -> tuple[int, ...]:
         """The m values where alpha(m)/m equals the upper bound."""

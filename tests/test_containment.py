@@ -30,7 +30,6 @@ from steinerideals import (
     els_scan,
     harbourne_huneke_scan,
     is_coverable,
-    iter_resurgence_cells,
     member_of_power,
     member_of_symbolic,
     power,
@@ -148,7 +147,7 @@ def test_scan_cells_match_a_per_generator_search(design):
     # generator of I^(m), in canonical order, outside I^r
     engine = ContainmentEngine(cover_ideal(design().hypergraph()))
     base = engine.base_ideal()
-    for rep in iter_resurgence_cells(engine, 4, 2):
+    for rep in resurgence_search(engine, 4, 2).cells:
         gens = engine.symbolic(rep.m).generators
         want = next((g for g in gens if not member_of_power(g, base, rep.r)), None)
         assert (rep.holds, rep.witness) == (want is None, want), (rep.m, rep.r)

@@ -134,7 +134,7 @@ def test_hypergraph_rejects_bad_input():
 def test_partition_round_trip():
     p = Partition(((3, 1), (2,), (4,)))
     assert p.classes == ((1, 3), (2,), (4,))
-    assert Partition.from_assignment(p.assignment_vector()) == p
+    assert Partition.from_assignment([1, 2, 1, 3]) == p
     with pytest.raises(ValueError):
         Partition(((1, 2), (2, 3)))
     with pytest.raises(ValueError):
@@ -218,17 +218,16 @@ def test_one_natural_order_search_gives_the_canonical_witness(monkeypatch, H, k,
 
 
 def _check_cover(H, part, c):
-    assert part.class_count == c
+    assert len(part.classes) == c
     for e in H.edges:
         for cl in part.classes:
             assert set(e) & set(cl), (e, part)
 
 
 def _check_colour(H, part, m):
-    assert part.class_count <= m
-    vec = part.assignment_vector()
+    assert len(part.classes) <= m
     for e in H.edges:
-        assert len({vec[x - 1] for x in e}) > 1, (e, part)
+        assert not any(set(e) <= set(cl) for cl in part.classes), (e, part)
 
 
 def test_partition_searches_match_brute_force():
@@ -266,6 +265,16 @@ def test_chromatic_number_monotone_under_edge_removal():
             if covered != set(range(1, H.vertex_count + 1)):
                 continue
             assert chromatic_number(Hypergraph(H.vertex_count, rest)) <= chi
+
+
+def test_partition_searches_are_not_bounded_by_the_recursion_limit():
+    # the search visits one node per vertex on the way down, so a path
+    # of 5,000 vertices is deeper than Python's default recursion limit
+    H = Hypergraph(5000, tuple((i, i + 1) for i in range(1, 5000)))
+    alternate = Partition((tuple(range(1, 5001, 2)), tuple(range(2, 5001, 2))))
+    assert is_colourable(H, 2) == alternate
+    assert is_coverable(H, 2) == alternate
+    assert chromatic_number(H) == 2
 
 
 def test_partition_searches_obey_the_budget():
