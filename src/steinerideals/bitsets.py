@@ -9,9 +9,9 @@ _nonminimal, on rows against rows of smaller degree).
 
 A candidate is a parent row with its own values on columns sigma (never
 the last); off sigma it equals its parent.  So the part off sigma is
-tested once per parent, and the sigma columns once per candidate.  With
-no sigma columns, as in the minimalization, each candidate is its own
-parent, whose test decides.
+tested once per parent, and the sigma columns once per candidate.  The
+minimalization's candidates are the parent rows themselves: sigma is
+empty and the lifts have no rows, so both callers take the same path.
 
 The dominators are tested a block of at most _BLOCK rows at a time,
 least last column first once they fill more than one block: those lie
@@ -20,20 +20,21 @@ later blocks.  ``check``, if given, is called before each block; a
 caller's budget check raises from it to stop a long query.  A block is
 held column-major (one row per column) and decided by one of two paths:
 
-- Broadcast, when the open candidates (with sigma columns, also their
-  parents) times the block's entries stay within _BROADCAST: one
-  broadcast comparison per part, a handful of numpy calls whatever the
-  column count.  numpy reduces across the rows of a small 3-d array
-  much faster than along its last axis, hence column-major.
+- Broadcast, when the open candidates and the parents times the
+  block's entries stay within _BROADCAST: one broadcast comparison per
+  part, a handful of numpy calls whatever the column count.  numpy
+  reduces across the rows of a small 3-d array much faster than along
+  its last axis, hence column-major.
 - Threshold tables otherwise: the block's tables off sigma and on sigma
-  are built once (_threshold_table).  Each chunk of at most _CHUNK
-  parents looks its part off sigma up in the first (_table_bits), which
-  gives each parent the bitset of the block rows below it off sigma; a
-  parent whose bitset is empty keeps all its candidates.  The
-  candidates of the others, _CHUNK at a time, start from their parent's
-  bitset and AND in their sigma columns' bitsets; nonzero means
-  dominated.  A lookup costs a few numpy calls however many rows the
-  chunk has, and ANDs 64 block rows per word operation.
+  are built once (_threshold_table; with sigma empty the second has no
+  columns).  Each chunk of at most _CHUNK parents gathers its part off
+  sigma and looks it up in the first (_table_bits), which gives each
+  parent the bitset of the block rows below it off sigma; a parent
+  whose bitset is empty keeps all its candidates.  The candidates of
+  the others, _CHUNK at a time, start from their parent's bitset and
+  AND in their sigma columns' bitsets (none when sigma is empty);
+  nonzero means dominated.  A lookup costs a few numpy calls however
+  many rows the chunk has, and ANDs 64 block rows per word operation.
 """
 
 from __future__ import annotations
@@ -86,13 +87,15 @@ def _threshold_table(columns: np.ndarray) -> _Table:
     searchsorted over all columns' keys.  So a column has at most
     (padded rows + 1), or (distinct values + 1), levels however large
     its values are, and the table's memory follows the block, not the
-    exponent range.  The bitsets are built a slice of levels at a time,
-    each slice's temporaries holding at most _SLICE bytes.
+    exponent range.  A block with no columns gives a table with no
+    levels, whose lookups leave their accumulator as it is.  The bitsets
+    are built a slice of levels at a time, each slice's temporaries
+    holding at most _SLICE bytes.
     """
     k, n = columns.shape
     words = -(-n // 64)
     top = columns.max(axis=1)
-    if top.max() < 64 * words:
+    if top.max(initial=-1) < 64 * words:
         counts = top + 2
         base = np.cumsum(counts) - top - 1
         col = np.repeat(np.arange(k), counts)
@@ -146,21 +149,19 @@ def _undominated(
     check: Callable[[], None] | None = None,
     idx: np.ndarray | None = None,
     lifts: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray | None]:
+) -> tuple[np.ndarray, np.ndarray]:
     """The candidates that lie above no dominator row, as (owner, lifts).
 
     Candidate i is the row ``parents[owner[i]]`` with its columns ``idx``
     (sigma) replaced by ``lifts[:, i]``, one row of lifts per sigma
-    column; without idx and lifts it is that parent row itself.
-    ``owner`` is nondecreasing, so each parent's candidates form one run.
-    The survivors come back in input order.
+    column; without idx and lifts, sigma is empty and it is that parent
+    row itself.  ``owner`` is nondecreasing, so each parent's candidates
+    form one run.  The survivors come back in input order.
     """
-    off = np.ones(parents.shape[1], dtype=bool)
     if lifts is None:
-        parts = parents.T
-    else:
-        off[idx] = False
-        parts = parents.T[off]
+        idx, lifts = [], np.empty((0, len(owner)), dtype=parents.dtype)
+    off = np.ones(parents.shape[1], dtype=bool)
+    off[idx] = False
     if len(doms) > _BLOCK:
         doms = doms[np.argsort(doms[:, -1], kind="stable")]
     for lo in range(0, len(doms), _BLOCK):
@@ -171,27 +172,19 @@ def _undominated(
         block = doms[lo : lo + _BLOCK]
         block_off = block.T[off]  # a copy (boolean index), so raising its last row is safe
         block_off[-1] += 1
-        if lifts is None and len(owner) * block.size <= _BROADCAST:
-            hit = (block_off[:, :, None] <= parts[:, None, owner]).all(axis=0).any(axis=0)
-        elif lifts is not None and (len(owner) + parts.shape[1]) * block.size <= _BROADCAST:
-            hit = (block_off[:, None] <= parts[:, :, None]).all(axis=0)[owner]
+        if (len(owner) + len(parents)) * block.size <= _BROADCAST:
+            hit = (block_off[:, None] <= parents.T[off][:, :, None]).all(axis=0)[owner]
             hit &= (block.T[idx][:, None] <= lifts[:, :, None]).all(axis=0)
             hit = hit.any(axis=1)
         else:
             off_table = _threshold_table(block_off)
-            hit = np.zeros(len(owner), dtype=bool)
-            if lifts is None:  # every candidate is its own parent, which decides
-                for c0 in range(0, len(owner), _CHUNK):
-                    bits = _table_bits(off_table, parts[:, owner[c0 : c0 + _CHUNK]])
-                    hit[c0 : c0 + _CHUNK] = bits.any(axis=1)
-                owner = owner[~hit]
-                continue
             sig_table = _threshold_table(block.T[idx])
+            hit = np.zeros(len(owner), dtype=bool)
             starts = np.flatnonzero(np.diff(owner, prepend=-1))
             runs = np.diff(starts, append=len(owner))
             for p0 in range(0, len(starts), _CHUNK):
                 first = starts[p0 : p0 + _CHUNK]
-                bits = _table_bits(off_table, parts[:, owner[first]])
+                bits = _table_bits(off_table, parents[owner[first]].T[off])
                 live = bits.any(axis=1)
                 if not live.any():
                     continue
@@ -205,8 +198,7 @@ def _undominated(
                     acc = _table_bits(sig_table, lifts[:, chunk], bits[slot[c0 : c0 + _CHUNK]])
                     hit[chunk] = acc.any(axis=1)
         owner = owner[~hit]
-        if lifts is not None:
-            lifts = lifts[:, ~hit]
+        lifts = lifts[:, ~hit]
     return owner, lifts
 
 
@@ -215,8 +207,8 @@ def _nonminimal(rows: np.ndarray, check: Callable[[], None] | None = None) -> np
 
     A row can lie above only rows of strictly smaller last column, which
     come before it.  The rows are split into blocks of _BLOCK; each
-    block's still-kept rows are the dominators of one query, with no
-    sigma columns, of the still-kept rows of larger last column.  Rows
+    block's still-kept rows are the dominators of one query, with an
+    empty sigma, of the still-kept rows of larger last column.  Rows
     found dominated later in the same block still act as dominators,
     which cannot change the answer: whatever lies above them lies above
     the rows below them.

@@ -67,19 +67,17 @@ EXIT_RESOURCE = 4
 def _budget(args) -> Budget:
     """The Budget of a long command, from its limit flags.
 
-    The time cap starts counting here, before the input is loaded.
+    The time cap starts counting here, before the input is loaded.  A
+    command without --generator-cap (nothing it runs counts candidate
+    rows) gets the default cap.
     """
-    if args.generator_cap < 1:
+    cap, tcap = getattr(args, "generator_cap", DEFAULT_GENERATOR_CAP), args.time_cap
+    if cap < 1:
         raise ValueError("generator cap must be positive")
-    return Budget(args.generator_cap, _deadline(args), _progress_printer(args.progress_interval))
-
-
-def _deadline(args) -> float | None:
-    """The monotonic deadline of --time-cap; None without it."""
-    tcap = args.time_cap
     if tcap is not None and not 0 < tcap < math.inf:
         raise ValueError(f"time cap must be positive and finite, not {tcap}")
-    return None if tcap is None else time.monotonic() + tcap
+    deadline = None if tcap is None else time.monotonic() + tcap
+    return Budget(cap, deadline, _progress_printer(args.progress_interval))
 
 
 def _progress_printer(interval: float):
@@ -184,7 +182,7 @@ def cmd_complement(args) -> int:
 
 
 def cmd_coverability(args) -> int:
-    budget = Budget(deadline=_deadline(args))
+    budget = _budget(args)
     _, H = _load_design_or_hypergraph(args.input)
     if args.chromatic:
         try:
@@ -338,28 +336,26 @@ def cmd_reproduce(args) -> int:
     return EXIT_OK if passed == len(rows) else 1
 
 
-def _add_limits(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--generator-cap",
-        type=int,
-        default=DEFAULT_GENERATOR_CAP,
-        help="abort with a partial report beyond this many generators (default: %(default)s)",
-    )
-    _add_time_cap(p)
-    p.add_argument(
-        "--progress-interval",
-        type=float,
-        default=0.0,
-        help="seconds between stderr progress lines (0 disables)",
-    )
-
-
-def _add_time_cap(p: argparse.ArgumentParser) -> None:
+def _add_limits(p: argparse.ArgumentParser, generator_cap: bool = True) -> None:
+    """The limit flags of a long command; --generator-cap only where a loop counts rows."""
+    if generator_cap:
+        p.add_argument(
+            "--generator-cap",
+            type=int,
+            default=DEFAULT_GENERATOR_CAP,
+            help="abort with a partial report beyond this many generators (default: %(default)s)",
+        )
     p.add_argument(
         "--time-cap",
         type=float,
         default=None,
         help="wall-clock budget in seconds (default: none)",
+    )
+    p.add_argument(
+        "--progress-interval",
+        type=float,
+        default=0.0,
+        help="seconds between stderr progress lines (0 disables)",
     )
 
 
@@ -396,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--cover", type=int, metavar="C", help="partition meeting every edge")
     g.add_argument("--colour", type=int, metavar="M", help="weak colouring with M classes")
     g.add_argument("--chromatic", action="store_true", help="compute the chromatic number")
-    _add_time_cap(p)
+    _add_limits(p, generator_cap=False)
     p.set_defaults(fn=cmd_coverability)
 
     p = sub.add_parser("symbolic", help="minimal generators of a symbolic power")
@@ -411,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("alpha", help="initial degree table and Waldschmidt bounds")
     _add_source(p)
     p.add_argument("-M", "--max-m", type=int, required=True, help="table up to this m")
-    _add_limits(p)
+    _add_limits(p, generator_cap=False)
     p.set_defaults(fn=cmd_alpha)
 
     p = sub.add_parser("containment", help="decide I^(m) <= M^slack * I^r")

@@ -291,6 +291,14 @@ def member_of_power(
     that divide it, in that order.  The open nodes are held on an
     explicit stack, so r is not bounded by Python's recursion limit.
 
+    On an I that is not squarefree, a node is also cut when fewer picks
+    fit than are left: let e_i be the least positive exponent of x_i
+    over the generators; each pick spends at least e_i of some x_i, so
+    at most the sum of residual_i // e_i picks fit.  The cut is skipped
+    on a squarefree I, the unit ideal among them: there every e_i is 1,
+    and the degree test implies the cut when every variable occurs in a
+    generator.
+
     The budget is checked at every search node (stage "membership-scan",
     reporting ``partial``).  ``partial`` is reported as given, {} by
     default: the stage's documented keys are the ones the containment
@@ -306,6 +314,9 @@ def member_of_power(
         return False
     rows = I.rows[::-1]
     min_deg = I.min_degree()
+    least = None
+    if rows.max() > 1:  # e_i, or above any residual where no generator has x_i
+        least = np.where(rows > 0, rows, EXPONENT_LIMIT + 1).min(axis=0)
     budget, partial = budget or Budget(), partial or {}
     failed: set[tuple] = set()
     # one entry per open node: its failure key, residual, picks left and
@@ -314,7 +325,9 @@ def member_of_power(
     residual, rem, start = np.array(w.exponents, dtype=np.int64), r, 0
     while True:
         budget.check("membership-scan", partial)
-        if int(residual.sum()) >= rem * min_deg + slack:
+        if int(residual.sum()) >= rem * min_deg + slack and (
+            least is None or int((residual // least).sum()) >= rem
+        ):
             if rem == 0:
                 return True
             key = (residual.tobytes(), rem, start)

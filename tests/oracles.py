@@ -255,7 +255,7 @@ def fold_step(todo, idx, deficits, doms):
     are dropped.  Returns the surviving lifts in canonical order.
 
     The drop runs the kernel's own block loop (bitsets._undominated,
-    each lift its own parent, with no sigma columns), so this reference
+    each lift its own parent, with an empty sigma), so this reference
     checks the lifting, the split of the test and the deduplication, not
     the query itself; the tests check that against a plain-Python filter.
     """

@@ -1,5 +1,6 @@
 """End-to-end CLI tests: JSON output, exit codes, determinism."""
 
+import argparse
 import dataclasses
 import enum
 import json
@@ -25,7 +26,7 @@ from steinerideals import (
 import steinerideals
 from steinerideals import containment, symbolic
 from steinerideals.claims import claim_ids, run_claims
-from steinerideals.cli import main
+from steinerideals.cli import build_parser, main
 from steinerideals.designs import FANO_BLOCKS
 
 import oracles
@@ -346,6 +347,7 @@ def _progress_stages(err):
             ("containment", "builtin:fano", "--source", "cover", "3", "2"),
             {"symbolic-power", "initial-degree", "membership-scan", "witness-enumeration"},
         ),
+        (("coverability", "builtin:fano", "--chromatic"), {"partition-search"}),
     ],
 )
 def test_progress_lines_come_from_every_long_loop(capsys, argv, stages):
@@ -356,8 +358,33 @@ def test_progress_lines_come_from_every_long_loop(capsys, argv, stages):
     code, out_progress, err = run(capsys, *argv, "--progress-interval", "1e-9")
     assert code == 0 and _progress_stages(err) == stages
     assert without_timing(json.loads(out_progress)) == without_timing(json.loads(out))
-    if argv[0] == "alpha":
+    if argv[0] in ("alpha", "coverability"):
         assert out_progress == out
+
+
+def test_limit_flags_sit_on_the_long_commands():
+    # every long command takes --time-cap and --progress-interval, and
+    # --generator-cap only where a loop counts candidate rows (a fold
+    # step or an ordinary-power multiply); no other command takes them
+    long_commands = {"symbolic", "alpha", "containment", "scan", "conjectures", "coverability"}
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {name: set(p._option_string_actions) for name, p in sub.choices.items()}
+    for flag in ("--time-cap", "--progress-interval"):
+        assert {name for name, opts in options.items() if flag in opts} == long_commands, flag
+    assert {name for name, opts in options.items() if "--generator-cap" in opts} == {
+        "symbolic", "containment", "scan", "conjectures"
+    }
+
+
+def test_alpha_takes_no_generator_cap(capsys):
+    # no loop under alpha counts candidate rows, so the flag would do nothing
+    argv = ["alpha", "builtin:fano", "--source", "complement", "-M", "2"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--generator-cap", "1"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert "unrecognized arguments: --generator-cap 1" in captured.err
 
 
 def test_exponent_past_the_limit_exits_2(capsys, tmp_path):

@@ -316,6 +316,21 @@ def test_threshold_table_lookups_and_levels(monkeypatch):
             assert not _table_bits(table, looked.T, acc).any() and not acc.any()
 
 
+def test_threshold_table_of_a_block_with_no_columns():
+    # The empty-sigma case of the dominance query: a block with no
+    # columns gives a table with no bitset rows, and a lookup of no
+    # columns returns its accumulator unchanged, whatever it holds.
+    rng = np.random.default_rng(79)
+    for n in (1, 63, 64, 65, 130):
+        table = _threshold_table(np.zeros((0, n), dtype=np.int64))
+        words = -(-n // 64)
+        assert table.bits.shape == (0, words)
+        acc = rng.integers(0, 1 << 62, size=(9, words)).astype(np.uint64)
+        before = acc.copy()
+        assert _table_bits(table, np.zeros((0, 9), dtype=np.int64), acc) is acc
+        assert np.array_equal(acc, before)
+
+
 def test_canonical_order_paths_agree(monkeypatch):
     # The lexsort taken at or below _LEXSORT_ROWS rows and the packed-word
     # sort above it return the same stable indices: row counts around the
@@ -732,6 +747,30 @@ def test_member_of_power_past_the_recursion_limit():
         budget = CountingBudget()
         got = member_of_power(M(*w), I, r, slack, budget=budget, partial={"generators_checked": 1})
         assert got == want and budget.nodes == nodes, (w, slack)
+
+
+def test_member_of_power_cuts_when_too_few_picks_fit():
+    # I = (x^2, y) and w = x^(2a+1) * y^(b-1) with a + b = r: deg w >= r
+    # passes the degree test, but at most floor((2a+1)/2) + (b-1) = r - 1
+    # picks fit, so the search is refuted at its root.  Without that cut
+    # every split of the picks into x^2's and y's leaves a new residual,
+    # about r^2/4 nodes.  One more y makes w a member.
+    class CountingBudget(Budget):
+        nodes = 0
+
+        def check(self, stage, partial, candidate=0):
+            self.nodes += 1
+
+    I = MonomialIdeal.from_rows(2, [[2, 0], [0, 1]])
+    for r in (1, 2, 7, 400):
+        for a in sorted({0, r // 2, r - 1}):
+            budget = CountingBudget()
+            assert not member_of_power(M(2 * a + 1, r - a - 1), I, r, budget=budget)
+            assert budget.nodes == 1, (r, a)
+            assert member_of_power(M(2 * a + 1, r - a), I, r)
+    # the unit ideal takes any number of picks of 1
+    U = MonomialIdeal.from_rows(2, [[0, 0]])
+    assert member_of_power(M(0, 0), U, 400) and member_of_power(M(3, 0), U, 5, slack=3)
 
 
 def test_member_of_power_edge_cases():
