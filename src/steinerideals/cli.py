@@ -193,16 +193,11 @@ def cmd_coverability(args) -> int:
         _emit({"query": "chromatic", "chromatic_number": chi})
         return EXIT_OK
     if args.cover is not None:
-        part = is_coverable(H, args.cover, budget=budget)
-        doc = {"query": "cover", "c": args.cover, "coverable": part is not None}
-        if part is not None:
-            doc["classes"] = [list(c) for c in part.classes]
-        else:
-            doc["exhaustive"] = True
-        _emit(doc)
-        return EXIT_OK
-    part = is_colourable(H, args.colour, budget=budget)
-    doc = {"query": "colour", "m": args.colour, "colourable": part is not None}
+        query, key, count, answer, search = "cover", "c", args.cover, "coverable", is_coverable
+    else:
+        query, key, count, answer, search = "colour", "m", args.colour, "colourable", is_colourable
+    part = search(H, count, budget=budget)
+    doc = {"query": query, key: count, answer: part is not None}
     if part is not None:
         doc["classes"] = [list(c) for c in part.classes]
     else:

@@ -5,16 +5,16 @@ A Steiner system S(t, n, v) is a collection of n-subsets (blocks) of
 A hypergraph here is a finite vertex set {1, ..., v} together with a set
 of edges whose union is the whole vertex set.
 
-Two partition notions are implemented, both exact:
+Two partition notions are decided by one exact search, as one rule:
+every edge meets at least ``need`` classes.
 
-* weak m-colouring: a partition into at most m nonempty classes with no
-  edge contained in a single class;
-* c-coverability: a partition into exactly c nonempty classes such that
-  every edge meets every class.
+* weak m-colouring: at most m nonempty classes and need = 2 (no edge
+  lies in a single class);
+* c-coverability: exactly c nonempty classes and need = c (every edge
+  meets every class).
 
-Every c-coverable hypergraph is weakly c-colourable (an edge meeting all
-c classes of a partition with c >= 2 cannot be monochromatic), and the
-searches below are complete, so a None answer is a proof of nonexistence.
+Every c-coverable hypergraph with c >= 2 is weakly c-colourable, and the
+search is complete, so a None answer is a proof of nonexistence.
 """
 
 from __future__ import annotations
@@ -241,50 +241,49 @@ class Partition:
 def _search_partition(
     H: Hypergraph, k: int, mode: str, budget: Budget | None = None
 ) -> Partition | None:
-    """Complete DFS over restricted-growth class assignments.
+    """Complete DFS over restricted-growth labellings; every edge must meet ``need`` classes.
 
-    mode "colour": reject any fully assigned monochromatic edge.
-    mode "cover": every edge must meet all k classes (checked incrementally
-    via the pigeonhole bound: classes an edge still misses cannot exceed
-    its unassigned vertices).
+    ``need`` is 2 for a weak colouring (mode "colour") and k for a k-cover
+    (mode "cover"); ``mode`` also names the partial.  Vertices are
+    labelled in natural order, so when u at position i of edge e takes
+    label c, e[:i] is labelled and ``after = len(e) - 1 - i`` vertices are
+    free: e fails iff ``need - |labels(e[:i]) | {c}| > after``, which can
+    only happen at its last ``need - 1`` vertices.
 
-    Vertices are assigned in natural order and labels are tried from 1
-    upward, so the first complete assignment found has the
-    lexicographically smallest label vector: it is the deterministic
-    witness reported everywhere.  Returns it as a Partition, or None
-    after exhausting the space.  The label vector itself is the path
-    from the root, so the vertex count is not bounded by Python's
-    recursion limit.  The budget is checked at every search node (stage
-    "partition-search"; ``nodes`` counts the nodes this search visited).
+    Labels are tried from 1 upward, so the first complete labelling found
+    has the lexicographically smallest label vector: it is the
+    deterministic witness reported everywhere.  Returns it as a
+    Partition, or None after exhausting the space.  The label vector
+    itself is the path from the root, so the vertex count is not bounded
+    by Python's recursion limit.  The budget is checked at every search
+    node (stage "partition-search"; ``nodes`` counts the nodes this
+    search visited).
     """
     budget = budget or Budget()
     partial = {"mode": mode, "classes": k, "nodes": 0}
+    need = 2 if mode == "colour" else k
     v = H.vertex_count
-    edges0 = [tuple(x - 1 for x in e) for e in H.edges]
-    member_edges: list[list[int]] = [[] for _ in range(v)]
-    for ei, e in enumerate(edges0):
-        for u in e:
-            member_edges[u].append(ei)
+    # tests[u]: (e[:i], after) for every edge e with u = e[i] among its
+    # last need - 1 vertices
+    tests: list[list[tuple[Edge, int]]] = [[] for _ in range(v)]
+    for e in H.edges:
+        e0 = tuple(x - 1 for x in e)
+        for i in range(max(0, len(e0) - need + 1), len(e0)):
+            tests[e0[i]].append((e0[:i], len(e0) - 1 - i))
     assign = [0] * v  # 0 = unassigned, labels 1..k
     used = [0] * (v + 1)  # used[u]: classes opened by vertices 0..u-1
+    label = assign.__getitem__
 
+    # Cover mode needs no cut where the opened classes and the free
+    # vertices fall short of k (used[u] + v - u < k): every label at u
+    # then fails each edge through u, as need - |labels| >= k - used[u] - 1
+    # > v - u - 1 >= after, so the search backtracks at that same node.
+    # A complete labelling passed every edge's last vertex, so in cover
+    # mode it opened all k classes.
     def ok(u: int, c: int) -> bool:
-        for ei in member_edges[u]:
-            e = edges0[ei]
-            labels = set()
-            unassigned = 0
-            for w in e:
-                lab = c if w == u else assign[w]
-                if lab == 0:
-                    unassigned += 1
-                else:
-                    labels.add(lab)
-            if mode == "colour":
-                if unassigned == 0 and len(labels) == 1:
-                    return False
-            else:
-                if k - len(labels) > unassigned:
-                    return False
+        for head, after in tests[u]:
+            if need - len({c, *map(label, head)}) > after:
+                return False
         return True
 
     u = 0
@@ -292,9 +291,7 @@ def _search_partition(
         # a search node: vertices 0..u-1 are assigned
         partial["nodes"] += 1
         budget.check("partition-search", partial)
-        if mode == "cover" and used[u] + v - u < k:
-            u -= 1  # cover mode can no longer open all k classes
-        elif u == v:
+        if u == v:
             return Partition.from_assignment(assign)
         # the next node: the next label that fits at the deepest vertex
         # that has one (from label 1 at a vertex just reached)
@@ -326,7 +323,7 @@ def is_coverable(H: Hypergraph, c: int, *, budget: Budget | None = None) -> Part
         raise ValueError("c must be >= 1")
     if c == 1:
         return Partition((tuple(range(1, H.vertex_count + 1)),))
-    if c > H.vertex_count or min_edge_size(H) < c:
+    if min_edge_size(H) < c:
         return None  # an edge with fewer than c vertices cannot meet c classes
     return _search_partition(H, c, "cover", budget)
 

@@ -24,10 +24,10 @@ from .bitsets import _nonminimal
 from .budget import Budget
 from .errors import FormatError, MixedAmbient
 
-# Exponents up to 2^20 and at most 2^20 fold steps keep any sum below
-# 2^41, far inside int64.
+# Every stored exponent is at most 2^20, so the sum of two stored rows,
+# a multiply product, stays below 2^21, far inside int64; a product
+# above the limit is refused when it is stored.
 EXPONENT_LIMIT = 1 << 20
-_FOLD_LIMIT = 1 << 20
 
 
 @dataclass(frozen=True, order=True)
@@ -241,8 +241,6 @@ def multiply(
     if J.is_unit:
         return I
     A, B = I.rows, J.rows
-    if int(A.max()) + int(B.max()) > EXPONENT_LIMIT * _FOLD_LIMIT:
-        raise OverflowError("product exponents exceed supported range")
     budget, partial = budget or Budget(), partial or {}
     budget.check("ordinary-power", partial, len(A) * len(B))
     rows = (A[:, None, :] + B[None, :, :]).reshape(-1, I.variable_count)
@@ -260,8 +258,8 @@ def power(I: MonomialIdeal, r: int, *, budget: Budget | None = None) -> Monomial
     """
     if r < 0:
         raise ValueError("power exponent must be >= 0")
-    if r > _FOLD_LIMIT:
-        raise OverflowError(f"power exponent {r} exceeds limit {_FOLD_LIMIT}")
+    if r > EXPONENT_LIMIT:
+        raise OverflowError(f"power exponent {r} exceeds limit {EXPONENT_LIMIT}")
     if r == 0:
         return MonomialIdeal.unit(I.variable_count)
     out = I

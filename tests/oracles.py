@@ -14,7 +14,7 @@ from random import Random
 
 import numpy as np
 
-from steinerideals import Hypergraph, MonomialIdeal, validate_steiner
+from steinerideals import Budget, Hypergraph, MonomialIdeal, Partition, validate_steiner
 from steinerideals.fold import _compositions
 from steinerideals.bitsets import _undominated
 from steinerideals.monomials import _canonical_order, _distinct
@@ -178,6 +178,72 @@ def pg23():
 def pg24():
     """PG(2,4) = S(2,5,21): the difference set {3,6,7,12,14} developed mod 21."""
     return _cyclic_design(21, 5, ((3, 6, 7, 12, 14),))
+
+
+def pg42():
+    """PG(4,2) = STS(31): the lines {a, b, a ^ b} of GF(2)^5, points the nonzero vectors."""
+    lines = {tuple(sorted((a, b, a ^ b))) for a in range(1, 32) for b in range(1, 32) if a != b}
+    return validate_steiner(31, 3, 2, sorted(lines))
+
+
+def search_partition(H: Hypergraph, k: int, mode: str, budget: Budget) -> Partition | None:
+    """Reference partition search: each trial label rescans every edge through its vertex.
+
+    Same contract, same tree and same budget checks as
+    ``designs._search_partition``, with each mode's own edge test: mode
+    "colour" rejects a fully labelled monochromatic edge, mode "cover"
+    an edge that misses more classes than it has unlabelled vertices.
+    Cover mode also backtracks at a node whose opened classes and free
+    vertices together fall short of k.
+    """
+    partial = {"mode": mode, "classes": k, "nodes": 0}
+    v = H.vertex_count
+    edges0 = [tuple(x - 1 for x in e) for e in H.edges]
+    member_edges: list[list[int]] = [[] for _ in range(v)]
+    for ei, e in enumerate(edges0):
+        for u in e:
+            member_edges[u].append(ei)
+    assign = [0] * v
+    used = [0] * (v + 1)
+
+    def ok(u: int, c: int) -> bool:
+        for ei in member_edges[u]:
+            labels = set()
+            unassigned = 0
+            for w in edges0[ei]:
+                lab = c if w == u else assign[w]
+                if lab == 0:
+                    unassigned += 1
+                else:
+                    labels.add(lab)
+            if mode == "colour":
+                if unassigned == 0 and len(labels) == 1:
+                    return False
+            elif k - len(labels) > unassigned:
+                return False
+        return True
+
+    u = 0
+    while True:
+        partial["nodes"] += 1
+        budget.check("partition-search", partial)
+        if mode == "cover" and used[u] + v - u < k:
+            u -= 1
+        elif u == v:
+            return Partition.from_assignment(assign)
+        while u >= 0:
+            c, top = assign[u] + 1, min(k, used[u] + 1)
+            while c <= top and not ok(u, c):
+                c += 1
+            if c <= top:
+                assign[u] = c
+                break
+            assign[u] = 0
+            u -= 1
+        else:
+            return None
+        used[u + 1] = max(used[u], assign[u])
+        u += 1
 
 
 def search_total(P, m: int, degree: int, collect: bool):

@@ -7,6 +7,7 @@ import traceback
 from fractions import Fraction
 from pathlib import Path
 from random import Random
+from types import SimpleNamespace
 
 import pytest
 
@@ -631,6 +632,36 @@ def test_the_engine_audits_every_initial_degree_of_a_complement(monkeypatch):
             call(ContainmentEngine(complement_ideal(builtin_fano())))
     for call in calls:
         call(ContainmentEngine(cover_ideal(builtin_fano().hypergraph())))
+
+
+def test_the_engine_audits_each_symbolic_power_against_its_initial_degree(monkeypatch):
+    # a search whose alpha is one above the fold's least degree is caught
+    real = containment.initial_degree
+    engine = ContainmentEngine(cover_ideal(builtin_fano().hypergraph()))
+    assert engine.symbolic(1).min_degree() == engine.alpha(1)
+    monkeypatch.setattr(containment, "initial_degree", lambda *a, **k: real(*a, **k) + 1)
+    with pytest.raises(InternalInconsistency, match="m=2: min generator degree 6 != bound-and-search alpha 7"):
+        engine.symbolic(2)
+
+
+def test_the_omega_audit_builds_the_ordinary_power(monkeypatch):
+    # an ordinary power one factor too high has the wrong top degree
+    real = containment.power
+    engine = ContainmentEngine(cover_ideal(builtin_fano().hypergraph()))
+    assert engine.omega_r(2, audit=True) == 6
+    monkeypatch.setattr(containment, "power", lambda I, r, **k: real(I, r + 1, **k))
+    engine = ContainmentEngine(cover_ideal(builtin_fano().hypergraph()))
+    with pytest.raises(InternalInconsistency, match=r"omega\(I\^2\) = 9 disagrees with r \* omega\(I\) = 6"):
+        engine.omega_r(2, audit=True)
+
+
+def test_resurgence_search_refuses_a_failure_after_a_hold():
+    # I^(m) shrinks as m grows, so a column that holds at m = 2 cannot
+    # fail at m = 3
+    engine = ContainmentEngine(cover_ideal(builtin_fano().hypergraph()))
+    engine.check = lambda m, r, slack: SimpleNamespace(m=m, r=r, holds=m == 2)
+    with pytest.raises(InternalInconsistency, match="failed at m=3, r=1 after holding"):
+        resurgence_search(engine, 3, 1)
 
 
 # resurgence

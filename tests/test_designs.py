@@ -252,6 +252,36 @@ def test_partition_searches_match_brute_force():
                 _check_colour(H, col, k)
 
 
+def _searched(search, H, k, mode):
+    """The search's answer and the last ``nodes`` its budget checks report."""
+    seen = {}
+    found = search(H, k, mode, Budget(progress=lambda stage, partial: seen.update(partial)))
+    return found, seen["nodes"]
+
+
+def test_partition_search_matches_the_reference_search_node_for_node():
+    # the one per-edge test prunes exactly where the reference's full
+    # edge rescans and its cover-only class cut do, so both walk one tree
+    rng = Random(20261019)
+    ladder = (builtin_fano, builtin_sqs8, oracles.ag23, oracles.cyclic_sts13, oracles.pg23, oracles.pg24)
+    graphs = [design().hypergraph() for design in ladder]
+    graphs += [oracles.random_hypergraph(rng, max_vertices=rng.choice((8, 12))) for _ in range(400)]
+    for H in graphs:
+        for mode in ("colour", "cover"):
+            for k in range(1, 5):
+                assert _searched(designs._search_partition, H, k, mode) == _searched(
+                    oracles.search_partition, H, k, mode
+                ), (H, k, mode)
+
+
+@pytest.mark.slow
+def test_partition_search_matches_the_reference_on_sts31():
+    # the 3-colouring of PG(4,2) = STS(31) is refuted after 181,933 nodes
+    H = oracles.pg42().hypergraph()
+    ours = _searched(designs._search_partition, H, 3, "colour")
+    assert ours == _searched(oracles.search_partition, H, 3, "colour") == (None, 181933)
+
+
 def test_chromatic_number_monotone_under_edge_removal():
     rng = Random(7)
     for _ in range(25):

@@ -573,6 +573,16 @@ def test_power_basics():
         power(I, -1)
 
 
+def test_multiply_refuses_a_product_above_the_exponent_limit():
+    # the factors are within the limit, so only the product's row is refused
+    I = MonomialIdeal.from_rows(2, [[EXPONENT_LIMIT, 0]])
+    J = MonomialIdeal.from_rows(2, [[1, 0], [0, 1]])
+    with pytest.raises(OverflowError, match="exponent 1048577 exceeds limit 1048576"):
+        multiply(I, J)
+    with pytest.raises(OverflowError, match="power exponent 1048577 exceeds limit 1048576"):
+        power(J, EXPONENT_LIMIT + 1)
+
+
 def test_power_checks_the_budget_before_each_multiply_step():
     I = MonomialIdeal.from_rows(2, [[1, 0], [0, 2]])
     expired = Budget(deadline=time.monotonic() - 1.0)
