@@ -1,11 +1,20 @@
-"""The dominance query: which candidate rows lie above no dominator row.
+"""The row kernels: every loop over blocks of exponent rows.
 
-A dominator d lies below a candidate x when d[j] <= x[j] in every column
-but the last and d[-1] < x[-1], tested as d[-1] + 1 <= x[-1].
-_undominated answers it for the symbolic-power fold
-(fold._surviving_lifts, on the lifts of a step's deficient rows) and for
-the minimalization behind multiply (monomials._minimal_rows through
-_nonminimal, on rows against rows of smaller degree).
+This leaf module imports no package module.  It owns the row layout,
+the block-size constants and each caller's contract with the one
+dominance query, _undominated: which candidate rows lie above no
+dominator row.  A dominator d lies below a candidate x when d[j] <=
+x[j] in every column but the last and d[-1] < x[-1], tested as
+d[-1] + 1 <= x[-1].  The last column is the caller's:
+
+- _minimal_rows (behind MonomialIdeal.from_rows and multiply) appends
+  the degree, and queries the distinct rows in canonical order
+  (_canonical_order: degree ascending, then tuple descending, which
+  fixes every first-reported witness) against rows of smaller degree;
+- _surviving_lifts (one step of symbolic_power's fold) carries the
+  degree off sigma, which a lift shares with its parent, and queries a
+  step's lifts against the running antichain's rows of sigma-degree
+  <= m.
 
 A candidate is a parent row with its own values on columns sigma (never
 the last); off sigma it equals its parent.  So the part off sigma is
@@ -39,6 +48,8 @@ held column-major (one row per column) and decided by one of two paths:
 
 from __future__ import annotations
 
+import itertools
+from functools import cache
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -57,6 +68,58 @@ _BROADCAST = 1 << 15
 # Each temporary of a table build or lookup holds at most _SLICE bits or
 # bytes, as large as one block x chunk test.
 _SLICE = _BLOCK * _CHUNK
+# At or below this many rows _canonical_order sorts with one np.lexsort
+# over the row's columns; above it, with the packed words.
+_LEXSORT_ROWS = 128
+
+
+def _canonical_order(rows: np.ndarray) -> np.ndarray:
+    """Indices sorting rows by degree ascending, then tuple descending.
+
+    Both paths sort stably, so equal rows keep their input order, and
+    they return the same indices; the row count picks the cheaper one.
+    Up to _LEXSORT_ROWS rows, one np.lexsort over the keys (the degree,
+    then -row[j] for each column j) costs a few calls, while the packed
+    path pays a few calls per column whatever the row count.  Above it,
+    the sort keys (the degree, then top - row[j] for each column j, top
+    the largest entry) are packed, most significant first, into as few
+    nonnegative int64 words as they fit in, and one stable sort orders
+    the words: a lexsort over every column costs one sort pass per
+    column, which the packed words save once the rows are many.
+    """
+    if len(rows) == 0:
+        return np.arange(0)
+    deg = rows.sum(axis=1)
+    if len(rows) <= _LEXSORT_ROWS:
+        return np.lexsort(np.vstack([-rows.T[::-1], deg[None]]))
+    top = int(rows.max())
+    width = max(top.bit_length(), 1)
+    words = [deg]
+    used = max(int(deg.max()).bit_length(), 1)
+    for j in range(rows.shape[1]):
+        if used + width > 63:
+            words.append(np.zeros(len(rows), dtype=np.int64))
+            used = 0
+        words[-1] = (words[-1] << width) | (top - rows[:, j])
+        used += width
+    if len(words) == 1:
+        return np.argsort(words[0], kind="stable")
+    return np.lexsort(words[::-1])
+
+
+def _distinct(rows: np.ndarray) -> np.ndarray:
+    """Indices of the distinct rows, in canonical order.
+
+    The canonical sort puts equal rows side by side, so duplicates drop
+    by comparing neighbours.  Returning indices keeps the sorted copy
+    short-lived: a caller that rebinds ``rows = rows[_distinct(rows)]``
+    holds at most two copies of the rows at a time.
+    """
+    order = _canonical_order(rows)
+    srt = rows[order]
+    fresh = np.ones(len(rows), dtype=bool)
+    fresh[1:] = (srt[1:] != srt[:-1]).any(axis=1)
+    return order[fresh]
 
 
 class _Table(NamedTuple):
@@ -202,26 +265,97 @@ def _undominated(
     return owner, lifts
 
 
-def _nonminimal(rows: np.ndarray, check: Callable[[], None] | None = None) -> np.ndarray:
-    """Mask of the rows that lie above another row, rows sorted by their last column.
+def _minimal_rows(rows: np.ndarray, check: Callable[[], None] | None = None) -> np.ndarray:
+    """Minimal rows under componentwise <=, canonically ordered.
 
-    A row can lie above only rows of strictly smaller last column, which
-    come before it.  The rows are split into blocks of _BLOCK; each
-    block's still-kept rows are the dominators of one query, with an
-    empty sigma, of the still-kept rows of larger last column.  Rows
-    found dominated later in the same block still act as dominators,
-    which cannot change the answer: whatever lies above them lies above
-    the rows below them.
+    After _distinct, two distinct rows x <= c have deg x < deg c, so a
+    row is dominated iff a row of strictly smaller degree, hence earlier
+    in canonical order, is <= it: the query with the degree as the
+    strictly compared last column.  The rows are split into blocks of
+    _BLOCK; each block's still-kept rows are the dominators of one
+    query, with an empty sigma, of the still-kept rows of larger degree.
+    Rows found dominated later in the same block still act as
+    dominators, which cannot change the answer: whatever lies above
+    them lies above the rows below them.
+
+    ``check``, if given, is called before each dominator block; a
+    caller's budget check raises from it to stop a long minimalization.
     """
-    last = np.ascontiguousarray(rows[:, -1])
+    if len(rows) == 0:
+        return rows.reshape(0, rows.shape[1])
+    rows = rows[_distinct(rows)]
+    deg = rows.sum(axis=1)
+    ext = np.column_stack([rows, deg])
     dropped = np.zeros(len(rows), dtype=bool)
     for lo in range(0, len(rows), _BLOCK):
-        first = np.searchsorted(last, last[lo], side="right")
+        first = np.searchsorted(deg, deg[lo], side="right")
         open_ = first + np.flatnonzero(~dropped[first:])
         if len(open_) == 0:
             break
-        block = rows[lo : lo + _BLOCK][~dropped[lo : lo + _BLOCK]]
-        kept, _ = _undominated(rows, open_, block, check)
+        block = ext[lo : lo + _BLOCK][~dropped[lo : lo + _BLOCK]]
+        kept, _ = _undominated(ext, open_, block, check)
         dropped[open_] = True
         dropped[kept] = False
-    return dropped
+    return rows[~dropped]
+
+
+@cache
+def _compositions(total: int, parts: int) -> np.ndarray:
+    """All weak compositions of total into parts, as read-only int64 rows."""
+    rows = []
+    for cut in itertools.combinations(range(total + parts - 1), parts - 1):
+        prev = -1
+        comp = []
+        for c in cut:
+            comp.append(c - prev - 1)
+            prev = c
+        comp.append(total + parts - 2 - prev)
+        rows.append(comp)
+    rows = np.array(rows, dtype=np.int64)
+    rows.flags.writeable = False
+    return rows
+
+
+def _surviving_lifts(
+    todo: np.ndarray,
+    idx: np.ndarray,
+    deficits: np.ndarray,
+    doms: np.ndarray,
+    check: Callable[[], None] | None = None,
+) -> np.ndarray:
+    """The distinct lifts of the todo rows that lie above no dominator row.
+
+    A todo row g with deficit d lifts to g + c for every weak
+    composition c of d over the columns ``idx`` (sigma).  The last
+    column of ``todo`` and ``doms`` is the degree off sigma, which a
+    lift shares with its parent.  A lift x is dropped iff some dominator
+    row d has d <= x in every column but the last and d[-1] < x[-1].
+    The lifts are held as their sigma columns and their parent's index,
+    _undominated tests each parent off sigma once and each lift on sigma
+    only (``check`` is its per-block budget check), and full rows are
+    built only for the survivors.  These come back in no fixed order,
+    deduplicated unless they all have one parent, whose lifts are
+    distinct already.
+    """
+    counts = np.bincount(deficits).tolist()
+    present = [d for d, c in enumerate(counts) if c]
+    if len(present) > 1:
+        # parents grouped by deficit, so each group's lifts are one sum
+        todo = todo[np.argsort(deficits, kind="stable")]
+    # the lifts are column-major (one row per sigma column), as the query takes them
+    sig = todo.T[idx]
+    lifts, owner, lo = [], [], 0
+    for d in present:
+        comps = _compositions(d, len(idx)).T
+        hi = lo + counts[d]
+        lifts.append((sig[:, lo:hi, None] + comps[:, None, :]).reshape(len(idx), -1))
+        owner.append(np.arange(lo, hi).repeat(comps.shape[1]))
+        lo = hi
+    # each parent's lifts form one run of owner, which dropping lifts keeps
+    lifts = lifts[0] if len(present) == 1 else np.concatenate(lifts, axis=1)
+    owner = owner[0] if len(present) == 1 else np.concatenate(owner)
+    owner, lifts = _undominated(todo, owner, doms, check, idx, lifts)
+    out = todo[owner]
+    out[:, idx] = lifts.T
+    # lifts of different parents may coincide; one parent's never do
+    return out if len(owner) == 0 or owner[0] == owner[-1] else out[_distinct(out)]

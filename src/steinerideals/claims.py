@@ -17,7 +17,6 @@ import time
 from fractions import Fraction
 from typing import Callable
 
-from .budget import Budget
 from .containment import (
     ContainmentEngine,
     alpha_table,
@@ -94,21 +93,16 @@ def _waldschmidt_sqs8(engines: Engines):
     return ok, f"alpha={got} upper={table.waldschmidt_upper} attained={table.attained_at()}"
 
 
-@_claim("hh-fano", "Fano complement: I^(3) in M^3*I holds; I^(6) in M^6*I^2 under a 10 min budget")
+@_claim("hh-fano", "Fano complement: I^(3) in M^3*I holds; I^(6) in M^6*I^2")
 def _hh_fano(engines: Engines):
     engine = engines("fano", "complement")
-    # the shared engine runs these two checks under their own deadline
-    shared, engine.budget = engine.budget, Budget(deadline=time.monotonic() + 600)
+    r1 = engine.check(3, 1, 3)
+    if not r1.holds:
+        return False, f"r=1 I^(3) in M^3*I failed, witness {r1.witness}"
     try:
-        r1 = engine.check(3, 1, 3)
-        if not r1.holds:
-            return False, f"r=1 I^(3) in M^3*I failed, witness {r1.witness}"
-        try:
-            r2 = engine.check(6, 2, 6)
-        except ResourceLimit as exc:
-            return False, f"r=1 holds; r=2 not computed, resource limit with partial {exc.partial}"
-    finally:
-        engine.budget = shared
+        r2 = engine.check(6, 2, 6)
+    except ResourceLimit as exc:
+        return False, f"r=1 holds; r=2 not computed, resource limit with partial {exc.partial}"
     if not r2.holds:
         return False, f"r=2 I^(6) in M^6*I^2 failed, witness {r2.witness}"
     return True, "r=1 and r=2 slack containments hold"

@@ -129,13 +129,13 @@ def _load_design_or_hypergraph(spec_str: str):
     return S, S.hypergraph()
 
 
-def _decomposition(args):
-    """Build the requested PrimeDecomposition from CLI input."""
+def _decomposition(args, budget: Budget):
+    """Build the requested PrimeDecomposition from CLI input, under the command's budget."""
     S, H = _load_design_or_hypergraph(args.input)
     if args.source == "complement":
         if S is None:
             raise FormatError("--source complement needs a Steiner design input")
-        return complement_ideal(S)
+        return complement_ideal(S, budget=budget)
     return cover_ideal(H)
 
 
@@ -208,7 +208,7 @@ def cmd_coverability(args) -> int:
 
 def cmd_symbolic(args) -> int:
     budget = _budget(args)
-    P = _decomposition(args)
+    P = _decomposition(args, budget)
     ideal = symbolic_power(P, args.m, budget=budget)
     out_path = args.generators_out
     if out_path:
@@ -226,14 +226,14 @@ def cmd_symbolic(args) -> int:
 
 def cmd_alpha(args) -> int:
     budget = _budget(args)
-    engine = ContainmentEngine(_decomposition(args), budget=budget)
+    engine = ContainmentEngine(_decomposition(args, budget), budget=budget)
     _emit(alpha_table(engine, args.max_m).to_dict())
     return EXIT_OK
 
 
 def cmd_containment(args) -> int:
     budget = _budget(args)
-    engine = ContainmentEngine(_decomposition(args), budget=budget)
+    engine = ContainmentEngine(_decomposition(args, budget), budget=budget)
     report = engine.check(args.m, args.r, args.slack, audit=args.audit)
     _emit(report.to_dict())
     return EXIT_OK
@@ -241,7 +241,7 @@ def cmd_containment(args) -> int:
 
 def cmd_scan(args) -> int:
     budget = _budget(args)
-    engine = ContainmentEngine(_decomposition(args), budget=budget)
+    engine = ContainmentEngine(_decomposition(args, budget), budget=budget)
     # every cell is computed before any is printed, so a capped scan
     # prints only the resource-limit report
     scan = resurgence_search(engine, args.m_max, args.r_max)
@@ -294,7 +294,7 @@ _NEEDS_AMBIENT = ("chudnovsky", "demailly")
 
 def cmd_conjectures(args) -> int:
     budget = _budget(args)
-    engine = ContainmentEngine(_decomposition(args), budget=budget)
+    engine = ContainmentEngine(_decomposition(args, budget), budget=budget)
     if args.which != "applicable":
         names = [args.which]
     elif engine.decomposition.steiner is not None or args.ambient_dim is not None:

@@ -417,7 +417,7 @@ def stable_harbourne_scan(engine: ContainmentEngine, r_lo: int, r_hi: int) -> Co
     P = engine.decomposition
     h = P.big_height
     threshold = None
-    if P.steiner is not None and P.steiner[1] >= 2:
+    if P.steiner is not None:
         _, n, v = P.steiner
         threshold = Fraction(v, n - 1)
     return _r_family(

@@ -29,6 +29,7 @@ from typing import Iterable, Sequence
 from .budget import Budget
 from .errors import (
     BlockSizeMismatch,
+    ComplementEmpty,
     CountMismatch,
     FormatError,
     TSubsetMultiplyCovered,
@@ -105,7 +106,8 @@ class SteinerSystem:
             if len(set(bt)) != n or len(bt) != n or bt[0] < 1 or bt[-1] > v:
                 raise BlockSizeMismatch(tuple(b), n)
             blocks.append(bt)
-        blocks = sorted(set(blocks))
+        # a repeated block covers its t-subsets twice, so it is checked, not dropped
+        blocks.sort()
 
         # parameter-level count identity: C(v,t) must split into C(n,t)
         # chunks at all before any block set can work
@@ -157,12 +159,27 @@ def validate_steiner(v: int, n: int, t: int, blocks: Iterable[Iterable[int]]) ->
     return SteinerSystem(v, n, t, tuple(tuple(b) for b in blocks))
 
 
-def complement_blocks(S: SteinerSystem) -> tuple[Edge, ...]:
-    """All n-subsets of the point set that are not blocks, in lex order."""
+def complement_blocks(S: SteinerSystem, *, budget: Budget | None = None) -> tuple[Edge, ...]:
+    """All n-subsets of the point set that are not blocks, in lex order.
+
+    Raises ComplementEmpty, before enumerating, when every n-subset is a
+    block (t+1 = n = v style corner cases).  The budget is checked once
+    per 2^16 subsets (stage "complement"; ``subsets_checked`` counts the
+    subsets enumerated so far, of ``subsets_total``).
+    """
+    total = comb(S.v, S.n)
+    if total == S.block_count:
+        raise ComplementEmpty(
+            f"S({S.t},{S.n},{S.v}) uses every {S.n}-subset; complement configuration is empty"
+        )
+    budget = budget or Budget()
     block_set = set(S.blocks)
-    return tuple(
-        c for c in itertools.combinations(range(1, S.v + 1), S.n) if c not in block_set
-    )
+    subsets = itertools.combinations(range(1, S.v + 1), S.n)
+    out: list[Edge] = []
+    for done in range(0, total, 1 << 16):
+        budget.check("complement", {"subsets_checked": done, "subsets_total": total})
+        out += [c for c in itertools.islice(subsets, 1 << 16) if c not in block_set]
+    return tuple(out)
 
 
 # Built-in designs.

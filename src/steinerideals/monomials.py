@@ -16,11 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterator, TextIO
+from typing import Iterator, TextIO
 
 import numpy as np
 
-from .bitsets import _nonminimal
+from .bitsets import _minimal_rows
 from .budget import Budget
 from .errors import FormatError, MixedAmbient
 
@@ -71,77 +71,6 @@ class Monomial:
             elif e > 1:
                 parts.append(f"x{i}^{e}")
         return "*".join(parts)
-
-
-# At or below this many rows _canonical_order sorts with one np.lexsort
-# over the row's columns; above it, with the packed words.
-_LEXSORT_ROWS = 128
-
-
-def _canonical_order(rows: np.ndarray) -> np.ndarray:
-    """Indices sorting rows by degree ascending, then tuple descending.
-
-    Both paths sort stably, so equal rows keep their input order, and
-    they return the same indices; the row count picks the cheaper one.
-    Up to _LEXSORT_ROWS rows, one np.lexsort over the keys (the degree,
-    then -row[j] for each column j) costs a few calls, while the packed
-    path pays a few calls per column whatever the row count.  Above it,
-    the sort keys (the degree, then top - row[j] for each column j, top
-    the largest entry) are packed, most significant first, into as few
-    nonnegative int64 words as they fit in, and one stable sort orders
-    the words: a lexsort over every column costs one sort pass per
-    column, which the packed words save once the rows are many.
-    """
-    if len(rows) == 0:
-        return np.arange(0)
-    deg = rows.sum(axis=1)
-    if len(rows) <= _LEXSORT_ROWS:
-        return np.lexsort(np.vstack([-rows.T[::-1], deg[None]]))
-    top = int(rows.max())
-    width = max(top.bit_length(), 1)
-    words = [deg]
-    used = max(int(deg.max()).bit_length(), 1)
-    for j in range(rows.shape[1]):
-        if used + width > 63:
-            words.append(np.zeros(len(rows), dtype=np.int64))
-            used = 0
-        words[-1] = (words[-1] << width) | (top - rows[:, j])
-        used += width
-    if len(words) == 1:
-        return np.argsort(words[0], kind="stable")
-    return np.lexsort(words[::-1])
-
-
-def _distinct(rows: np.ndarray) -> np.ndarray:
-    """Indices of the distinct rows, in canonical order.
-
-    The canonical sort puts equal rows side by side, so duplicates drop
-    by comparing neighbours.  Returning indices keeps the sorted copy
-    short-lived: a caller that rebinds ``rows = rows[_distinct(rows)]``
-    holds at most two copies of the rows at a time.
-    """
-    order = _canonical_order(rows)
-    srt = rows[order]
-    fresh = np.ones(len(rows), dtype=bool)
-    fresh[1:] = (srt[1:] != srt[:-1]).any(axis=1)
-    return order[fresh]
-
-
-def _minimal_rows(rows: np.ndarray, check: Callable[[], None] | None = None) -> np.ndarray:
-    """Minimal rows under componentwise <=, canonically ordered.
-
-    After _distinct, two distinct rows x <= c have deg x < deg c, so a
-    row is dominated iff a row of strictly smaller degree, hence earlier
-    in canonical order, is <= it: bitsets' dominance query with the
-    degree as the strictly compared last column (_nonminimal).
-
-    ``check``, if given, is called before each dominator block; a
-    caller's budget check raises from it to stop a long minimalization.
-    """
-    if len(rows) == 0:
-        return rows.reshape(0, rows.shape[1])
-    rows = rows[_distinct(rows)]
-    return rows[~_nonminimal(np.column_stack([rows, rows.sum(axis=1)]), check)]
 
 
 @dataclass(frozen=True, eq=False)

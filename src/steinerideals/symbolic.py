@@ -31,15 +31,11 @@ from math import comb
 
 import numpy as np
 
+from .bitsets import _canonical_order, _surviving_lifts
 from .budget import Budget
 from .designs import Hypergraph, SteinerSystem, _normalize_edge, complement_blocks
-from .errors import (
-    ComplementEmpty,
-    InternalInconsistency,
-    MixedAmbient,
-)
-from .fold import _surviving_lifts
-from .monomials import EXPONENT_LIMIT, Monomial, MonomialIdeal, _canonical_order
+from .errors import InternalInconsistency, MixedAmbient
+from .monomials import EXPONENT_LIMIT, Monomial, MonomialIdeal
 
 logger = logging.getLogger(__name__)
 
@@ -117,18 +113,15 @@ def cover_ideal(H: Hypergraph) -> PrimeDecomposition:
     return PrimeDecomposition(H.vertex_count, H.edges)
 
 
-def complement_ideal(S: SteinerSystem) -> PrimeDecomposition:
+def complement_ideal(S: SteinerSystem, *, budget: Budget | None = None) -> PrimeDecomposition:
     """Decomposition supported on the n-subsets that are not blocks of S.
 
     Raises ComplementEmpty when every n-subset is a block (t+1 = n = v
-    style corner cases).  The result records Steiner provenance.
+    style corner cases).  The budget is checked while complement_blocks
+    enumerates (stage "complement").  The result records Steiner
+    provenance.
     """
-    comp = complement_blocks(S)
-    if not comp:
-        raise ComplementEmpty(
-            f"S({S.t},{S.n},{S.v}) uses every {S.n}-subset; complement configuration is empty"
-        )
-    return PrimeDecomposition(S.v, comp, steiner=(S.t, S.n, S.v))
+    return PrimeDecomposition(S.v, complement_blocks(S, budget=budget), steiner=(S.t, S.n, S.v))
 
 
 def member_of_symbolic(w: Monomial, P: PrimeDecomposition, m: int) -> bool:

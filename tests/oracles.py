@@ -15,9 +15,7 @@ from random import Random
 import numpy as np
 
 from steinerideals import Budget, Hypergraph, MonomialIdeal, Partition, validate_steiner
-from steinerideals.fold import _compositions
-from steinerideals.bitsets import _undominated
-from steinerideals.monomials import _canonical_order, _distinct
+from steinerideals.bitsets import _canonical_order, _compositions, _distinct, _undominated
 
 
 def iter_monomials(nvars: int, max_degree: int):
@@ -180,6 +178,11 @@ def pg24():
     return _cyclic_design(21, 5, ((3, 6, 7, 12, 14),))
 
 
+def pg27():
+    """PG(2,7) = S(2,8,57): the difference set {0,1,3,13,32,36,43,52} developed mod 57."""
+    return _cyclic_design(57, 8, ((0, 1, 3, 13, 32, 36, 43, 52),))
+
+
 def pg42():
     """PG(4,2) = STS(31): the lines {a, b, a ^ b} of GF(2)^5, points the nonzero vectors."""
     lines = {tuple(sorted((a, b, a ^ b))) for a in range(1, 32) for b in range(1, 32) if a != b}
@@ -312,7 +315,7 @@ def search_total(P, m: int, degree: int, collect: bool):
 def fold_step(todo, idx, deficits, doms):
     """Reference fold step: build every lift, deduplicate, then query them all.
 
-    Same contract as ``fold._surviving_lifts``: ``todo`` and ``doms``
+    Same contract as ``bitsets._surviving_lifts``: ``todo`` and ``doms``
     carry the degree off the support ``idx`` as a last column, and
     ``deficits`` holds m minus each todo row's support degree.  Each
     todo row g is lifted to g + c for every weak composition c of its

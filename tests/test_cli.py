@@ -102,6 +102,13 @@ def sts31_file(tmp_path):
 
 
 @pytest.fixture
+def pg27_file(tmp_path):
+    path = tmp_path / "pg27.json"
+    path.write_text(json.dumps(oracles.pg27().to_dict()))
+    return str(path)
+
+
+@pytest.fixture
 def fano_file(tmp_path):
     path = tmp_path / "fano.json"
     path.write_text(json.dumps(builtin_fano().to_dict()))
@@ -135,6 +142,14 @@ def test_validate_reports_uncovered_pair(capsys, broken_fano_file):
     code, doc, _ = run_json(capsys, "validate", broken_fano_file)
     assert code == 2
     assert doc == {"valid": False, "error": "TSubsetUncovered", "t_subset": [1, 5]}
+
+
+def test_validate_reports_a_repeated_block(capsys, tmp_path):
+    path = tmp_path / "repeated.json"
+    blocks = [list(b) for b in FANO_BLOCKS] + [[1, 2, 3]]
+    path.write_text(json.dumps({"v": 7, "n": 3, "t": 2, "blocks": blocks}))
+    code, out, _ = run(capsys, "validate", str(path))
+    assert (code, out) == (2, '{"valid":false,"error":"TSubsetMultiplyCovered","t_subset":[1,2]}\n')
 
 
 def test_validate_reports_bad_parameters(capsys, tmp_path):
@@ -528,6 +543,16 @@ def test_library_errors_exit_2_with_their_class_name(capsys, tmp_path):
     assert err.startswith("error: ComplementEmpty: ")
 
 
+def test_an_empty_complement_exits_2_from_every_command(capsys, tmp_path):
+    # a hypergraph with no edges is not a document any command reads
+    path = tmp_path / "s233.json"
+    path.write_text(json.dumps({"v": 3, "n": 3, "t": 2, "blocks": [[1, 2, 3]]}))
+    for argv in (("complement",), ("alpha", "--source", "complement", "-M", "1")):
+        code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ComplementEmpty: S(2,3,3) uses every 3-subset")
+
+
 def test_scan_jsonl(capsys):
     code, out, _ = run(
         capsys,
@@ -583,6 +608,32 @@ def test_time_cap_stops_the_alpha_search(capsys, sts31_file, argv):
     doc = json.loads(out)
     assert doc["error"] == "resource-limit"
     assert set(doc["partial"]) == {"m", "degree_tried"}
+    assert wall < 2.0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("symbolic", "-m", "1"),
+        ("alpha", "-M", "1"),
+        ("containment", "2", "1"),
+        ("scan", "--m-max", "2", "--r-max", "1"),
+        ("conjectures",),
+    ],
+)
+def test_time_cap_stops_the_complement_enumeration(capsys, pg27_file, argv):
+    # PG(2,7) has C(57,8) = 1,652,411,475 eight-subsets, far too many to
+    # hold.  A small cap keeps the subsets enumerated before it, held in
+    # memory, to about 1 M.
+    t0 = time.monotonic()
+    code, doc, _ = run_json(
+        capsys, argv[0], pg27_file, "--source", "complement", *argv[1:], "--time-cap", "0.3"
+    )
+    wall = time.monotonic() - t0
+    assert code == 4
+    assert doc["error"] == "resource-limit" and doc["stage"] == "complement"
+    assert doc["partial"]["subsets_total"] == 1_652_411_475
+    assert set(doc["partial"]) == {"subsets_checked", "subsets_total"}
     assert wall < 2.0
 
 

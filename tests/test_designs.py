@@ -10,6 +10,7 @@ import pytest
 from steinerideals import (
     BlockSizeMismatch,
     Budget,
+    ComplementEmpty,
     CountMismatch,
     FormatError,
     Hypergraph,
@@ -22,6 +23,7 @@ from steinerideals import (
     builtin_sqs8,
     chromatic_number,
     complement_blocks,
+    complement_ideal,
     is_colourable,
     is_coverable,
     min_edge_size,
@@ -106,9 +108,45 @@ def test_impossible_parameters_raise_count_mismatch():
     assert ei.value.expected == "28/3"
 
 
-def test_duplicate_blocks_are_collapsed_before_counting():
-    with pytest.raises(TSubsetUncovered):
-        validate_steiner(7, 3, 2, FANO_BLOCKS[:1] + FANO_BLOCKS[:1])
+def test_a_repeated_block_covers_its_t_subsets_twice():
+    for blocks in (FANO_BLOCKS[:1] + FANO_BLOCKS[:1], FANO_BLOCKS + FANO_BLOCKS[:1]):
+        with pytest.raises(TSubsetMultiplyCovered) as ei:
+            validate_steiner(7, 3, 2, blocks)
+        assert ei.value.tsubset == (1, 2)
+        assert ei.value.blocks == ((1, 2, 3), (1, 2, 3))
+
+
+def test_complement_blocks_refuses_an_empty_complement():
+    # the one 3-subset of {1,2,3} is the block of this S(2,3,3)
+    with pytest.raises(ComplementEmpty, match=r"^S\(2,3,3\) uses every 3-subset"):
+        complement_blocks(validate_steiner(3, 3, 2, [(1, 2, 3)]))
+
+
+def test_complement_blocks_checks_the_budget_once_per_65536_subsets():
+    seen = []
+
+    def stop_at_third_check(stage, partial):
+        seen.append((stage, dict(partial)))
+        if len(seen) == 3:
+            raise ResourceLimit(stage, "stop", partial)
+
+    # PG(2,7) has C(57,8) = 1,652,411,475 eight-subsets; the sink stops
+    # the enumeration after two runs of 2^16
+    with pytest.raises(ResourceLimit) as ei:
+        complement_ideal(oracles.pg27(), budget=Budget(progress=stop_at_third_check))
+    assert ei.value.stage == "complement"
+    assert seen == [
+        ("complement", {"subsets_checked": k << 16, "subsets_total": 1_652_411_475}) for k in range(3)
+    ]
+    expired = Budget(deadline=time.monotonic() - 1.0)
+    with pytest.raises(ResourceLimit) as ei:
+        complement_blocks(builtin_fano(), budget=expired)
+    assert (ei.value.stage, ei.value.partial) == ("complement", {"subsets_checked": 0, "subsets_total": 35})
+    # fewer than 2^16 subsets are one run and one check
+    seen.clear()
+    comp = complement_blocks(builtin_fano(), budget=Budget(progress=lambda *a: seen.append(a)))
+    assert seen == [("complement", {"subsets_checked": 0, "subsets_total": 35})]
+    assert list(comp) == sorted(comp) and len(comp) == 28
 
 
 # hypergraphs and partitions

@@ -28,14 +28,15 @@ from steinerideals import (
 )
 from steinerideals import bitsets, monomials
 from steinerideals.budget import DEFAULT_GENERATOR_CAP
-from steinerideals.bitsets import _table_bits, _threshold_table, _undominated
-from steinerideals.monomials import (
-    EXPONENT_LIMIT,
+from steinerideals.bitsets import (
     _canonical_order,
-    _greedy_members,
     _minimal_rows,
+    _surviving_lifts,
+    _table_bits,
+    _threshold_table,
+    _undominated,
 )
-from steinerideals.fold import _surviving_lifts
+from steinerideals.monomials import EXPONENT_LIMIT, _greedy_members
 
 import oracles
 
@@ -337,7 +338,7 @@ def test_canonical_order_paths_agree(monkeypatch):
     # threshold, many ties, and rows wide enough to spill over several
     # packed words (21-bit keys, three per word).
     rng = Random(67)
-    limit = monomials._LEXSORT_ROWS
+    limit = bitsets._LEXSORT_ROWS
     cases = []
     for n in (1, 2, limit - 1, limit, limit + 1, 3 * limit):
         cases.append(np.array(_random_rows(rng, n, 5, 2)))  # ties from duplicates
@@ -349,7 +350,7 @@ def test_canonical_order_paths_agree(monkeypatch):
         want = sorted(range(len(rows)), key=lambda i: (int(rows[i].sum()), tuple(-rows[i]), i))
         got = {}
         for threshold in (0, 1 << 62):
-            monkeypatch.setattr(monomials, "_LEXSORT_ROWS", threshold)
+            monkeypatch.setattr(bitsets, "_LEXSORT_ROWS", threshold)
             got[threshold] = _canonical_order(rows)
         assert got[0].tolist() == want == got[1 << 62].tolist()
 
