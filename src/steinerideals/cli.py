@@ -32,14 +32,12 @@ from .containment import (
     stable_harbourne_scan,
 )
 from .designs import (
-    _load_json,
+    SteinerSystem,
     chromatic_number,
     complement_blocks,
-    design_from_dict,
-    hypergraph_from_dict,
     is_colourable,
     is_coverable,
-    resolve_design,
+    resolve_input,
 )
 from .errors import (
     DegenerateRegion,
@@ -109,53 +107,40 @@ def _emit(doc: dict, output: str | None = None) -> None:
         print(line)
 
 
-def _frac(x: Fraction | None) -> str | None:
-    return None if x is None else str(x)
-
-
-def _load_design_or_hypergraph(spec_str: str):
-    """Resolve input to (design or None, hypergraph).
-
-    A file is read once; a document with a "blocks" key is a design,
-    any other a hypergraph.
-    """
-    if spec_str.startswith("builtin:"):
-        S = resolve_design(spec_str)
-    else:
-        doc = _load_json(spec_str)
-        if "blocks" not in doc:
-            return None, hypergraph_from_dict(doc)
-        S = design_from_dict(doc)
-    return S, S.hypergraph()
+def _design(spec: str) -> SteinerSystem:
+    """The design an input spec names; a hypergraph document is a FormatError."""
+    S, _ = resolve_input(spec)
+    if S is None:
+        raise FormatError(
+            f"{spec} is a hypergraph document; validate, complement and "
+            "--source complement need a Steiner design"
+        )
+    return S
 
 
 def _decomposition(args, budget: Budget):
     """Build the requested PrimeDecomposition from CLI input, under the command's budget."""
-    S, H = _load_design_or_hypergraph(args.input)
     if args.source == "complement":
-        if S is None:
-            raise FormatError("--source complement needs a Steiner design input")
-        return complement_ideal(S, budget=budget)
-    return cover_ideal(H)
+        return complement_ideal(_design(args.input), budget=budget)
+    return cover_ideal(resolve_input(args.input)[1])
+
+
+def _engine(args) -> ContainmentEngine:
+    """The engine of a command with --source, under the command's budget."""
+    budget = _budget(args)
+    return ContainmentEngine(_decomposition(args, budget), budget=budget)
 
 
 def cmd_validate(args) -> int:
     try:
-        S = resolve_design(args.design)
-    except (TSubsetUncovered, TSubsetMultiplyCovered) as exc:
-        _emit(
-            {
-                "valid": False,
-                "error": type(exc).__name__,
-                "t_subset": list(exc.tsubset),
-            }
-        )
-        return EXIT_INVALID
-    except DesignError as exc:
-        _emit({"valid": False, "error": type(exc).__name__, "detail": str(exc)})
-        return EXIT_INVALID
-    except ValueError as exc:
-        _emit({"valid": False, "error": "ValueError", "detail": str(exc)})
+        S = _design(args.design)
+    except (DesignError, ValueError) as exc:
+        doc = {"valid": False, "error": type(exc).__name__}
+        if isinstance(exc, (TSubsetUncovered, TSubsetMultiplyCovered)):
+            doc["t_subset"] = list(exc.tsubset)
+        else:
+            doc["detail"] = str(exc)
+        _emit(doc)
         return EXIT_INVALID
     _emit(
         {
@@ -170,7 +155,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_complement(args) -> int:
-    S = resolve_design(args.design)
+    S = _design(args.design)
     comp = complement_blocks(S)
     doc = {
         "vertices": S.v,
@@ -183,7 +168,7 @@ def cmd_complement(args) -> int:
 
 def cmd_coverability(args) -> int:
     budget = _budget(args)
-    _, H = _load_design_or_hypergraph(args.input)
+    _, H = resolve_input(args.input)
     if args.chromatic:
         try:
             chi = chromatic_number(H, budget=budget)
@@ -225,39 +210,23 @@ def cmd_symbolic(args) -> int:
 
 
 def cmd_alpha(args) -> int:
-    budget = _budget(args)
-    engine = ContainmentEngine(_decomposition(args, budget), budget=budget)
-    _emit(alpha_table(engine, args.max_m).to_dict())
+    _emit(alpha_table(_engine(args), args.max_m).to_dict())
     return EXIT_OK
 
 
 def cmd_containment(args) -> int:
-    budget = _budget(args)
-    engine = ContainmentEngine(_decomposition(args, budget), budget=budget)
-    report = engine.check(args.m, args.r, args.slack, audit=args.audit)
+    report = _engine(args).check(args.m, args.r, args.slack, audit=args.audit)
     _emit(report.to_dict())
     return EXIT_OK
 
 
 def cmd_scan(args) -> int:
-    budget = _budget(args)
-    engine = ContainmentEngine(_decomposition(args, budget), budget=budget)
     # every cell is computed before any is printed, so a capped scan
     # prints only the resource-limit report
-    scan = resurgence_search(engine, args.m_max, args.r_max)
+    scan = resurgence_search(_engine(args), args.m_max, args.r_max)
     for rep in scan.cells:
         _emit(rep.to_dict())
-    _emit(
-        {
-            "summary": {
-                "m_max": scan.m_max,
-                "r_max": scan.r_max,
-                "cells": len(scan.cells),
-                "failures": len(scan.failures),
-                "max_ratio": _frac(scan.max_ratio),
-            }
-        }
-    )
+    _emit({"summary": scan.to_dict()})
     return EXIT_OK
 
 
@@ -272,10 +241,7 @@ def cmd_resurgence_region(args) -> int:
     except DegenerateRegion as exc:
         _emit({"degenerate": True, "reason": str(exc)})
         return EXIT_OK
-    doc = region.to_dict()
-    doc["degenerate"] = False
-    doc["s_max"] = {str(r): _frac(region.s_max(r)) for r in range(1, region.r_max + 1)}
-    _emit(doc)
+    _emit(region.to_dict())
     return EXIT_OK
 
 
@@ -293,8 +259,7 @@ _NEEDS_AMBIENT = ("chudnovsky", "demailly")
 
 
 def cmd_conjectures(args) -> int:
-    budget = _budget(args)
-    engine = ContainmentEngine(_decomposition(args, budget), budget=budget)
+    engine = _engine(args)
     if args.which != "applicable":
         names = [args.which]
     elif engine.decomposition.steiner is not None or args.ambient_dim is not None:
@@ -306,8 +271,11 @@ def cmd_conjectures(args) -> int:
             "pass --ambient-dim to include them)",
             file=sys.stderr,
         )
-    for name in names:
-        _emit(_CONJECTURES[name](engine, args).to_dict())
+    # as in scan, every verdict is computed before any is printed, so a
+    # bad parameter or a capped run prints no verdict
+    verdicts = [_CONJECTURES[name](engine, args) for name in names]
+    for verdict in verdicts:
+        _emit(verdict.to_dict())
     return EXIT_OK
 
 

@@ -537,6 +537,8 @@ class ResurgenceRegion:
             "r_max": self.r_max,
             "s_max_slope": str(self.asymptotic),
             "s_max_intercept": str(self.ambient_dim * self.asymptotic),
+            "degenerate": False,
+            "s_max": {str(r): str(self.s_max(r)) for r in range(1, self.r_max + 1)},
         }
 
 
@@ -595,7 +597,8 @@ class ResurgenceScan:
         return {
             "m_max": self.m_max,
             "r_max": self.r_max,
-            "failures": [f.to_dict() for f in self.failures],
+            "cells": len(self.cells),
+            "failures": len(self.failures),
             "max_ratio": None if self.max_ratio is None else str(self.max_ratio),
         }
 

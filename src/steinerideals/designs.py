@@ -426,14 +426,23 @@ def load_design(path: str | Path) -> SteinerSystem:
     return design_from_dict(_load_json(path))
 
 
-def resolve_design(spec_str: str) -> SteinerSystem:
-    """Resolve "builtin:<name>" or a JSON file path to a validated design."""
-    if spec_str.startswith("builtin:"):
-        name = spec_str.split(":", 1)[1]
+def resolve_input(spec: str) -> tuple[SteinerSystem | None, Hypergraph]:
+    """Resolve "builtin:<name>" or a JSON file path to (design or None, hypergraph).
+
+    A file is read once; a document with a "blocks" key is a design,
+    any other a hypergraph.
+    """
+    if spec.startswith("builtin:"):
+        name = spec.split(":", 1)[1]
         if name not in BUILTIN_DESIGNS:
             raise FormatError(
                 f"unknown builtin design {name!r}; available: "
                 + ", ".join(sorted(BUILTIN_DESIGNS))
             )
-        return BUILTIN_DESIGNS[name]()
-    return load_design(spec_str)
+        S = BUILTIN_DESIGNS[name]()
+    else:
+        doc = _load_json(spec)
+        if "blocks" not in doc:
+            return None, hypergraph_from_dict(doc)
+        S = design_from_dict(doc)
+    return S, S.hypergraph()

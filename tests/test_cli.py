@@ -51,6 +51,11 @@ def without_timing(doc):
     return {k: v for k, v in doc.items() if k != "elapsed_ms"}
 
 
+def masked(out):
+    """Stdout with every containment report's elapsed_ms field stripped."""
+    return re.sub(r',"elapsed_ms":[0-9.e+-]+', "", out)
+
+
 # exact stdout of two commands, pinned before the scan and conjecture
 # commands were routed through the library; the scan lines have their
 # elapsed_ms fields stripped
@@ -124,7 +129,125 @@ def broken_fano_file(tmp_path):
     return str(path)
 
 
+# exact stdout of validate, complement, symbolic, alpha, containment,
+# resurgence-region and reproduce, pinned before every command resolved
+# its input through one function and printed its result's to_dict()
+FANO_DOC = {"v": 7, "n": 3, "t": 2, "blocks": [list(b) for b in FANO_BLOCKS]}
+
+VALIDATE_GOLDEN = {
+    "valid": (
+        {},
+        0,
+        '{"valid":true,"v":7,"n":3,"t":2,"block_count":7}',
+    ),
+    "block-size": (
+        {"blocks": [[1, 2]] + FANO_DOC["blocks"][1:]},
+        2,
+        '{"valid":false,"error":"BlockSizeMismatch","detail":"block (1, 2) is not a 3-subset of the point set"}',
+    ),
+    "count": (
+        {"v": 8},
+        2,
+        '{"valid":false,"error":"CountMismatch","detail":"block count 7 != required C(v,t)/C(n,t) = 28/3 (non-integer block count)"}',
+    ),
+    "t-equals-n": (
+        {"t": 3},
+        2,
+        '{"valid":false,"error":"ValueError","detail":"need 1 <= t < n <= v, got t=3, n=3, v=7"}',
+    ),
+    "uncovered": (
+        {"blocks": FANO_DOC["blocks"][:-1]},
+        2,
+        '{"valid":false,"error":"TSubsetUncovered","t_subset":[1,5]}',
+    ),
+    "multiply-covered": (
+        {"blocks": FANO_DOC["blocks"] + [[1, 2, 3]]},
+        2,
+        '{"valid":false,"error":"TSubsetMultiplyCovered","t_subset":[1,2]}',
+    ),
+}
+
+COMPLEMENT_FANO = (
+    '{"vertices":7,"edges":[[1,2,4],[1,2,5],[1,2,6],[1,2,7],[1,3,4],[1,3,5],[1,3,6],'
+    "[1,3,7],[1,4,5],[1,4,6],[1,5,7],[1,6,7],[2,3,4],[2,3,5],[2,3,6],[2,3,7],[2,4,5],"
+    "[2,4,7],[2,5,6],[2,6,7],[3,4,6],[3,4,7],[3,5,6],[3,5,7],[4,5,6],[4,5,7],[4,6,7],"
+    '[5,6,7]],"count":28}\n'
+)
+
+CONTAINMENT_GOLDEN = [
+    (
+        ("--source", "cover", "3", "2"),
+        '{"m":3,"r":2,"slack":0,"holds":false,"witness":"1 1 1 1 1 1 1","alpha_m":7,"alpha_r":6,"omega_r":6,"method":"generator-scan"}',
+    ),
+    (
+        ("--source", "cover", "3", "2", "--audit"),
+        '{"m":3,"r":2,"slack":0,"holds":false,"witness":"1 1 1 1 1 1 1","alpha_m":7,"alpha_r":6,"omega_r":6,"method":"generator-scan"}',
+    ),
+    (
+        ("--source", "complement", "3", "1", "--slack", "3"),
+        '{"m":3,"r":1,"slack":3,"holds":true,"witness":null,"alpha_m":7,"alpha_r":4,"omega_r":4,"method":"generator-scan"}',
+    ),
+    (
+        ("--source", "complement", "4", "2", "--audit"),
+        '{"m":4,"r":2,"slack":0,"holds":true,"witness":null,"alpha_m":11,"alpha_r":8,"omega_r":8,"method":"generator-scan"}',
+    ),
+]
+
+RESURGENCE_REGION_GOLDEN = {
+    ("3", "3", "2", "2"): (
+        '{"big_height":3,"ambient_dim":3,"r1":"2","failing_ratio":"2",'
+        '"asymptotic_resurgence":"3/2","r_max":9,"s_max_slope":"3/2","s_max_intercept":"9/2",'
+        '"degenerate":false,"s_max":{"1":"6","2":"15/2","3":"9","4":"21/2","5":"12",'
+        '"6":"27/2","7":"15","8":"33/2","9":"18"}}'
+    ),
+    ("4", "2", "3/2", "7/2"): (
+        '{"big_height":4,"ambient_dim":2,"r1":"3/2","failing_ratio":"7/2",'
+        '"asymptotic_resurgence":"4/3","r_max":2,"s_max_slope":"4/3","s_max_intercept":"8/3",'
+        '"degenerate":false,"s_max":{"1":"4","2":"16/3"}}'
+    ),
+    ("3", "3", "2", "3/2"): (
+        '{"degenerate":true,"reason":"failing ratio 3/2 does not exceed the asymptotic value 3/2"}'
+    ),
+}
+
+REPRODUCE_STDOUT = (
+    "fano-validate\tPASS\tblocks=7 complement_supports=28",
+    "alpha-fano\tPASS\talpha=[4, 6, 7, 11, 13, 14]",
+    "waldschmidt-fano\tPASS\tupper=7/3 lower=7/3 attained=(3, 6)",
+    "waldschmidt-sqs8\tPASS\talpha=[4, 6, 7, 8] upper=2 attained=(4,)",
+    "hh-fano\tPASS\tr=1 and r=2 slack containments hold",
+    "els-fano\tPASS\th*r=3,r=1:ok; h*r=6,r=2:ok; h*r=3,r=1:ok",
+    "colouring-fano\tPASS\tchi=3 two_colourable=False",
+    "coverability-fano\tPASS\tcover2=False cover3=False",
+    "coverability-sqs8\tPASS\tcover3=False chi=2",
+    "noncontainment-fano\tPASS\tholds=False witness=x1*x2*x3*x4*x5*x6*x7",
+    "noncontainment-sqs8\tPASS\t(3,2): holds=False w=x1*x2*x3*x4*x5*x6*x7; (4,3): holds=False w=x1*x2*x3*x4*x5*x6*x7*x8",
+    "stable-harbourne-fano\tPASS\tall_hold=True threshold=7/2",
+    "harbourne-huneke-fano\tPASS\tform1=True form2=True",
+    "chudnovsky-fano\tPASS\tall_hold=True (h<=6, rhs=(4+3-1)/3=2)",
+    "demailly-fano\tPASS\tall m in {1,3,4,6} hold for h<=6",
+    "resurgence-region-example\tPASS\tasymptotic=3/2 r_max=9 s_max(9)=18",
+    "summary\t16/16 passed",
+)
+
 # validate
+
+
+@pytest.mark.parametrize("case", VALIDATE_GOLDEN)
+def test_validate_golden_stdout(capsys, tmp_path, case):
+    changes, code, line = VALIDATE_GOLDEN[case]
+    path = tmp_path / "design.json"
+    path.write_text(json.dumps(dict(FANO_DOC, **changes)))
+    assert run(capsys, "validate", str(path)) == (code, line + "\n", "")
+
+
+def test_validate_and_complement_refuse_a_hypergraph_document(capsys, tmp_path):
+    path = tmp_path / "h.json"
+    path.write_text(json.dumps(builtin_fano().hypergraph().to_dict()))
+    for argv in (("validate",), ("complement",), ("symbolic", "--source", "complement", "-m", "1")):
+        code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+        assert (code, out) == (3, ""), argv
+        assert err == f"error: {path} is a hypergraph document; validate, complement and --source complement need a Steiner design\n"
 
 
 def test_validate_builtin(capsys):
@@ -171,6 +294,13 @@ def test_validate_io_errors(capsys, tmp_path):
 
 
 # complement and coverability
+
+
+def test_complement_golden_stdout(capsys, tmp_path):
+    assert run(capsys, "complement", "builtin:fano") == (0, COMPLEMENT_FANO, "")
+    out_file = tmp_path / "comp.json"
+    assert run(capsys, "complement", "builtin:fano", "--output", str(out_file)) == (0, "", "")
+    assert out_file.read_bytes() == COMPLEMENT_FANO.encode()
 
 
 def test_complement_round_trip(capsys, tmp_path):
@@ -291,6 +421,22 @@ def test_symbolic_command(capsys, tmp_path):
     assert nv == 7 and len(monos) == 14
     P = complement_ideal(builtin_fano())
     assert all(member_of_symbolic(g, P, 2) for g in monos)
+
+
+def test_symbolic_golden_stdout_and_generator_file(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    argv = ("symbolic", "builtin:fano", "--source", "complement", "-m", "3", "--generators-out", "gens.txt")
+    line = '{"m":3,"alpha":7,"generator_count":29,"generators":"gens.txt"}\n'
+    assert run(capsys, *argv) == (0, line, "")
+    assert (tmp_path / "gens.txt").read_bytes() == FANO_COMPLEMENT_M3_GENERATORS.encode()
+
+
+def test_alpha_golden_stdout(capsys):
+    line = (
+        '{"entries":{"1":4,"2":6,"3":7,"4":11,"5":13,"6":14},'
+        '"waldschmidt_upper":"7/3","waldschmidt_lower":"7/3","attained":[3,6]}\n'
+    )
+    assert run(capsys, "alpha", "builtin:fano", "--source", "complement", "-M", "6") == (0, line, "")
 
 
 def test_symbolic_generators_out_builds_no_monomials(capsys, tmp_path, monkeypatch):
@@ -455,6 +601,12 @@ def test_alpha_without_provenance(capsys):
 # containment and scans
 
 
+@pytest.mark.parametrize(("argv", "line"), CONTAINMENT_GOLDEN)
+def test_containment_golden_stdout(capsys, argv, line):
+    code, out, err = run(capsys, "containment", "builtin:fano", *argv)
+    assert (code, masked(out), err) == (0, line + "\n", "")
+
+
 def test_containment_holds(capsys):
     args = (
         "containment", "builtin:fano", "--source", "complement", "3", "1", "--slack", "3"
@@ -575,8 +727,7 @@ def test_scan_golden_stdout(capsys):
         "scan", "builtin:fano", "--source", "cover", "--m-max", "6", "--r-max", "4",
     )
     assert code == 0
-    stripped = re.sub(r',"elapsed_ms":[0-9.e+-]+', "", out)
-    assert stripped.splitlines() == list(SCAN_FANO_COVER_M6_R4)
+    assert masked(out).splitlines() == list(SCAN_FANO_COVER_M6_R4)
 
 
 def test_scan_rejects_an_empty_box(capsys):
@@ -655,6 +806,12 @@ def test_time_cap_stops_the_partition_search(capsys, sts31_file):
 # resurgence region
 
 
+@pytest.mark.parametrize("argv", RESURGENCE_REGION_GOLDEN)
+def test_resurgence_region_golden_stdout(capsys, argv):
+    line = RESURGENCE_REGION_GOLDEN[argv]
+    assert run(capsys, "resurgence-region", *argv) == (0, line + "\n", "")
+
+
 def test_resurgence_region_command(capsys):
     code, doc, _ = run_json(capsys, "resurgence-region", "3", "3", "2", "2")
     assert code == 0
@@ -722,6 +879,33 @@ def test_conjectures_reject_an_empty_r_range(capsys, family):
     assert code == 2
     assert out == ""
     assert "need 1 <= r_lo <= r_hi" in err
+
+
+@pytest.mark.parametrize(
+    ("flag", "message"),
+    [
+        ("--ambient-dim", "error: ambient_dim must be >= 1\n"),
+        ("--h-max", "error: h_max and m must be >= 1\n"),
+        ("-m", "error: h_max and m must be >= 1\n"),
+    ],
+    ids=["ambient-dim", "h-max", "m"],
+)
+def test_conjectures_print_no_verdict_before_a_bad_parameter(capsys, flag, message):
+    # the first four families hold; the alpha bounds then refuse the value
+    argv = ("conjectures", "builtin:fano", "--source", "complement", flag, "0")
+    assert run(capsys, *argv) == (2, "", message)
+
+
+def test_a_capped_conjectures_run_prints_only_the_resource_limit_report(capsys):
+    # stable-harbourne holds under the cap; a later family's fold passes it
+    code, out, _ = run(
+        capsys, "conjectures", "builtin:fano", "--source", "complement", "--generator-cap", "20"
+    )
+    assert (code, out) == (
+        4,
+        '{"error":"resource-limit","stage":"symbolic-power",'
+        '"partial":{"supports_folded":0,"supports_total":28,"kept":7}}\n',
+    )
 
 
 def test_conjectures_skips_alpha_bounds_without_ambient(capsys):
@@ -797,7 +981,7 @@ def test_hh_fano_fails_when_the_budget_stops_it(monkeypatch):
 def test_reproduce_all_claims_pass(capsys):
     code, out, _ = run(capsys, "reproduce")
     assert code == 0
-    assert out.strip().splitlines()[-1] == "summary\t16/16 passed"
+    assert out.splitlines() == list(REPRODUCE_STDOUT)
 
 
 def test_reproduce_prints_each_claims_seconds_to_stderr(capsys):

@@ -219,6 +219,20 @@ def test_confirm_witness_enumerates_the_last_chunk(triangle, monkeypatch, chunk)
         triangle._confirm_witness(Monomial((0, 2, 2)), 2, 2, 0)
 
 
+def test_confirm_witness_above_the_recheck_cap_skips_only_the_enumeration(triangle, monkeypatch):
+    # x1x2x3 lies in I^(2) but not in I^2, whose generators have degree 4
+    stages = []
+    triangle.budget.progress = lambda stage, partial: stages.append(stage)
+    triangle._confirm_witness(Monomial((1, 1, 1)), 2, 2, 0)
+    assert stages == ["witness-enumeration"]
+    stages.clear()
+    monkeypatch.setattr(containment, "_NAIVE_RECHECK_CAP", 0)
+    with pytest.raises(InternalInconsistency, match="not in the symbolic power"):
+        triangle._confirm_witness(Monomial((0, 2, 2)), 3, 2, 0)
+    triangle._confirm_witness(Monomial((1, 1, 1)), 2, 2, 0)
+    assert stages == []
+
+
 def test_report_dict_schema(fano_c):
     doc = fano_c.check(3, 2).to_dict()
     assert set(doc) == {
@@ -701,7 +715,7 @@ def test_resurgence_search_fano_cover(fano_j):
         assert f.m > f.r
     doc = scan.to_dict()
     assert doc["max_ratio"] == "3/2"
-    assert len(doc["failures"]) == 1
+    assert doc["failures"] == 1
 
 
 def test_resurgence_search_fano_complement(fano_c):

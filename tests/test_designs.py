@@ -29,13 +29,13 @@ from steinerideals import (
     min_edge_size,
     validate_steiner,
 )
-from steinerideals import cli, designs
+from steinerideals import designs
 from steinerideals.designs import (
     FANO_BLOCKS,
     design_from_dict,
     hypergraph_from_dict,
     load_design,
-    resolve_design,
+    resolve_input,
 )
 
 import oracles
@@ -390,7 +390,7 @@ def test_hypergraph_document_round_trip_and_errors(tmp_path):
     H = builtin_fano().hypergraph()
     path = tmp_path / "h.json"
     path.write_text(json.dumps(H.to_dict()))
-    assert cli._load_design_or_hypergraph(str(path)) == (None, H)
+    assert resolve_input(str(path)) == (None, H)
     with pytest.raises(FormatError):
         hypergraph_from_dict({"vertices": 3})
     with pytest.raises(FormatError):
@@ -451,7 +451,8 @@ def test_load_rejects_bad_files(tmp_path):
 
 
 def test_resolve_design():
-    assert resolve_design("builtin:fano") == builtin_fano()
-    assert resolve_design("builtin:sqs8") == builtin_sqs8()
+    fano, sqs8 = builtin_fano(), builtin_sqs8()
+    assert resolve_input("builtin:fano") == (fano, fano.hypergraph())
+    assert resolve_input("builtin:sqs8") == (sqs8, sqs8.hypergraph())
     with pytest.raises(FormatError):
-        resolve_design("builtin:unknown")
+        resolve_input("builtin:unknown")
