@@ -7,11 +7,15 @@ completed computation (including holds=false and NotCoverable answers),
 problems, 4 when a resource cap stopped the run (after emitting a
 partial report).  Repeated runs on the same input emit byte-identical
 output except for the elapsed_ms timing fields.
+
+main() builds one argument parser per process, on its first call, and
+reuses it on every later call without mutating it (see build_parser).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -25,6 +29,7 @@ from .containment import (
     alpha_table,
     chudnovsky_check,
     demailly_check,
+    demailly_dimension,
     els_scan,
     harbourne_huneke_scan,
     resurgence_region,
@@ -81,9 +86,9 @@ def _budget(args) -> Budget:
 def _progress_printer(interval: float):
     """A Budget progress sink printing at most one stderr line per interval
     seconds: ``progress: <stage> <partial as compact JSON>``."""
-    if not math.isfinite(interval):
-        raise ValueError(f"progress interval must be finite, not {interval}")
-    if interval <= 0:
+    if not 0 <= interval < math.inf:
+        raise ValueError(f"progress interval must be finite and >= 0, not {interval}")
+    if interval == 0:
         return None
     last = 0.0
 
@@ -271,8 +276,13 @@ def cmd_conjectures(args) -> int:
             "pass --ambient-dim to include them)",
             file=sys.stderr,
         )
+    if "chudnovsky" in names or "demailly" in names:
+        # the alpha bounds' parameters are checked before any family
+        # runs; chudnovsky is demailly at m = 1
+        m = args.m if "demailly" in names else 1
+        demailly_dimension(engine.decomposition, m, args.h_max, args.ambient_dim)
     # as in scan, every verdict is computed before any is printed, so a
-    # bad parameter or a capped run prints no verdict
+    # capped run prints no verdict
     verdicts = [_CONJECTURES[name](engine, args) for name in names]
     for verdict in verdicts:
         _emit(verdict.to_dict())
@@ -332,7 +342,14 @@ def _add_source(p: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's argument parser, built once per process and shared.
+
+    main() reuses it on every call and never mutates it; callers must
+    not mutate it either (no add_argument, set_defaults or the like),
+    since every later main() call in the process would see the change.
+    """
     ap = argparse.ArgumentParser(
         prog="steinerideals",
         description="Exact computations on Steiner systems and their "

@@ -473,10 +473,7 @@ def demailly_check(
     otherwise it must be passed explicitly.  m = 1 is the Chudnovsky
     bound.  Exact rationals throughout.
     """
-    P = engine.decomposition
-    N = _resolve_ambient(P, ambient_dim)
-    if h_max < 1 or m < 1:
-        raise ValueError("h_max and m must be >= 1")
+    N = demailly_dimension(engine.decomposition, m, h_max, ambient_dim)
     rhs = Fraction(engine.alpha(m) + N - 1, m + N - 1)
     instances = []
     for h in range(1, h_max + 1):
@@ -492,16 +489,29 @@ def demailly_check(
     )
 
 
-def _resolve_ambient(P: PrimeDecomposition, ambient_dim: int | None) -> int:
+def demailly_dimension(
+    P: PrimeDecomposition, m: int, h_max: int, ambient_dim: int | None = None
+) -> int:
+    """The ambient dimension N that demailly_check(engine, m, h_max,
+    ambient_dim) uses on P, after checking its parameters.
+
+    Nothing is computed, so a caller can refuse bad parameters before any
+    other work: ValueError when ambient_dim, h_max or m is below 1, or
+    when P has no Steiner provenance and no ambient_dim is given.
+    """
     if ambient_dim is not None:
         if ambient_dim < 1:
             raise ValueError("ambient_dim must be >= 1")
-        return ambient_dim
-    if P.steiner is not None:
-        return P.steiner[1]  # block size
-    raise ValueError(
-        "ambient_dim is required for decompositions without Steiner provenance"
-    )
+        N = ambient_dim
+    elif P.steiner is not None:
+        N = P.steiner[1]  # block size
+    else:
+        raise ValueError(
+            "ambient_dim is required for decompositions without Steiner provenance"
+        )
+    if h_max < 1 or m < 1:
+        raise ValueError("h_max and m must be >= 1")
+    return N
 
 
 @dataclass(frozen=True)

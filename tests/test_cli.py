@@ -501,6 +501,14 @@ def test_non_finite_limits_exit_2(capsys, value):
         assert "finite" in err and "Traceback" not in err
 
 
+def test_a_negative_progress_interval_exits_2(capsys):
+    # 0 is the one value that turns progress off
+    argv = ("alpha", "builtin:fano", "--source", "complement", "-M", "2", "--progress-interval", "-1")
+    assert run(capsys, *argv) == (
+        2, "", "error: progress interval must be finite and >= 0, not -1.0\n"
+    )
+
+
 def _progress_stages(err):
     """The stages of err's progress lines, each of which must carry a JSON partial."""
     stages = []
@@ -547,6 +555,47 @@ def test_limit_flags_sit_on_the_long_commands():
     assert {name for name, opts in options.items() if "--generator-cap" in opts} == {
         "symbolic", "containment", "scan", "conjectures"
     }
+
+
+def _first_call(argv):
+    """(exit code, stdout) of argv as the first main() call of a fresh process."""
+    root = Path(__file__).resolve().parents[1]
+    path = [str(root / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    proc = subprocess.run(
+        [sys.executable, "-m", "steinerideals", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    return proc.returncode, proc.stdout
+
+
+def test_main_shares_one_parser_that_keeps_no_state_between_calls(capsys):
+    assert build_parser() is build_parser()
+    plain = ("symbolic", "builtin:fano", "--source", "complement", "-m", "2")
+    limited = (*plain, "--generator-cap", "20", "--time-cap", "60", "--progress-interval", "1e-9")
+    first = {argv: _first_call(argv) for argv in (plain, limited)}
+    assert first[plain][0] == 0 and first[limited][0] == 4
+    # a call with every limit flag set, then one without them, in both
+    # orders, with a call refused for an unknown flag in between
+    for argv in (limited, plain, (*plain, "--no-such-flag"), plain, limited):
+        if argv not in first:
+            with pytest.raises(SystemExit) as exc:
+                main(list(argv))
+            assert exc.value.code == 2 and capsys.readouterr().out == ""
+            continue
+        code, out, _ = run(capsys, *argv)
+        assert (code, out) == first[argv], argv
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("conjectures", "--help")])
+def test_help_is_the_same_on_every_call(capsys, argv):
+    outs = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] and outs[0].startswith("usage: steinerideals")
 
 
 def test_alpha_takes_no_generator_cap(capsys):
@@ -890,10 +939,21 @@ def test_conjectures_reject_an_empty_r_range(capsys, family):
     ],
     ids=["ambient-dim", "h-max", "m"],
 )
-def test_conjectures_print_no_verdict_before_a_bad_parameter(capsys, flag, message):
-    # the first four families hold; the alpha bounds then refuse the value
-    argv = ("conjectures", "builtin:fano", "--source", "complement", flag, "0")
-    assert run(capsys, *argv) == (2, "", message)
+def test_conjectures_print_no_verdict_before_a_bad_parameter(capsys, monkeypatch, flag, message):
+    # the alpha bounds' parameters are checked before any family runs, so
+    # a refused value costs no alpha search and no fold
+    calls = []
+    for name in ("initial_degree", "symbolic_power"):
+        fn = getattr(containment, name)
+        monkeypatch.setattr(
+            containment, name, lambda *a, _fn=fn, _name=name, **k: calls.append(_name) or _fn(*a, **k)
+        )
+    argv = ("conjectures", "builtin:fano", "--source", "complement", flag)
+    assert run(capsys, *argv, "0") == (2, "", message)
+    assert calls == []
+    # the same run with a valid value does call them
+    assert run(capsys, *argv, "1")[0] == 0
+    assert set(calls) == {"initial_degree", "symbolic_power"}
 
 
 def test_a_capped_conjectures_run_prints_only_the_resource_limit_report(capsys):
