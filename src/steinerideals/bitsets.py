@@ -14,7 +14,10 @@ d[-1] + 1 <= x[-1].  The last column is the caller's:
 - _surviving_lifts (one step of symbolic_power's fold) carries the
   degree off sigma, which a lift shares with its parent, and queries a
   step's lifts against the running antichain's rows of sigma-degree
-  <= m.
+  <= m.  A step whose whole query is one block of the broadcast path
+  below (most steps of a complement's fold) skips _undominated: its
+  full lift rows are decided by one broadcast comparison, after one
+  check.
 
 A candidate is a parent row with its own values on columns sigma (never
 the last); off sigma it equals its parent.  So the part off sigma is
@@ -330,26 +333,44 @@ def _surviving_lifts(
     column of ``todo`` and ``doms`` is the degree off sigma, which a
     lift shares with its parent.  A lift x is dropped iff some dominator
     row d has d <= x in every column but the last and d[-1] < x[-1].
-    The lifts are held as their sigma columns and their parent's index,
-    _undominated tests each parent off sigma once and each lift on sigma
-    only (``check`` is its per-block budget check), and full rows are
-    built only for the survivors.  These come back in no fixed order,
-    deduplicated unless they all have one parent, whose lifts are
-    distinct already.
+    ``check`` is the query's per-block budget check.  The survivors come
+    back in no fixed order, deduplicated unless they all have one
+    parent, whose lifts are distinct already.
+
+    When the whole query is one dominator block that the _BROADCAST rule
+    decides (a fold step with few todo rows and few dominators), the
+    lifts are built as full column-major rows, each parent's column
+    repeated plus its compositions on sigma, and decided by one
+    broadcast comparison after one check.  Otherwise the lifts are
+    held as their sigma columns and their parent's index, _undominated
+    tests each parent off sigma once and each lift on sigma only, and
+    full rows are built only for the survivors.
     """
     counts = np.bincount(deficits).tolist()
     present = [d for d, c in enumerate(counts) if c]
+    comps = {d: _compositions(d, len(idx)).T for d in present}
+    lift_count = sum(counts[d] * comps[d].shape[1] for d in present)
+    if len(doms) <= _BLOCK and (lift_count + len(todo)) * doms.size <= _BROADCAST:
+        if check is not None:
+            check()
+        parts = [comps[d] for d in deficits.tolist()]
+        full = todo.T.repeat([p.shape[1] for p in parts], axis=1)
+        full[idx] += parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+        below = doms.T.copy()
+        below[-1] += 1
+        out = full[:, (below[:, None, :] > full[:, :, None]).any(axis=0).all(axis=1)].T
+        # lifts of different parents may coincide; one parent's never do
+        return out if len(todo) == 1 else out[_distinct(out)]
     if len(present) > 1:
         # parents grouped by deficit, so each group's lifts are one sum
         todo = todo[np.argsort(deficits, kind="stable")]
     # the lifts are column-major (one row per sigma column), as the query takes them
     sig = todo.T[idx]
     lifts, owner, lo = [], [], 0
-    for d in present:
-        comps = _compositions(d, len(idx)).T
+    for d, c in comps.items():
         hi = lo + counts[d]
-        lifts.append((sig[:, lo:hi, None] + comps[:, None, :]).reshape(len(idx), -1))
-        owner.append(np.arange(lo, hi).repeat(comps.shape[1]))
+        lifts.append((sig[:, lo:hi, None] + c[:, None, :]).reshape(len(idx), -1))
+        owner.append(np.arange(lo, hi).repeat(c.shape[1]))
         lo = hi
     # each parent's lifts form one run of owner, which dropping lifts keeps
     lifts = lifts[0] if len(present) == 1 else np.concatenate(lifts, axis=1)

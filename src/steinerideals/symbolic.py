@@ -25,7 +25,7 @@ from __future__ import annotations
 import functools
 import itertools
 import logging
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from fractions import Fraction
 from math import comb
 
@@ -47,25 +47,41 @@ class PrimeDecomposition:
     (supersets of another support) contribute nothing to an intersection
     and are normalized away with a logged notice.  ``steiner`` carries
     (t, n, v) when the decomposition is the complement configuration of a
-    validated S(t, n, v), and None otherwise.
+    validated S(t, n, v), and None otherwise.  ``budget``, init-only, is
+    checked (stage "decomposition") before each run of 2^16 supports of
+    the normalization's two passes, one that normalizes each support and
+    one that tests them for embedding; ``supports_checked`` counts the
+    supports the pass has done, of the ``supports_total`` it reads.
     """
 
     variable_count: int
     supports: tuple[tuple[int, ...], ...]
     steiner: tuple[int, int, int] | None = None
+    budget: InitVar[Budget | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, budget: Budget | None):
         if self.variable_count < 1:
             raise ValueError("variable_count must be >= 1")
         if not self.supports:
             raise ValueError("a prime decomposition needs at least one support")
-        seen = {_normalize_edge(s, self.variable_count, "support") for s in self.supports}
+        budget = budget or Budget()
+        given = tuple(self.supports)
+
+        def runs(items):
+            for lo in range(0, len(items), 1 << 16):
+                budget.check("decomposition", {"supports_checked": lo, "supports_total": len(items)})
+                yield from items[lo : lo + (1 << 16)]
+
+        # a dict keeps the input order, which is usually (size, lex) already,
+        # so the two stable sorts below cost about one pass
+        seen = dict.fromkeys(_normalize_edge(s, self.variable_count, "support") for s in runs(given))
+        ordered = sorted(sorted(seen), key=len)
         # Equal-size supports cannot nest, so each support is only tested,
         # as a bitmask, against the kept supports of strictly smaller size.
         minimal = []
         smaller: list[int] = []
         same_size: list[int] = []
-        for s in sorted(seen, key=lambda s: (len(s), s)):
+        for s in runs(ordered):
             if minimal and len(s) > len(minimal[-1]):
                 smaller += same_size
                 same_size = []
@@ -118,10 +134,12 @@ def complement_ideal(S: SteinerSystem, *, budget: Budget | None = None) -> Prime
 
     Raises ComplementEmpty when every n-subset is a block (t+1 = n = v
     style corner cases).  The budget is checked while complement_blocks
-    enumerates (stage "complement").  The result records Steiner
-    provenance.
+    enumerates (stage "complement") and while the decomposition
+    normalizes the supports (stage "decomposition").  The result records
+    Steiner provenance.
     """
-    return PrimeDecomposition(S.v, complement_blocks(S, budget=budget), steiner=(S.t, S.n, S.v))
+    supports = complement_blocks(S, budget=budget)
+    return PrimeDecomposition(S.v, supports, steiner=(S.t, S.n, S.v), budget=budget)
 
 
 def member_of_symbolic(w: Monomial, P: PrimeDecomposition, m: int) -> bool:
@@ -168,10 +186,18 @@ def symbolic_power(
     compared last column; the ok rows of larger sigma-degree never enter
     it.  A lift x = g + c has x_off = g_off, as c is zero off sigma; so
     the query's test off sigma, offdeg included, is the same for all of
-    g's lifts.  _surviving_lifts runs it once per parent and dominator
-    block, tests each lift on the sigma columns only, and builds full
-    rows only for the lifts that survive.  The result is sorted
-    canonically once, after the last step.
+    g's lifts.  _surviving_lifts decides a small step's full lift rows
+    by one comparison, and otherwise runs that test once per parent and
+    dominator block and tests each lift on the sigma columns only.
+
+    On complements a step has a few todo rows among thousands, so a
+    step costs what those rows cost.  G is kept column-major in an
+    append buffer, with each row's total degree as its last entry: a
+    step sums |sigma| contiguous buffer rows for the sigma-degrees,
+    gathers only its todo and dominator columns, whose offdeg is total
+    minus sigma-degree, retires its todo columns in place and appends
+    the surviving lifts.  The buffer is compacted only when it is full.
+    The result is sorted canonically once, after the last step.
 
     The argument holds for any antichain G to start from.  Since I^(m)
     is contained in I^(k) for k < m, folding every p_sigma^m into the
@@ -194,33 +220,57 @@ def symbolic_power(
     budget = budget or Budget()
     nv = P.variable_count
     total = len(P.supports)
-    # The rows of G, with one more column: each step writes every row's
-    # offdeg there, and a lift inherits its parent's offdeg, so the query
-    # needs no stacking.
+    # G is held column-major in an append buffer: column i is row i of G
+    # on the first nv rows and its total degree on the last.  A retired
+    # column holds m + 1 in every variable, so its sigma-degree exceeds
+    # m and it is never a todo row or a dominator again; a live entry
+    # never exceeds m, as no minimal generator of I^(k), k <= m, has an
+    # exponent above k.  The first `used` columns are filled, `kept` of
+    # them live; a full buffer is compacted to twice its live and
+    # incoming columns, so each column is copied O(1) times on average.
     seed = np.zeros((1, nv), dtype=np.int64) if _seed is None else _seed.rows
-    rows = np.zeros((len(seed), nv + 1), dtype=np.int64)
-    rows[:, :-1] = seed
+    buf = np.empty((nv + 1, 2 * len(seed)), dtype=np.int64)
+    buf[:-1, : len(seed)] = seed.T
+    buf[-1, : len(seed)] = seed.sum(axis=1)
+    used = kept = len(seed)
 
     for step, idx in enumerate(P._fold_columns):
-        sdeg = rows[:, idx].sum(axis=1)
-        short = sdeg < m
+        sdeg = buf[idx, :used].sum(axis=0)
+        short = (sdeg < m).nonzero()[0]
         deficits = m - sdeg[short]
         # rows per deficit; np.bincount, unlike np.unique, does not
         # import numpy.ma (about 1 MB of resident memory)
         counts = np.bincount(deficits, minlength=m + 1)
-        candidate = int(len(rows) - counts.sum()) + sum(
+        candidate = kept - len(short) + sum(
             c * comb(d + len(idx) - 1, d) for d, c in enumerate(counts.tolist()) if c
         )
-        partial = {"supports_folded": step, "supports_total": total, "kept": len(rows)}
+        partial = {"supports_folded": step, "supports_total": total, "kept": kept}
         budget.check("symbolic-power", partial, candidate)
-        if counts.any():
-            rows[:, -1] = rows[:, :-1].sum(axis=1) - sdeg
-            doms = rows[sdeg <= m]
-            lifts = _surviving_lifts(
-                rows[short], idx, deficits, doms, lambda: budget.check("symbolic-power", partial)
-            )
-            rows = np.concatenate([rows[~short], lifts])
-    rows = rows[:, :-1]
+        if len(short) == 0:
+            continue
+        # only the todo and dominator columns are read, with offdeg =
+        # total - sigma-degree in the last row; a lift inherits its
+        # parent's offdeg, so the query needs no stacking
+        doms = (sdeg <= m).nonzero()[0]
+        cols = buf[:, doms]
+        cols[-1] -= sdeg[doms]
+        todo = cols[:, sdeg[doms] < m]
+        lifts = _surviving_lifts(
+            todo.T, idx, deficits, cols.T, lambda: budget.check("symbolic-power", partial)
+        )
+        buf[:-1, short] = m + 1
+        kept -= len(short)
+        if used + len(lifts) > buf.shape[1]:
+            live = np.flatnonzero(buf[0, :used] <= m)
+            grown = np.empty((nv + 1, 2 * (kept + len(lifts))), dtype=np.int64)
+            grown[:, :kept] = buf[:, live]
+            buf, used = grown, kept
+        buf[:, used : used + len(lifts)] = lifts.T
+        # a lift has sigma-degree m, so its total degree is its offdeg + m
+        buf[-1, used : used + len(lifts)] += m
+        used += len(lifts)
+        kept += len(lifts)
+    rows = buf[:-1, :used][:, buf[0, :used] <= m].T
     return MonomialIdeal(nv, rows[_canonical_order(rows)])
 
 

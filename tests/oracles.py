@@ -178,6 +178,11 @@ def pg24():
     return _cyclic_design(21, 5, ((3, 6, 7, 12, 14),))
 
 
+def pg25():
+    """PG(2,5) = S(2,6,31): the difference set {1,5,11,24,25,27} developed mod 31."""
+    return _cyclic_design(31, 6, ((1, 5, 11, 24, 25, 27),))
+
+
 def pg27():
     """PG(2,7) = S(2,8,57): the difference set {0,1,3,13,32,36,43,52} developed mod 57."""
     return _cyclic_design(57, 8, ((0, 1, 3, 13, 32, 36, 43, 52),))

@@ -107,6 +107,13 @@ def sts31_file(tmp_path):
 
 
 @pytest.fixture
+def pg25_file(tmp_path):
+    path = tmp_path / "pg25.json"
+    path.write_text(json.dumps(oracles.pg25().to_dict()))
+    return str(path)
+
+
+@pytest.fixture
 def pg27_file(tmp_path):
     path = tmp_path / "pg27.json"
     path.write_text(json.dumps(oracles.pg27().to_dict()))
@@ -835,6 +842,21 @@ def test_time_cap_stops_the_complement_enumeration(capsys, pg27_file, argv):
     assert doc["partial"]["subsets_total"] == 1_652_411_475
     assert set(doc["partial"]) == {"subsets_checked", "subsets_total"}
     assert wall < 2.0
+
+
+@pytest.mark.slow
+def test_time_cap_stops_the_support_normalization(capsys, pg25_file):
+    # the PG(2,5) complement has 736,250 supports: enumerating them takes
+    # about 0.3 s, normalizing them about 3 s, checked once per 2^16
+    t0 = time.monotonic()
+    code, doc, _ = run_json(
+        capsys, "symbolic", pg25_file, "--source", "complement", "-m", "1", "--time-cap", "1"
+    )
+    wall = time.monotonic() - t0
+    assert code == 4
+    assert doc["error"] == "resource-limit" and doc["stage"] == "decomposition"
+    assert set(doc["partial"]) == {"supports_checked", "supports_total"}
+    assert wall < 2.5
 
 
 def test_time_cap_stops_the_partition_search(capsys, sts31_file):

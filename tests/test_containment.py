@@ -476,7 +476,7 @@ def test_every_long_loop_reports_progress_with_its_documented_partial():
     assert not ContainmentEngine(cover_ideal(H), budget=budget).check(3, 2, audit=True).holds
     assert is_coverable(H, 2, budget=budget) is None
     complement_ideal(builtin_fano(), budget=budget)
-    assert len(table) == 7 and set(seen) == set(table)
+    assert len(table) == 8 and set(seen) == set(table)
     for stage, key_tuples in seen.items():
         assert {frozenset(keys) for keys in key_tuples} == {frozenset(table[stage])}, stage
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import io
+import itertools
 import logging
 import time
 import traceback
@@ -136,6 +137,25 @@ def test_decomposition_rejects_bad_input():
         PrimeDecomposition(0, ((1,),))
     with pytest.raises(ValueError):
         PrimeDecomposition(7, ((1, 2),), steiner=(3, 3, 7))
+
+
+def test_decomposition_checks_its_budget_while_normalizing():
+    # 3-subsets of 75 points (67,525, more than 2^16) plus one repeat:
+    # the normalizing pass reads all 67,526 given, the embedding pass the
+    # 67,525 distinct ones, each checking before each run of 2^16
+    given = tuple(itertools.combinations(range(1, 76), 3)) + ((3, 2, 1),)
+    calls = []
+    budget = Budget(progress=lambda stage, partial: calls.append((stage, dict(partial))))
+    P = PrimeDecomposition(75, given, budget=budget)
+    assert P.support_count == 67525
+    assert [stage for stage, _ in calls] == ["decomposition"] * 4
+    assert [(p["supports_checked"], p["supports_total"]) for _, p in calls] == [
+        (0, 67526), (65536, 67526), (0, 67525), (65536, 67525)
+    ]
+    with pytest.raises(ResourceLimit) as ei:
+        PrimeDecomposition(3, ((1, 2),), budget=Budget(deadline=time.monotonic() - 1.0))
+    assert ei.value.stage == "decomposition"
+    assert ei.value.partial == {"supports_checked": 0, "supports_total": 1}
 
 
 def test_membership_predicate_basics():
@@ -317,6 +337,59 @@ def test_fold_checks_the_budget_inside_the_minimalization(monkeypatch):
     assert 1 <= exc.partial["supports_folded"] < exc.partial["supports_total"]
     frames = [f.name for f in traceback.extract_tb(exc.__traceback__)]
     assert frames[frames.index("symbolic_power") + 1] == "_surviving_lifts"
+
+
+def test_a_small_fold_step_checks_the_budget_in_the_kernel_frame():
+    # every step of the Fano complement's fold at m = 1 is one broadcast
+    # block, decided on full lift rows after one check made by
+    # _surviving_lifts itself, not by the block loop of _undominated
+    class StopAfterTheFirstStep(Budget):
+        def check(self, stage, partial, candidate=0):
+            super().check(stage, partial, candidate)
+            in_kernel = any(f.name == "_surviving_lifts" for f in traceback.extract_stack())
+            if in_kernel and partial["supports_folded"] >= 1:
+                raise ResourceLimit(stage, "stop", partial)
+
+    with pytest.raises(ResourceLimit) as ei:
+        symbolic_power(fano_complement(), 1, budget=StopAfterTheFirstStep())
+    assert ei.value.partial["supports_folded"] == 1
+    frames = [f.name for f in traceback.extract_tb(ei.value.__traceback__)]
+    at = frames.index("symbolic_power")
+    assert frames[at + 1 : at + 3] == ["_surviving_lifts", "<lambda>"]
+
+
+@pytest.mark.parametrize("path", ["as-is", "tables", "full-rows"])
+def test_symbolic_power_matches_the_reference_fold_on_random_decompositions(monkeypatch, path):
+    # Random families of 20-80 supports over 6-9 variables, folded to
+    # m = 1..3 and compared with the reference fold.  The fold's buffer
+    # starts at two columns, so it grows and compacts many times; a
+    # _BROADCAST of 0 sends every step through the owner/sigma split and
+    # its threshold tables, a huge one every step through the full-row
+    # comparison; counting the kernel's calls and its block loop's
+    # (which the reference fold does not share) shows which path ran.
+    broadcast = {"as-is": bitsets._BROADCAST, "tables": 0, "full-rows": 1 << 62}[path]
+    monkeypatch.setattr(bitsets, "_BROADCAST", broadcast)
+    calls = {"steps": 0, "queries": 0}
+
+    def counted(fn, key):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(symbolic, "_surviving_lifts", counted(bitsets._surviving_lifts, "steps"))
+    monkeypatch.setattr(bitsets, "_undominated", counted(bitsets._undominated, "queries"))
+    rng = Random(89)
+    for _ in range(6):
+        nv = rng.randint(6, 9)
+        sups = [tuple(rng.sample(range(1, nv + 1), rng.randint(2, 4))) for _ in range(rng.randint(20, 80))]
+        P = PrimeDecomposition(nv, tuple(sups))
+        for m in range(1, 4):
+            assert symbolic_power(P, m) == oracles.symbolic_power(P, m), (sups, m)
+    assert calls["steps"] > 100
+    if path != "as-is":
+        assert calls["queries"] == {"tables": calls["steps"], "full-rows": 0}[path]
 
 
 def test_initial_degree_search_obeys_the_budget():
@@ -649,6 +722,19 @@ _LADDER_DIGESTS = {
         1,
         247,
         "660a419a5c109ae6fcac2fffc56825e0a035b576f1a6cb28338aeb7e60986ba7",
+    ),
+    # 20,328 fold steps, each with a few todo rows and a few dominators
+    "pg24-complement-m1": (
+        lambda: complement_ideal(oracles.pg24()),
+        1,
+        5901,
+        "b658fc6f1563a0d418167f1117cf1650bfbacc2507a8f905895548417db2eed4",
+    ),
+    "pg24-complement-m2": (
+        lambda: complement_ideal(oracles.pg24()),
+        2,
+        7231,
+        "b5992a604dc3adddaee353d4bf4c17e7f155a4e445bf4915970561de1beae52a",
     ),
 }
 
