@@ -28,17 +28,18 @@ only in audit mode, to cross-check it.
 
 Every reported failure witness is independently confirmed: membership in
 the symbolic power by the linear support predicate, non-membership in
-M^slack * I^r by exhaustive multiset enumeration when the search space
-is small enough.  Exact rational arithmetic throughout; no floats.
+M^slack * I^r by an exhaustive search over the r-multisets of base
+generators, pruned by divisibility and degree, unless it would test
+_RECHECK_CAP prefixes.  Exact rational arithmetic throughout; no floats.
 """
 
 from __future__ import annotations
 
+import logging
 import time
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations_with_replacement, islice
 from math import ceil, comb
 from typing import Callable
 
@@ -57,9 +58,11 @@ from .symbolic import (
     symbolic_power,
 )
 
-_NAIVE_RECHECK_CAP = 250_000  # multiset count below which the brute recheck runs
-_RECHECK_CHUNK = 4096  # generator picks per vectorized step of that recheck
+_RECHECK_CAP = 1 << 20  # prefixes the witness's exhaustive search may test
+_RECHECK_CHUNK = 4096  # prefixes per vectorized step of that search
 _SCAN_CHUNK = 1 << 18  # generator-by-base-row tests per vectorized step of the scan
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -239,6 +242,34 @@ class ContainmentEngine:
     # witness confirmation, deliberately on independent code paths
 
     def _confirm_witness(self, w: Monomial, m: int, r: int, slack: int) -> None:
+        """Raise InternalInconsistency unless w is a true failure witness.
+
+        w must lie in I^(m) by the support predicate, and no product of r
+        base generators may divide w with ``slack`` degrees to spare.  The
+        second test is an exhaustive depth-first search over the
+        r-multisets of the base rows that divide w, sorted by degree, each
+        multiset taken as an index-nondecreasing sequence of rows.  A chunk
+        of at most _RECHECK_CHUNK prefixes of one length is extended, in
+        one gather and add, by every row at or after its last index that
+        is light enough: the rows still to come weigh at least that row's
+        degree each, so that many copies of it must fit in the degree left.
+        A child whose sum no longer divides w is dropped, and a surviving
+        child of length r is a dividing product.  Both cuts are exact, since
+        rows are nonnegative and every prefix of a dividing product divides
+        w.  The search uses none of member_of_power, _greedy_members or the
+        bitsets kernels.
+
+        The budget is checked, at stage witness-enumeration, once per chunk
+        popped, the first time before anything is ruled out.
+        ``multisets_checked`` counts the multisets ruled out so far: those
+        with a row that does not divide w, then every completion of each
+        cut or dropped prefix; it never decreases and reaches
+        ``multisets_total`` when the search ends.  The search tests fewer
+        than _RECHECK_CAP prefixes: one that would reach the cap stops
+        before its next chunk (before its first budget check, if that chunk
+        is the first), leaves the witness unconfirmed and says so at log
+        level INFO.
+        """
         P = self.decomposition
         if not member_of_symbolic(w, P, m):
             raise InternalInconsistency(
@@ -246,28 +277,67 @@ class ContainmentEngine:
             )
         rows = self.base_ideal().rows
         total = comb(len(rows) + r - 1, r)
-        if total > _NAIVE_RECHECK_CAP:
-            return
-        # all r-multisets of base rows, about _RECHECK_CHUNK picks per step
-        step = max(1, _RECHECK_CHUNK // r)
-        combos = combinations_with_replacement(range(len(rows)), r)
-        target = np.array(w.exponents, dtype=np.int64)
-        for done in range(0, total, step):
-            partial = {
-                "m": m,
-                "r": r,
-                "slack": slack,
-                "multisets_checked": done,
-                "multisets_total": total,
-            }
+        dtype = np.min_scalar_type(2 * max(w.exponents))  # a row plus a prefix dividing w
+        target = np.array(w.exponents, dtype=dtype)
+        room = w.degree - slack  # the largest degree a product may have
+        degs = rows.sum(axis=1)
+        fit = (rows <= target).all(axis=1) & (degs <= room)
+        order = np.argsort(degs[fit], kind="stable")
+        cand, cdeg = rows[fit][order].astype(dtype), degs[fit][order]
+        c = len(cand)
+        # within[s][j]: the s-multisets of the rows j..c-1, j = c included
+        within = [np.ones(c + 1, np.int64 if total < 1 << 63 else object)]
+        for _ in range(r):
+            within.append(np.append(np.cumsum(within[-1][-2::-1])[::-1], 0))
+        partial = {
+            "m": m,
+            "r": r,
+            "slack": slack,
+            "multisets_checked": 0,
+            "multisets_total": total,
+        }
+        unfit = total - int(within[r][0])  # the multisets with a row that cannot divide w
+        tested = 0
+        # a chunk is (k, sums, degrees, last): prefixes of k rows, their
+        # sums and degrees, and the index of their last row
+        stack = [(0, np.zeros((1, len(target)), dtype), np.zeros(1, np.int64), np.zeros(1, np.int64))]
+        while stack:
+            k, sums, deg, last = stack.pop()
+            # each of the r - k rows still to come weighs at least the next one
+            hi = np.maximum(np.searchsorted(cdeg, (room - deg) // (r - k), side="right"), last)
+            counts = hi - last
+            n = int(counts.sum())
+            if tested + n >= _RECHECK_CAP:
+                logger.info(
+                    "witness %s of m=%d, r=%d left unconfirmed: the search stopped at "
+                    "the cap after testing %d prefixes",
+                    w, m, r, tested,
+                )
+                return
+            tested += n
             self.budget.check("witness-enumeration", partial)
-            prods = rows[np.array(list(islice(combos, step)))].sum(axis=1)
-            fits = (prods <= target).all(axis=1) & (prods.sum(axis=1) <= w.degree - slack)
-            if fits.any():
+            offsets = np.cumsum(counts) - counts
+            parent = np.repeat(np.arange(len(last)), counts)
+            idx = np.arange(n) + np.repeat(last - offsets, counts)
+            child = sums[parent] + cand[idx]
+            ok = (child <= target).all(axis=1)
+            left = r - k - 1  # rows still to come after a child
+            if not left and ok.any():
                 raise InternalInconsistency(
                     f"witness {w} is divisible by a generator product; "
                     f"membership search disagrees with enumeration"
                 )
+            # ruled out: the completions cut by degree, then those of each
+            # dropped child, from its own row on
+            partial["multisets_checked"] += (
+                unfit + int(within[left + 1][hi].sum()) + int(within[left][idx[~ok]].sum())
+            )
+            unfit = 0
+            if left:
+                child, deg, last = child[ok], deg[parent[ok]] + cdeg[idx[ok]], idx[ok]
+                for lo in reversed(range(0, len(last), _RECHECK_CHUNK)):
+                    cut = slice(lo, lo + _RECHECK_CHUNK)
+                    stack.append((k + 1, child[cut], deg[cut], last[cut]))
 
     # the main decision procedure
 

@@ -73,6 +73,18 @@ def brute_member_of_power(w: tuple, gens: list[tuple], r: int, slack: int) -> bo
     return False
 
 
+def divisible_by_product(rows: np.ndarray, w, r: int, slack: int) -> bool:
+    """Whether some product of r of the rows divides w with slack degrees to spare.
+
+    The plain route: every r-multiset of rows from
+    itertools.combinations_with_replacement, summed in one gather.
+    """
+    picks = np.array(list(itertools.combinations_with_replacement(range(len(rows)), r)))
+    prods = rows[picks].sum(axis=1)
+    fits = (prods <= np.asarray(w)).all(axis=1) & (prods.sum(axis=1) <= sum(w) - slack)
+    return bool(fits.any())
+
+
 def brute_symbolic_members(supports, nvars: int, m: int, max_degree: int) -> frozenset:
     """Monomials of degree <= max_degree with every support-degree >= m."""
     out = []

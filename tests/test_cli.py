@@ -859,6 +859,27 @@ def test_time_cap_stops_the_support_normalization(capsys, pg25_file):
     assert wall < 2.5
 
 
+def test_time_cap_stops_the_witness_search(capsys, monkeypatch):
+    # the search confirms the Fano cover's (3, 2) witness in well under a
+    # millisecond, so the deadline is made to lapse as the search begins
+    real = steinerideals.Budget.check
+
+    def check(self, stage, partial, candidate=0):
+        if stage == "witness-enumeration":
+            self.deadline = time.monotonic() - 1.0
+        real(self, stage, partial, candidate)
+
+    monkeypatch.setattr(steinerideals.Budget, "check", check)
+    code, doc, _ = run_json(
+        capsys, "containment", "builtin:fano", "--source", "cover", "3", "2", "--time-cap", "60"
+    )
+    assert code == 4
+    assert doc["error"] == "resource-limit" and doc["stage"] == "witness-enumeration"
+    assert doc["partial"] == {
+        "m": 3, "r": 2, "slack": 0, "multisets_checked": 0, "multisets_total": 28
+    }
+
+
 def test_time_cap_stops_the_partition_search(capsys, sts31_file):
     # the weak chromatic number of PG(4,2) = STS(31) takes 46-49 s
     # (one process, 2-core x86-64 host, Python 3.11)

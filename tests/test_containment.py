@@ -1,14 +1,17 @@
 """Containment decisions, conjecture scans, and the resurgence region."""
 
 import dataclasses
+import logging
 import re
 import time
 import traceback
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 from random import Random
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from steinerideals import containment, symbolic
@@ -179,7 +182,7 @@ def test_pg23_cover_containment_holds_by_the_scan():
     assert rep.holds and rep.method == "generator-scan"
 
 
-# the witness check: membership predicate, then exhaustive enumeration
+# the witness check: membership predicate, then an exhaustive multiset search
 
 
 @pytest.fixture
@@ -212,8 +215,8 @@ def test_confirm_witness_accepts_a_product_without_enough_slack(triangle):
 @pytest.mark.parametrize("chunk", [1, 8, 10])
 def test_confirm_witness_enumerates_the_last_chunk(triangle, monkeypatch, chunk):
     # (0, 2, 2) is divisible only by (x2x3)^2, the last of the six
-    # multisets; chunks of 1, 8 and 10 picks hold 1, 4 and 5 of them,
-    # so that multiset comes last in a full or a short last chunk
+    # multisets; x2x3 is the one base row dividing it, so in chunks of
+    # any size the search reaches that product through the prefix x2x3
     monkeypatch.setattr(containment, "_RECHECK_CHUNK", chunk)
     with pytest.raises(InternalInconsistency, match="divisible by a generator product"):
         triangle._confirm_witness(Monomial((0, 2, 2)), 2, 2, 0)
@@ -226,11 +229,128 @@ def test_confirm_witness_above_the_recheck_cap_skips_only_the_enumeration(triang
     triangle._confirm_witness(Monomial((1, 1, 1)), 2, 2, 0)
     assert stages == ["witness-enumeration"]
     stages.clear()
-    monkeypatch.setattr(containment, "_NAIVE_RECHECK_CAP", 0)
+    monkeypatch.setattr(containment, "_RECHECK_CAP", 0)
     with pytest.raises(InternalInconsistency, match="not in the symbolic power"):
         triangle._confirm_witness(Monomial((0, 2, 2)), 3, 2, 0)
     triangle._confirm_witness(Monomial((1, 1, 1)), 2, 2, 0)
     assert stages == []
+
+
+def _symbolic_exponent(P, w):
+    """The largest m with w in I^(m): w's least support degree."""
+    return min(sum(int(w[i - 1]) for i in s) for s in P.supports)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, containment._RECHECK_CHUNK])
+def test_confirm_witness_raises_exactly_when_the_multiset_oracle_finds_a_product(
+    monkeypatch, chunk
+):
+    # w is random, r times the last base row (divisible only by the
+    # lex-last multiset, at slack 0), or r - 1 base rows plus a random
+    # 0/1 vector, where a prefix fits and a full product may not; a search
+    # that ends without a product has ruled out every multiset
+    monkeypatch.setattr(containment, "_RECHECK_CHUNK", chunk)
+    rng = Random(32)
+    seen = set()
+    for _ in range(200):
+        nv, sups = oracles.random_supports(rng)
+        engine = ContainmentEngine(PrimeDecomposition(nv, tuple(sups)))
+        rows = engine.base_ideal().rows
+        r, slack = rng.randint(1, 4), rng.randint(0, 3)
+        kind = rng.choice(["random", "last", "prefix"])
+        if kind == "last":
+            w, slack = r * rows[-1], 0
+        elif kind == "prefix":
+            w = rows[[rng.randrange(len(rows)) for _ in range(r - 1)]].sum(axis=0)
+            w += [rng.randint(0, 1) for _ in range(nv)]
+        else:
+            w = np.array([rng.randint(0, 3) for _ in range(nv)])
+        if _symbolic_exponent(engine.decomposition, w) == 0:
+            w += rows[rng.randrange(len(rows))]
+        m = _symbolic_exponent(engine.decomposition, w)
+        want = oracles.divisible_by_product(rows, w, r, slack)
+        kept = []
+        engine.budget.progress = lambda stage, partial: kept.append(partial)
+        witness = Monomial(tuple(w.tolist()))
+        if want:
+            with pytest.raises(InternalInconsistency, match="divisible by a generator product"):
+                engine._confirm_witness(witness, m, r, slack)
+        else:
+            engine._confirm_witness(witness, m, r, slack)
+            # the sink's partial is the search's own dict, so after the
+            # search it holds the final count
+            assert kept[-1]["multisets_checked"] == kept[-1]["multisets_total"]
+        seen.add((kind, want))
+    assert seen == {(kind, want) for kind in ("random", "prefix") for want in (True, False)} | {
+        ("last", True)
+    }
+
+
+def test_confirm_witness_in_chunks_of_one_never_lowers_its_count(monkeypatch):
+    # x_V lies in J^(4) of the PG(2,3) cover, not in J^3: the search
+    # takes the 13 lines, one chunk each, and no two lines are disjoint
+    monkeypatch.setattr(containment, "_RECHECK_CHUNK", 1)
+    engine = ContainmentEngine(cover_ideal(oracles.pg23().hypergraph()))
+    engine.base_ideal()
+    partials = []
+    engine.budget.progress = lambda stage, partial: partials.append(dict(partial))
+    engine._confirm_witness(Monomial((1,) * 13), 4, 3, 0)
+    counts = [p["multisets_checked"] for p in partials]
+    assert len(counts) == 14 and counts[0] == 0
+    assert all(a <= b for a, b in zip(counts, counts[1:]))
+    assert counts[-1] < partials[-1]["multisets_total"] == comb(249, 3)
+
+
+def test_confirm_witness_says_when_the_cap_stops_its_search(monkeypatch, caplog, capsys):
+    # the same search tests 13 prefixes, then 91: a cap of 104 stops it
+    # before its second chunk and a cap of 105 lets it end
+    engine = ContainmentEngine(cover_ideal(oracles.pg23().hypergraph()))
+    engine.base_ideal()
+    stages = []
+    engine.budget.progress = lambda stage, partial: stages.append(stage)
+    x_v = Monomial((1,) * 13)
+    with caplog.at_level(logging.INFO, logger="steinerideals.containment"):
+        monkeypatch.setattr(containment, "_RECHECK_CAP", 104)
+        engine._confirm_witness(x_v, 4, 3, 0)
+        assert stages == ["witness-enumeration"]
+        [record] = [rec for rec in caplog.records if rec.name == "steinerideals.containment"]
+        assert record.levelno == logging.INFO
+        msg = record.getMessage()
+        assert str(x_v) in msg and "m=4, r=3" in msg and "testing 13 prefixes" in msg
+        caplog.clear()
+        stages.clear()
+        monkeypatch.setattr(containment, "_RECHECK_CAP", 105)
+        engine._confirm_witness(x_v, 4, 3, 0)
+        assert stages == ["witness-enumeration"] * 2
+        assert not [rec for rec in caplog.records if rec.name == "steinerideals.containment"]
+    assert capsys.readouterr() == ("", "")
+
+
+@pytest.mark.slow
+def test_pg23_cover_witnesses_are_confirmed_by_a_search_that_runs_to_the_end(caplog):
+    engine = ContainmentEngine(cover_ideal(oracles.pg23().hypergraph()))
+    seen = []
+    engine.budget.progress = lambda stage, partial: (
+        seen.append((dict(partial), partial)) if stage == "witness-enumeration" else None
+    )
+    with caplog.at_level(logging.INFO, logger="steinerideals.containment"):
+        for m, r in ((4, 3), (5, 4)):
+            seen.clear()
+            rep = engine.check(m, r)
+            assert not rep.holds and rep.method == "generator-scan"
+            counts = [copy["multisets_checked"] for copy, _ in seen]
+            assert counts == sorted(counts) and counts[-1] <= seen[-1][0]["multisets_total"]
+            # the sink's partial is the search's own dict: once the search
+            # has ended it holds every multiset ruled out
+            final = seen[-1][1]
+            assert final["multisets_checked"] == final["multisets_total"] == comb(247 + r - 1, r)
+    assert not [rec for rec in caplog.records if rec.name == "steinerideals.containment"]
+    # a product of 4 base rows lies in I^4, so in I^(4): C(250, 4) multisets,
+    # above the old enumeration's cap, and the search finds the product
+    rows = engine.base_ideal().rows
+    w = Monomial(tuple(rows[[0, 5, 77, 200]].sum(axis=0).tolist()))
+    with pytest.raises(InternalInconsistency, match="divisible by a generator product"):
+        engine._confirm_witness(w, 4, 4, 0)
 
 
 def test_report_dict_schema(fano_c):
