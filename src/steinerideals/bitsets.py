@@ -7,9 +7,9 @@ dominator row.  A dominator d lies below a candidate x when d[j] <=
 x[j] in every column but the last and d[-1] < x[-1], tested as
 d[-1] + 1 <= x[-1].  The last column is the caller's:
 
-- _minimal_rows (behind MonomialIdeal.from_rows and multiply) appends
-  the degree, and queries the distinct rows in canonical order
-  (_canonical_order: degree ascending, then tuple descending, which
+- _minimal_rows (behind MonomialIdeal.from_rows, multiply and
+  PrimeDecomposition) appends the degree, and queries the distinct rows
+  in canonical order (degree ascending, then tuple descending, which
   fixes every first-reported witness) against rows of smaller degree;
 - _surviving_lifts (one step of symbolic_power's fold) carries the
   degree off sigma, which a lift shares with its parent, and queries a
@@ -284,10 +284,10 @@ def _minimal_rows(rows: np.ndarray, check: Callable[[], None] | None = None) -> 
     ``check``, if given, is called before each dominator block; a
     caller's budget check raises from it to stop a long minimalization.
     """
-    if len(rows) == 0:
-        return rows.reshape(0, rows.shape[1])
     rows = rows[_distinct(rows)]
     deg = rows.sum(axis=1)
+    if len(rows) == 0 or deg[0] == deg[-1]:
+        return rows  # distinct rows of one degree are an antichain
     ext = np.column_stack([rows, deg])
     dropped = np.zeros(len(rows), dtype=bool)
     for lo in range(0, len(rows), _BLOCK):

@@ -285,10 +285,8 @@ class ContainmentEngine:
         order = np.argsort(degs[fit], kind="stable")
         cand, cdeg = rows[fit][order].astype(dtype), degs[fit][order]
         c = len(cand)
-        # within[s][j]: the s-multisets of the rows j..c-1, j = c included
-        within = [np.ones(c + 1, np.int64 if total < 1 << 63 else object)]
-        for _ in range(r):
-            within.append(np.append(np.cumsum(within[-1][-2::-1])[::-1], 0))
+        # within[s][j] = C(c - j + s - 1, s), the s-multisets of rows j..c-1, built on first use
+        within, ctype = {}, (np.int64 if total < 1 << 63 else object)
         partial = {
             "m": m,
             "r": r,
@@ -296,7 +294,7 @@ class ContainmentEngine:
             "multisets_checked": 0,
             "multisets_total": total,
         }
-        unfit = total - int(within[r][0])  # the multisets with a row that cannot divide w
+        unfit = total - comb(c + r - 1, r)  # the multisets with a row that cannot divide w
         tested = 0
         # a chunk is (k, sums, degrees, last): prefixes of k rows, their
         # sums and degrees, and the index of their last row
@@ -327,6 +325,8 @@ class ContainmentEngine:
                     f"witness {w} is divisible by a generator product; "
                     f"membership search disagrees with enumeration"
                 )
+            for s in {left, left + 1} - within.keys():
+                within[s] = np.array([comb(max(a + s - 1, 0), s) for a in range(c, -1, -1)], ctype)
             # ruled out: the completions cut by degree, then those of each
             # dropped child, from its own row on
             partial["multisets_checked"] += (

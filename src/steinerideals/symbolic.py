@@ -1,9 +1,9 @@
 """Symbolic powers of intersections of squarefree prime ideals.
 
 A PrimeDecomposition holds the supports of height-one-generated primes
-p_sigma = (x_i : i in sigma).  The ideal it presents is the intersection
-of those primes, and the m-th symbolic power is the intersection of the
-m-th ordinary powers:
+p_sigma = (x_i : i in sigma) as the rows of one 0/1 matrix.  The ideal
+it presents is the intersection of those primes, and the m-th symbolic
+power is the intersection of the m-th ordinary powers:
 
     I^(m) = intersection over sigma of p_sigma^m.
 
@@ -25,13 +25,13 @@ from __future__ import annotations
 import functools
 import itertools
 import logging
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
 import numpy as np
 
-from .bitsets import _canonical_order, _surviving_lifts
+from .bitsets import _canonical_order, _distinct, _minimal_rows, _surviving_lifts
 from .budget import Budget
 from .designs import Hypergraph, SteinerSystem, _normalize_edge, complement_blocks
 from .errors import InternalInconsistency, MixedAmbient
@@ -39,85 +39,91 @@ from .monomials import EXPONENT_LIMIT, Monomial, MonomialIdeal
 
 logger = logging.getLogger(__name__)
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class PrimeDecomposition:
     """Antichain of prime supports over {1, ..., variable_count}.
 
-    Supports are sorted tuples ordered by (size, lex).  Embedded supports
-    (supersets of another support) contribute nothing to an intersection
-    and are normalized away with a logged notice.  ``steiner`` carries
-    (t, n, v) when the decomposition is the complement configuration of a
-    validated S(t, n, v), and None otherwise.  ``budget``, init-only, is
-    checked (stage "decomposition") before each run of 2^16 supports of
-    the normalization's two passes, one that normalizes each support and
-    one that tests them for embedding; ``supports_checked`` counts the
-    supports the pass has done, of the ``supports_total`` it reads.
+    ``rows``, one read-only 0/1 int8 row per support in canonical order
+    (size ascending, then the row descending: (size, lex) order on sorted
+    tuples), is the only stored form; ``supports`` builds those tuples on
+    first read.  _minimal_rows drops embedded supports, each with a logged
+    notice.  ``steiner`` carries (t, n, v) for the complement configuration
+    of a validated S(t, n, v), and None otherwise.  ``budget`` is checked
+    (stage "decomposition") before each run of 2^16 supports is turned
+    into rows (``supports_checked`` of the ``supports_total`` given), then,
+    both at the total, before each block of the embedding test.
     """
 
     variable_count: int
-    supports: tuple[tuple[int, ...], ...]
+    rows: np.ndarray
     steiner: tuple[int, int, int] | None = None
-    budget: InitVar[Budget | None] = None
 
-    def __post_init__(self, budget: Budget | None):
-        if self.variable_count < 1:
+    def __init__(self, variable_count, supports, steiner=None, budget: Budget | None = None):
+        if variable_count < 1:
             raise ValueError("variable_count must be >= 1")
-        if not self.supports:
+        given = tuple(supports)
+        if not given:
             raise ValueError("a prime decomposition needs at least one support")
-        budget = budget or Budget()
-        given = tuple(self.supports)
-
-        def runs(items):
-            for lo in range(0, len(items), 1 << 16):
-                budget.check("decomposition", {"supports_checked": lo, "supports_total": len(items)})
-                yield from items[lo : lo + (1 << 16)]
-
-        # a dict keeps the input order, which is usually (size, lex) already,
-        # so the two stable sorts below cost about one pass
-        seen = dict.fromkeys(_normalize_edge(s, self.variable_count, "support") for s in runs(given))
-        ordered = sorted(sorted(seen), key=len)
-        # Equal-size supports cannot nest, so each support is only tested,
-        # as a bitmask, against the kept supports of strictly smaller size.
-        minimal = []
-        smaller: list[int] = []
-        same_size: list[int] = []
-        for s in runs(ordered):
-            if minimal and len(s) > len(minimal[-1]):
-                smaller += same_size
-                same_size = []
-            mask = sum(1 << i for i in s)
-            if any(t & mask == t for t in smaller):
-                logger.info("normalized away embedded support %s", s)
-                continue
-            minimal.append(s)
-            same_size.append(mask)
-        object.__setattr__(self, "supports", tuple(minimal))
-        if self.steiner is not None:
-            t, n, v = self.steiner
+        if steiner is not None:
+            t, n, v = steiner
             if not (1 <= t < n <= v):
-                raise ValueError(f"bad steiner provenance {self.steiner}")
-            object.__setattr__(self, "steiner", (t, n, v))
+                raise ValueError(f"bad steiner provenance {steiner}")
+            steiner = (t, n, v)
+        budget = budget or Budget()
+        rows = np.zeros((len(given), variable_count), dtype=np.int8)
+
+        def fill(lo, run):
+            sizes = np.fromiter(map(len, run), np.intp, len(run))
+            cols = np.fromiter(itertools.chain.from_iterable(run), np.int64) - 1
+            if not sizes.all() or cols.min() < 0 or cols.max() >= variable_count:
+                raise ValueError
+            rows[np.repeat(np.arange(lo, lo + len(run)), sizes), cols] = 1
+
+        for lo in range(0, len(given), 1 << 16):
+            budget.check("decomposition", {"supports_checked": lo, "supports_total": len(given)})
+            run = given[lo : lo + (1 << 16)]
+            try:
+                fill(lo, run)
+            except (TypeError, ValueError, OverflowError):
+                # the plain route raises a ValueError naming the bad support
+                fill(lo, [_normalize_edge(s, variable_count, "support") for s in run])
+        done = {"supports_checked": len(given), "supports_total": len(given)}
+        minimal = _minimal_rows(rows, lambda: budget.check("decomposition", done))
+        if len(minimal) < len(given):
+            kept = set(map(bytes, minimal))
+            for row in rows[_distinct(rows)]:
+                if bytes(row) not in kept:
+                    support = tuple((row.nonzero()[0] + 1).tolist())
+                    logger.info("normalized away embedded support %s", support)
+        minimal.flags.writeable = False  # a view of it can never be made writeable
+        vars(self).update(variable_count=variable_count, rows=minimal.view(), steiner=steiner)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PrimeDecomposition):
+            return NotImplemented
+        return self.steiner == other.steiner and np.array_equal(self.rows, other.rows)
+
+    def __hash__(self) -> int:
+        return hash((self.variable_count, self.supports, self.steiner))
+
+    @functools.cached_property
+    def supports(self) -> tuple[tuple[int, ...], ...]:
+        variables = iter((self.rows.nonzero()[1] + 1).tolist())
+        return tuple(tuple(itertools.islice(variables, k)) for k in self.rows.sum(axis=1).tolist())
 
     @functools.cached_property
     def _tables(self) -> _SearchTables:
         """The alpha search's tables, built on first use and kept with P."""
         return _search_tables(self)
 
-    @functools.cached_property
-    def _fold_columns(self) -> tuple[np.ndarray, ...]:
-        """Each support's 0-based variable indices, built on first fold and kept with P."""
-        flat = np.fromiter(itertools.chain.from_iterable(self.supports), dtype=np.intp) - 1
-        ends = itertools.accumulate(len(s) for s in self.supports)
-        return tuple(flat[end - len(s) : end] for s, end in zip(self.supports, ends))
-
     @property
     def support_count(self) -> int:
-        return len(self.supports)
+        return len(self.rows)
 
     @property
     def big_height(self) -> int:
-        """Largest support size (max height of an associated prime)."""
-        return max(len(s) for s in self.supports)
+        """Largest support size (max height of an associated prime): the last row's."""
+        return int(self.rows[-1].sum())
 
 
 def cover_ideal(H: Hypergraph) -> PrimeDecomposition:
@@ -143,14 +149,12 @@ def complement_ideal(S: SteinerSystem, *, budget: Budget | None = None) -> Prime
 
 
 def member_of_symbolic(w: Monomial, P: PrimeDecomposition, m: int) -> bool:
-    """Decide w in I^(m) by the linear predicate, one support at a time."""
+    """Decide w in I^(m) by the linear predicate: every support's degree, one matrix product."""
     if w.variable_count != P.variable_count:
         raise MixedAmbient(P.variable_count, w.variable_count)
     if m < 0:
         raise ValueError("m must be >= 0")
-    if m == 0:
-        return True
-    return all(sum(w.exponents[i - 1] for i in s) >= m for s in P.supports)
+    return bool((P.rows @ np.array(w.exponents, dtype=np.int64) >= m).all())
 
 
 def symbolic_power(
@@ -219,7 +223,6 @@ def symbolic_power(
         raise OverflowError(f"symbolic exponent {m} exceeds limit {EXPONENT_LIMIT}")
     budget = budget or Budget()
     nv = P.variable_count
-    total = len(P.supports)
     # G is held column-major in an append buffer: column i is row i of G
     # on the first nv rows and its total degree on the last.  A retired
     # column holds m + 1 in every variable, so its sigma-degree exceeds
@@ -234,7 +237,7 @@ def symbolic_power(
     buf[-1, : len(seed)] = seed.sum(axis=1)
     used = kept = len(seed)
 
-    for step, idx in enumerate(P._fold_columns):
+    for step, idx in enumerate(row.nonzero()[0] for row in P.rows):
         sdeg = buf[idx, :used].sum(axis=0)
         short = (sdeg < m).nonzero()[0]
         deficits = m - sdeg[short]
@@ -244,7 +247,7 @@ def symbolic_power(
         candidate = kept - len(short) + sum(
             c * comb(d + len(idx) - 1, d) for d, c in enumerate(counts.tolist()) if c
         )
-        partial = {"supports_folded": step, "supports_total": total, "kept": kept}
+        partial = {"supports_folded": step, "supports_total": len(P.rows), "kept": kept}
         budget.check("symbolic-power", partial, candidate)
         if len(short) == 0:
             continue
@@ -304,14 +307,11 @@ class _SearchTables:
 
 
 def _search_tables(P: PrimeDecomposition) -> _SearchTables:
-    sups = sorted((tuple(i - 1 for i in s) for s in P.supports), key=max)
     nv = P.variable_count
-    incidence = np.zeros((nv, len(sups)), dtype=np.int8)
-    incidence[
-        np.fromiter(itertools.chain.from_iterable(sups), dtype=np.intp),
-        np.repeat(np.arange(len(sups)), [len(s) for s in sups]),
-    ] = 1
-    start = np.searchsorted([max(s) for s in sups], np.arange(nv + 1)).tolist()
+    last = nv - 1 - P.rows[:, ::-1].argmax(axis=1)  # each support's last variable
+    order = np.argsort(last, kind="stable")
+    incidence = np.ascontiguousarray(P.rows[order].T)
+    start = np.searchsorted(last[order], np.arange(nv + 1)).tolist()
     fsuf = np.maximum.accumulate(incidence.sum(axis=1)[::-1])[::-1].tolist() + [0]
     return _SearchTables(start, [incidence[i, start[i]:] for i in range(nv)], fsuf)
 

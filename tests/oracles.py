@@ -153,6 +153,20 @@ def random_supports(rng: Random, max_vars=6, max_supports=5, max_size=3):
     return nv, sups
 
 
+def minimal_supports(supports) -> tuple[tuple[int, ...], ...]:
+    """The distinct supports that embed no other, as sorted tuples in (size, lex) order.
+
+    The plain route: each support, as a sorted tuple, is dropped iff one
+    of its proper subsets, each looked up in a set, is a support too.
+    """
+    given = {tuple(sorted(set(s))) for s in supports}
+    kept = (
+        s for s in given
+        if not any(sub in given for k in range(1, len(s)) for sub in itertools.combinations(s, k))
+    )
+    return tuple(sorted(kept, key=lambda s: (len(s), s)))
+
+
 # Ladder designs from their textbook constructions, each checked by
 # validate_steiner.  Cyclic developments use the residues + 1 as points.
 

@@ -3,6 +3,7 @@
 import argparse
 import dataclasses
 import enum
+import hashlib
 import json
 import os
 import re
@@ -199,6 +200,27 @@ CONTAINMENT_GOLDEN = [
         '{"m":4,"r":2,"slack":0,"holds":true,"witness":null,"alpha_m":11,"alpha_r":8,"omega_r":8,"method":"generator-scan"}',
     ),
 ]
+
+# a cover input with one Fano line repeated in another order and a
+# superset of another line, and the outputs it gave before the prime
+# decomposition kept its supports as one 0/1 matrix; the generator file
+# is pinned by its SHA-256
+MESSY_FANO_COVER = {
+    "vertices": 7,
+    "edges": [list(b) for b in FANO_BLOCKS] + [[5, 4, 3], [2, 4, 6, 7]],
+}
+MESSY_FANO_SYMBOLIC = '{{"m":3,"alpha":7,"generator_count":106,"generators":{}}}'
+MESSY_FANO_GENERATORS_SHA256 = "dab135991234eb1908b636f9d16b177ad2b1e836d282e2cc221a5c3235194a44"
+MESSY_FANO_GOLDEN = {
+    ("alpha", "-M", "4"): (
+        '{"entries":{"1":3,"2":6,"3":7,"4":10},"waldschmidt_upper":"7/3",'
+        '"waldschmidt_lower":null,"attained":[3]}'
+    ),
+    ("containment", "3", "2"): (
+        '{"m":3,"r":2,"slack":0,"holds":false,"witness":"1 1 1 1 1 1 1",'
+        '"alpha_m":7,"alpha_r":6,"omega_r":6,"method":"generator-scan"}'
+    ),
+}
 
 RESURGENCE_REGION_GOLDEN = {
     ("3", "3", "2", "2"): (
@@ -663,6 +685,33 @@ def test_containment_golden_stdout(capsys, argv, line):
     assert (code, masked(out), err) == (0, line + "\n", "")
 
 
+def test_messy_cover_input_golden_output(capsys, tmp_path):
+    path = tmp_path / "messy.json"
+    path.write_text(json.dumps(MESSY_FANO_COVER))
+    gens = tmp_path / "gens.txt"
+    argv = ("symbolic", str(path), "--source", "cover", "-m", "3", "--generators-out", str(gens))
+    line = MESSY_FANO_SYMBOLIC.format(json.dumps(str(gens)))
+    assert run(capsys, *argv) == (0, line + "\n", "")
+    assert hashlib.sha256(gens.read_bytes()).hexdigest() == MESSY_FANO_GENERATORS_SHA256
+    for (command, *args), line in MESSY_FANO_GOLDEN.items():
+        code, out, err = run(capsys, command, str(path), "--source", "cover", *args)
+        assert (code, masked(out), err) == (0, line + "\n", "")
+
+
+def test_containment_at_a_large_r_prints_the_degree_obstruction(capsys):
+    # the witness check builds its suffix counts only for the levels its
+    # search visits, not for all r + 1 of them
+    t0 = time.monotonic()
+    code, out, err = run(capsys, "containment", "builtin:fano", "--source", "cover", "2", "1000000")
+    wall = time.monotonic() - t0
+    line = (
+        '{"m":2,"r":1000000,"slack":0,"holds":false,"witness":"2 2 2 0 0 0 0","alpha_m":6,'
+        '"alpha_r":3000000,"omega_r":3000000,"method":"degree-obstruction"}'
+    )
+    assert (code, masked(out), err) == (0, line + "\n", "")
+    assert wall < 1.0
+
+
 def test_containment_holds(capsys):
     args = (
         "containment", "builtin:fano", "--source", "complement", "3", "1", "--slack", "3"
@@ -847,16 +896,40 @@ def test_time_cap_stops_the_complement_enumeration(capsys, pg27_file, argv):
 @pytest.mark.slow
 def test_time_cap_stops_the_support_normalization(capsys, pg25_file):
     # the PG(2,5) complement has 736,250 supports: enumerating them takes
-    # about 0.3 s, normalizing them about 3 s, checked once per 2^16
+    # about 0.3 s and normalizing them about 0.4 s, checked once per 2^16,
+    # so the cap may lapse in either stage or in the fold that follows
+    keys = {
+        "complement": {"subsets_checked", "subsets_total"},
+        "decomposition": {"supports_checked", "supports_total"},
+        "symbolic-power": {"supports_folded", "supports_total", "kept"},
+    }
     t0 = time.monotonic()
     code, doc, _ = run_json(
         capsys, "symbolic", pg25_file, "--source", "complement", "-m", "1", "--time-cap", "1"
     )
     wall = time.monotonic() - t0
     assert code == 4
-    assert doc["error"] == "resource-limit" and doc["stage"] == "decomposition"
-    assert set(doc["partial"]) == {"supports_checked", "supports_total"}
+    assert doc["error"] == "resource-limit" and set(doc["partial"]) == keys[doc["stage"]]
     assert wall < 2.5
+
+
+def test_time_cap_stops_the_decomposition(capsys, monkeypatch):
+    # the Fano complement's 28 supports are converted in one run, so the
+    # deadline is made to lapse at the decomposition's first check
+    real = steinerideals.Budget.check
+
+    def check(self, stage, partial, candidate=0):
+        if stage == "decomposition":
+            self.deadline = time.monotonic() - 1.0
+        real(self, stage, partial, candidate)
+
+    monkeypatch.setattr(steinerideals.Budget, "check", check)
+    code, doc, _ = run_json(
+        capsys, "symbolic", "builtin:fano", "--source", "complement", "-m", "1", "--time-cap", "60"
+    )
+    assert code == 4
+    assert doc["error"] == "resource-limit" and doc["stage"] == "decomposition"
+    assert doc["partial"] == {"supports_checked": 0, "supports_total": 28}
 
 
 def test_time_cap_stops_the_witness_search(capsys, monkeypatch):

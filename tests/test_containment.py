@@ -301,6 +301,22 @@ def test_confirm_witness_in_chunks_of_one_never_lowers_its_count(monkeypatch):
     assert counts[-1] < partials[-1]["multisets_total"] == comb(249, 3)
 
 
+def test_confirm_witness_at_a_large_r_rules_out_every_multiset():
+    # a degree obstruction at r = 10^6 on the Fano cover, whose ideal has
+    # 7 generators: the search ends at the root, having ruled out all of
+    # the C(10^6 + 6, 10^6) multisets, far more than 2^63
+    engine = ContainmentEngine(cover_ideal(builtin_fano().hypergraph()))
+    seen = []
+    engine.budget.progress = lambda stage, partial: seen.append((stage, partial))
+    t0 = time.monotonic()
+    report = engine.check(2, 10**6)
+    assert time.monotonic() - t0 < 1.0
+    assert report.method == "degree-obstruction" and report.witness == Monomial((2, 2, 2, 0, 0, 0, 0))
+    # the sink's partial is the search's own dict, so it holds the final count
+    final = [partial for stage, partial in seen if stage == "witness-enumeration"][-1]
+    assert final["multisets_checked"] == final["multisets_total"] == comb(10**6 + 6, 10**6)
+
+
 def test_confirm_witness_says_when_the_cap_stops_its_search(monkeypatch, caplog, capsys):
     # the same search tests 13 prefixes, then 91: a cap of 104 stops it
     # before its second chunk and a cap of 105 lets it end

@@ -4,6 +4,7 @@ import hashlib
 import io
 import itertools
 import logging
+import re
 import time
 import traceback
 from fractions import Fraction
@@ -126,6 +127,64 @@ def test_antichain_matches_the_quadratic_filter(caplog):
         assert len(dropped) == len(distinct) - len(naive)
 
 
+def test_decomposition_is_the_value_of_its_minimal_supports():
+    # a permuted, repeated and nested copy of the Fano complement's
+    # supports builds the same decomposition, equal and with one hash
+    P = fano_complement()
+    rng = Random(11)
+    messy = list(P.supports) + [s[::-1] for s in P.supports[:9]] + [(1, 2, 3, 4), tuple(range(1, 8))]
+    rng.shuffle(messy)
+    Q = PrimeDecomposition(7, messy, (2, 3, 7))
+    assert Q == P and hash(Q) == hash(P) and len({P, Q}) == 1
+    assert Q.supports == P.supports
+    assert Q.rows.dtype == np.int8 and not Q.rows.flags.writeable
+    assert PrimeDecomposition(7, P.supports) != P
+    assert PrimeDecomposition(7, P.supports, (1, 3, 7)) != P
+    assert PrimeDecomposition(8, P.supports) != PrimeDecomposition(7, P.supports)
+
+
+def mixed_supports(seed: int) -> list[tuple[int, ...]]:
+    """10,000 random 3-, 4- and 5-subsets of 40 variables, most of them 3-subsets."""
+    rng = Random(seed)
+    return [tuple(rng.sample(range(1, 41), rng.choice((3,) * 7 + (4, 4, 5)))) for _ in range(10000)]
+
+
+def test_decomposition_keeps_the_minimal_supports_of_large_mixed_families(caplog):
+    # about 8,000 distinct supports, over 4096 of them of the least size,
+    # so that the embedding test runs over several dominator blocks
+    for seed in range(3):
+        sups = mixed_supports(seed)
+        want = oracles.minimal_supports(sups)
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="steinerideals.symbolic"):
+            P = PrimeDecomposition(40, sups)
+        assert len(set(map(frozenset, sups))) > bitsets._BLOCK
+        assert P.supports == want
+        dropped = [r for r in caplog.records if "normalized away" in r.getMessage()]
+        assert len(dropped) == len(set(map(frozenset, sups))) - len(want)
+
+
+def test_decomposition_checks_its_budget_in_the_embedding_test():
+    # one conversion run, then one check before each of the embedding
+    # test's two dominator blocks, with every support converted
+    calls = []
+    budget = Budget(progress=lambda stage, partial: calls.append((stage, dict(partial))))
+    PrimeDecomposition(40, mixed_supports(0), budget=budget)
+    assert [stage for stage, _ in calls] == ["decomposition"] * 3
+    assert [(p["supports_checked"], p["supports_total"]) for _, p in calls] == [
+        (0, 10000), (10000, 10000), (10000, 10000)
+    ]
+
+
+@pytest.mark.parametrize("bad", [(), (0, 1), (1, 4), (2, 2**70)])
+def test_decomposition_names_a_bad_support(bad):
+    # the bad support sits among good ones; its sorted vertex set is named
+    supports = [(1, 2), (2, 3), bad, (1, 3)]
+    name = "empty support" if not bad else re.escape(str(tuple(sorted(set(bad)))))
+    with pytest.raises(ValueError, match=name):
+        PrimeDecomposition(3, supports)
+
+
 def test_decomposition_rejects_bad_input():
     with pytest.raises(ValueError):
         PrimeDecomposition(3, ())
@@ -140,17 +199,17 @@ def test_decomposition_rejects_bad_input():
 
 
 def test_decomposition_checks_its_budget_while_normalizing():
-    # 3-subsets of 75 points (67,525, more than 2^16) plus one repeat:
-    # the normalizing pass reads all 67,526 given, the embedding pass the
-    # 67,525 distinct ones, each checking before each run of 2^16
+    # 3-subsets of 75 points (67,525, more than 2^16) plus one repeat: the
+    # conversion to rows reads all 67,526 given, checking before each run
+    # of 2^16; the supports all have one size, so no embedding test runs
     given = tuple(itertools.combinations(range(1, 76), 3)) + ((3, 2, 1),)
     calls = []
     budget = Budget(progress=lambda stage, partial: calls.append((stage, dict(partial))))
     P = PrimeDecomposition(75, given, budget=budget)
     assert P.support_count == 67525
-    assert [stage for stage, _ in calls] == ["decomposition"] * 4
+    assert [stage for stage, _ in calls] == ["decomposition"] * 2
     assert [(p["supports_checked"], p["supports_total"]) for _, p in calls] == [
-        (0, 67526), (65536, 67526), (0, 67525), (65536, 67525)
+        (0, 67526), (65536, 67526)
     ]
     with pytest.raises(ResourceLimit) as ei:
         PrimeDecomposition(3, ((1, 2),), budget=Budget(deadline=time.monotonic() - 1.0))
@@ -378,15 +437,19 @@ def test_symbolic_power_matches_the_reference_fold_on_random_decompositions(monk
 
         return wrapper
 
-    monkeypatch.setattr(symbolic, "_surviving_lifts", counted(bitsets._surviving_lifts, "steps"))
-    monkeypatch.setattr(bitsets, "_undominated", counted(bitsets._undominated, "queries"))
     rng = Random(89)
+    families = []
     for _ in range(6):
         nv = rng.randint(6, 9)
         sups = [tuple(rng.sample(range(1, nv + 1), rng.randint(2, 4))) for _ in range(rng.randint(20, 80))]
-        P = PrimeDecomposition(nv, tuple(sups))
+        families.append(PrimeDecomposition(nv, tuple(sups)))
+    # the decompositions are built first: dropping their embedded supports
+    # is a dominance query of its own
+    monkeypatch.setattr(symbolic, "_surviving_lifts", counted(bitsets._surviving_lifts, "steps"))
+    monkeypatch.setattr(bitsets, "_undominated", counted(bitsets._undominated, "queries"))
+    for P in families:
         for m in range(1, 4):
-            assert symbolic_power(P, m) == oracles.symbolic_power(P, m), (sups, m)
+            assert symbolic_power(P, m) == oracles.symbolic_power(P, m), (P.supports, m)
     assert calls["steps"] > 100
     if path != "as-is":
         assert calls["queries"] == {"tables": calls["steps"], "full-rows": 0}[path]
