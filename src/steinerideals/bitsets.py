@@ -14,10 +14,9 @@ d[-1] + 1 <= x[-1].  The last column is the caller's:
 - _surviving_lifts (one step of symbolic_power's fold) carries the
   degree off sigma, which a lift shares with its parent, and queries a
   step's lifts against the running antichain's rows of sigma-degree
-  <= m.  A step whose whole query is one block of the broadcast path
-  below (most steps of a complement's fold) skips _undominated: its
-  full lift rows are decided by one broadcast comparison, after one
-  check.
+  <= m.  A step whose whole query fits _BROADCAST (most steps of a
+  complement's fold) skips _undominated: its full lift rows are decided
+  by one broadcast comparison, after one check.
 
 A candidate is a parent row with its own values on columns sigma (never
 the last); off sigma it equals its parent.  So the part off sigma is
@@ -30,23 +29,17 @@ least last column first once they fill more than one block: those lie
 below the most candidates, and a candidate found dominated leaves the
 later blocks.  ``check``, if given, is called before each block; a
 caller's budget check raises from it to stop a long query.  A block is
-held column-major (one row per column) and decided by one of two paths:
-
-- Broadcast, when the open candidates and the parents times the
-  block's entries stay within _BROADCAST: one broadcast comparison per
-  part, a handful of numpy calls whatever the column count.  numpy
-  reduces across the rows of a small 3-d array much faster than along
-  its last axis, hence column-major.
-- Threshold tables otherwise: the block's tables off sigma and on sigma
-  are built once (_threshold_table; with sigma empty the second has no
-  columns).  Each chunk of at most _CHUNK parents gathers its part off
-  sigma and looks it up in the first (_table_bits), which gives each
-  parent the bitset of the block rows below it off sigma; a parent
-  whose bitset is empty keeps all its candidates.  The candidates of
-  the others, _CHUNK at a time, start from their parent's bitset and
-  AND in their sigma columns' bitsets (none when sigma is empty);
-  nonzero means dominated.  A lookup costs a few numpy calls however
-  many rows the chunk has, and ANDs 64 block rows per word operation.
+held column-major (one row per column) and decided by threshold tables,
+whatever its size: its tables off sigma and on sigma are built once
+(_threshold_table; with sigma empty the second has no columns).  Each
+chunk of at most _CHUNK parents gathers its part off sigma and looks it
+up in the first (_table_bits), which gives each parent the bitset of
+the block rows below it off sigma; a parent whose bitset is empty keeps
+all its candidates.  The candidates of the others, _CHUNK at a time,
+start from their parent's bitset and AND in their sigma columns'
+bitsets (none when sigma is empty); nonzero means dominated.  A lookup
+costs a few numpy calls however many rows the chunk has, and ANDs 64
+block rows per word operation.
 """
 
 from __future__ import annotations
@@ -64,9 +57,9 @@ import numpy as np
 # level.
 _BLOCK = 4096
 _CHUNK = 1024
-# A block is decided by one broadcast comparison instead of bitsets when
-# its entries times the rows it tests come to at most _BROADCAST; the
-# two cost about the same near it.
+# Only _surviving_lifts reads it: a fold step whose dominator block's
+# entries times its lifts and parents come to at most _BROADCAST is
+# decided on full lift rows by one broadcast comparison, not by tables.
 _BROADCAST = 1 << 15
 # Each temporary of a table build or lookup holds at most _SLICE bits or
 # bytes, as large as one block x chunk test.
@@ -238,31 +231,26 @@ def _undominated(
         block = doms[lo : lo + _BLOCK]
         block_off = block.T[off]  # a copy (boolean index), so raising its last row is safe
         block_off[-1] += 1
-        if (len(owner) + len(parents)) * block.size <= _BROADCAST:
-            hit = (block_off[:, None] <= parents.T[off][:, :, None]).all(axis=0)[owner]
-            hit &= (block.T[idx][:, None] <= lifts[:, :, None]).all(axis=0)
-            hit = hit.any(axis=1)
-        else:
-            off_table = _threshold_table(block_off)
-            sig_table = _threshold_table(block.T[idx])
-            hit = np.zeros(len(owner), dtype=bool)
-            starts = np.flatnonzero(np.diff(owner, prepend=-1))
-            runs = np.diff(starts, append=len(owner))
-            for p0 in range(0, len(starts), _CHUNK):
-                first = starts[p0 : p0 + _CHUNK]
-                bits = _table_bits(off_table, parents[owner[first]].T[off])
-                live = bits.any(axis=1)
-                if not live.any():
-                    continue
-                # the candidates of the live parents, and each one's parent row in bits
-                slot = np.repeat(np.arange(len(first)), runs[p0 : p0 + _CHUNK])
-                tested = np.flatnonzero(live[slot])
-                slot = slot[tested]
-                tested += first[0]
-                for c0 in range(0, len(tested), _CHUNK):
-                    chunk = tested[c0 : c0 + _CHUNK]
-                    acc = _table_bits(sig_table, lifts[:, chunk], bits[slot[c0 : c0 + _CHUNK]])
-                    hit[chunk] = acc.any(axis=1)
+        off_table = _threshold_table(block_off)
+        sig_table = _threshold_table(block.T[idx])
+        hit = np.zeros(len(owner), dtype=bool)
+        starts = np.flatnonzero(np.diff(owner, prepend=-1))
+        runs = np.diff(starts, append=len(owner))
+        for p0 in range(0, len(starts), _CHUNK):
+            first = starts[p0 : p0 + _CHUNK]
+            bits = _table_bits(off_table, parents[owner[first]].T[off])
+            live = bits.any(axis=1)
+            if not live.any():
+                continue
+            # the candidates of the live parents, and each one's parent row in bits
+            slot = np.repeat(np.arange(len(first)), runs[p0 : p0 + _CHUNK])
+            tested = np.flatnonzero(live[slot])
+            slot = slot[tested]
+            tested += first[0]
+            for c0 in range(0, len(tested), _CHUNK):
+                chunk = tested[c0 : c0 + _CHUNK]
+                acc = _table_bits(sig_table, lifts[:, chunk], bits[slot[c0 : c0 + _CHUNK]])
+                hit[chunk] = acc.any(axis=1)
         owner = owner[~hit]
         lifts = lifts[:, ~hit]
     return owner, lifts
@@ -337,13 +325,13 @@ def _surviving_lifts(
     back in no fixed order, deduplicated unless they all have one
     parent, whose lifts are distinct already.
 
-    When the whole query is one dominator block that the _BROADCAST rule
-    decides (a fold step with few todo rows and few dominators), the
-    lifts are built as full column-major rows, each parent's column
+    When the dominators are one block whose entries times the lifts and
+    parents come to at most _BROADCAST (few todo rows and dominators),
+    the lifts are built as full column-major rows, each parent's column
     repeated plus its compositions on sigma, and decided by one
-    broadcast comparison after one check.  Otherwise the lifts are
-    held as their sigma columns and their parent's index, _undominated
-    tests each parent off sigma once and each lift on sigma only, and
+    broadcast comparison after one check.  Otherwise the lifts are held
+    as their sigma columns and their parent's index, and _undominated's
+    tables test each parent off sigma once and each lift on sigma only;
     full rows are built only for the survivors.
     """
     counts = np.bincount(deficits).tolist()

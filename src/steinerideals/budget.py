@@ -31,6 +31,10 @@ class Budget:
     deadline: float | None = None
     progress: Callable[[str, dict], None] | None = None
 
+    def __post_init__(self):
+        if self.generator_cap < 1:
+            raise ValueError("generator cap must be positive")
+
     def check(self, stage: str, partial: dict, candidate: int = 0) -> None:
         """Report to ``progress``; raise ResourceLimit once a limit is passed."""
         if self.progress is not None:

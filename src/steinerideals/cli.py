@@ -75,8 +75,6 @@ def _budget(args) -> Budget:
     rows) gets the default cap.
     """
     cap, tcap = getattr(args, "generator_cap", DEFAULT_GENERATOR_CAP), args.time_cap
-    if cap < 1:
-        raise ValueError("generator cap must be positive")
     if tcap is not None and not 0 < tcap < math.inf:
         raise ValueError(f"time cap must be positive and finite, not {tcap}")
     deadline = None if tcap is None else time.monotonic() + tcap

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 from dataclasses import dataclass
 from math import comb
 from pathlib import Path
@@ -41,7 +42,10 @@ Edge = tuple[int, ...]
 
 
 def _normalize_edge(edge: Iterable[int], vertex_count: int, what: str = "edge") -> Edge:
-    vs = tuple(sorted(set(int(x) for x in edge)))
+    try:
+        vs = tuple(sorted(set(map(operator.index, edge))))
+    except TypeError:
+        raise ValueError(f"{what} {edge} has a non-integer vertex") from None
     if len(vs) == 0:
         raise ValueError(f"empty {what}")
     if vs[0] < 1 or vs[-1] > vertex_count:
@@ -102,7 +106,10 @@ class SteinerSystem:
             raise ValueError(f"need 1 <= t < n <= v, got t={t}, n={n}, v={v}")
         blocks = []
         for b in self.blocks:
-            bt = tuple(sorted(int(x) for x in b))
+            try:
+                bt = tuple(sorted(map(operator.index, b)))
+            except TypeError:  # a non-integer point: no n-subset of the point set
+                bt = ()
             if len(set(bt)) != n or len(bt) != n or bt[0] < 1 or bt[-1] > v:
                 raise BlockSizeMismatch(tuple(b), n)
             blocks.append(bt)

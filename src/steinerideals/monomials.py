@@ -14,6 +14,7 @@ int64 range.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, TextIO
@@ -37,7 +38,7 @@ class Monomial:
     exponents: tuple[int, ...]
 
     def __post_init__(self):
-        exps = tuple(int(e) for e in self.exponents)
+        exps = tuple(map(operator.index, self.exponents))  # TypeError on a non-integer
         for e in exps:
             if e < 0:
                 raise ValueError(f"negative exponent in {exps}")

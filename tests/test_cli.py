@@ -508,7 +508,7 @@ def test_bad_resource_flags(capsys):
         "symbolic", "builtin:fano", "--source", "complement", "-m", "2",
         "--generator-cap", "0",
     )
-    assert code == 2
+    assert (code, err) == (2, "error: generator cap must be positive\n")
     code, _, err = run(
         capsys,
         "symbolic", "builtin:fano", "--source", "complement", "-m", "2",

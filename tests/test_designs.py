@@ -5,6 +5,7 @@ import re
 import time
 from random import Random
 
+import numpy as np
 import pytest
 
 from steinerideals import (
@@ -14,7 +15,9 @@ from steinerideals import (
     CountMismatch,
     FormatError,
     Hypergraph,
+    Monomial,
     Partition,
+    PrimeDecomposition,
     ResourceLimit,
     TSubsetMultiplyCovered,
     TSubsetUncovered,
@@ -435,6 +438,35 @@ def test_design_documents_take_only_json_integers(doc, bad):
 def test_hypergraph_documents_take_only_json_integers(doc, bad):
     with pytest.raises(FormatError, match=f"^bad hypergraph document: {re.escape(bad)} is not an integer$"):
         hypergraph_from_dict(doc)
+
+
+# Each builder puts x where the integer k belongs: an exponent, an edge's
+# vertex, each Fano block's point k, a support's variable.  Then come the
+# error a non-integer x raises and what of x its message shows: the
+# Monomial's is operator.index's own TypeError, which names x's type;
+# the others name the edge, block or support that holds x.
+_BUILDERS = {
+    "Monomial": (lambda x, k: Monomial((x, 2)), TypeError, lambda x: type(x).__name__),
+    "Hypergraph": (lambda x, k: Hypergraph(3, ((x, 3), (1, 2), (2, 3))), ValueError, repr),
+    "validate_steiner": (
+        lambda x, k: validate_steiner(7, 3, 2, [[x if p == k else p for p in b] for b in FANO_BLOCKS]),
+        BlockSizeMismatch,
+        repr,
+    ),
+    "PrimeDecomposition": (lambda x, k: PrimeDecomposition(3, [(x, 3)]), ValueError, repr),
+}
+
+
+@pytest.mark.parametrize("value, k", [(1.5, 1), ("2", 2), (2.0, 2)], ids=["float", "string", "whole-float"])
+@pytest.mark.parametrize("name", list(_BUILDERS))
+def test_constructors_take_only_integers(name, value, k):
+    # int() would read 1.5 as 1 and "2" and 2.0 as 2, so each of these
+    # would build the object that k builds; Python and numpy integers do
+    build, error, shown = _BUILDERS[name]
+    assert build(np.int64(k), k) == build(np.int32(k), k) == build(k, k)
+    with pytest.raises(error) as ei:
+        build(value, k)
+    assert shown(value) in str(ei.value)
 
 
 def test_load_rejects_bad_files(tmp_path):

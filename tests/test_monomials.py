@@ -188,9 +188,10 @@ def _check_kernel(rows):
     assert list(map(tuple, got.tolist())) == _reference_minimal(rows)
 
 
-# _BROADCAST values that send every dominator block down one path of
-# the dominance query: 0 selects the bitset kernel, the huge value the
-# broadcast
+# _BROADCAST values that send every fold step down one form of
+# _surviving_lifts: 0 selects _undominated and its threshold tables, the
+# huge value the full-row broadcast whenever the dominators fit one block.
+# _undominated itself, and so _minimal_rows, has only the tables.
 BITSET_ONLY, BROADCAST_ONLY = 0, 1 << 62
 
 
@@ -204,34 +205,29 @@ def _layered_rows(nv, low, high):
     return [w for w in oracles.iter_monomials(nv, high) if low <= sum(w) and max(w) <= 2]
 
 
-def test_minimal_rows_matches_the_quadratic_filter(monkeypatch):
-    for path in (BITSET_ONLY, BROADCAST_ONLY):
-        monkeypatch.setattr(bitsets, "_BROADCAST", path)
-        rng = Random(41)
-        for _ in range(40):
-            _check_kernel(_random_rows(rng, rng.randint(1, 150), rng.randint(1, 6), 3))
-        _check_kernel([[3], [1], [1], [2]])
-        _check_kernel(_random_rows(rng, 30, 1, 9))
-        empty = _minimal_rows(np.zeros((0, 4), dtype=np.int64))
-        assert empty.shape == (0, 4)
-        big = [0, EXPONENT_LIMIT - 1, EXPONENT_LIMIT, 2 * EXPONENT_LIMIT]
-        _check_kernel([[rng.choice(big) for _ in range(4)] for _ in range(120)])
+def test_minimal_rows_matches_the_quadratic_filter():
+    rng = Random(41)
+    for _ in range(40):
+        _check_kernel(_random_rows(rng, rng.randint(1, 150), rng.randint(1, 6), 3))
+    _check_kernel([[3], [1], [1], [2]])
+    _check_kernel(_random_rows(rng, 30, 1, 9))
+    empty = _minimal_rows(np.zeros((0, 4), dtype=np.int64))
+    assert empty.shape == (0, 4)
+    big = [0, EXPONENT_LIMIT - 1, EXPONENT_LIMIT, 2 * EXPONENT_LIMIT]
+    _check_kernel([[rng.choice(big) for _ in range(4)] for _ in range(120)])
 
 
 def test_minimal_rows_across_block_chunk_and_word_boundaries(monkeypatch):
     # Small blocks and chunks put many boundaries inside inputs the
     # quadratic filter can still check; 70 rows per block also splits
-    # each block's bitsets across two uint64 words.  Each input runs once
-    # through the bitset kernel and once through the broadcast.
+    # each block's bitsets across two uint64 words.
     monkeypatch.setattr(bitsets, "_BLOCK", 70)
     monkeypatch.setattr(bitsets, "_CHUNK", 9)
-    for path in (BITSET_ONLY, BROADCAST_ONLY):
-        monkeypatch.setattr(bitsets, "_BROADCAST", path)
-        rng = Random(43)
-        for n in (63, 64, 65, 69, 70, 71, 139, 140, 141, 400):
-            _check_kernel(_random_rows(rng, n, 5, 2))
-        _check_kernel(_layered_rows(6, 3, 7))  # degree runs longer than a block
-        _check_kernel(_layered_rows(5, 0, 6))  # the unit row dominates everything
+    rng = Random(43)
+    for n in (63, 64, 65, 69, 70, 71, 139, 140, 141, 400):
+        _check_kernel(_random_rows(rng, n, 5, 2))
+    _check_kernel(_layered_rows(6, 3, 7))  # degree runs longer than a block
+    _check_kernel(_layered_rows(5, 0, 6))  # the unit row dominates everything
 
 
 def _reference_dominated(cands, doms):
@@ -245,12 +241,21 @@ def _reference_dominated(cands, doms):
     )
 
 
+def _lift_query(cands, doms, check=None):
+    """The query as _surviving_lifts asks it: sigma is column 0 and every
+    deficit is 0, so the lifts are the candidates themselves.  Its
+    survivors are distinct and in no fixed order, so they come back sorted."""
+    got = _surviving_lifts(cands, np.array([0]), np.zeros(len(cands), dtype=np.int64), doms, check)
+    return sorted(map(tuple, got.tolist()))
+
+
 @pytest.mark.parametrize("path", [BITSET_ONLY, BROADCAST_ONLY], ids=["bitset", "broadcast"])
 def test_dominated_compares_the_last_column_strictly_on_both_paths(monkeypatch, path):
-    # The dominance query with no sigma columns.  Many candidates equal
-    # a dominator but for the last column, which then decides: equal is
-    # not dominated, one more is.  Huge exponents sit next to small ones,
-    # and the 70-row blocks end mid-word.
+    # The dominance query with no sigma columns, and through
+    # _surviving_lifts in the form that path selects.  Many candidates
+    # equal a dominator but for the last column, which then decides:
+    # equal is not dominated, one more is.  Huge exponents sit next to
+    # small ones, and the 70-row blocks end mid-word.
     monkeypatch.setattr(bitsets, "_BLOCK", 70)
     monkeypatch.setattr(bitsets, "_CHUNK", 9)
     monkeypatch.setattr(bitsets, "_BROADCAST", path)
@@ -262,27 +267,36 @@ def test_dominated_compares_the_last_column_strictly_on_both_paths(monkeypatch, 
         cands[:, -1] += np.array([rng.choice((0, 1)) for _ in range(n)])
         cands = np.vstack([cands, [[rng.choice(values) for _ in range(4)] for _ in range(20)]])
         before = (cands.copy(), doms.copy())
+        expected = np.flatnonzero(~_reference_dominated(cands, doms))
         kept, _ = _undominated(cands, np.arange(len(cands)), doms)
-        assert kept.tolist() == np.flatnonzero(~_reference_dominated(cands, doms)).tolist()
+        assert kept.tolist() == expected.tolist()
+        assert _lift_query(cands, doms) == sorted(set(map(tuple, cands[expected].tolist())))
         # the query compares the last column strictly on its own copies
         assert np.array_equal(cands, before[0]) and np.array_equal(doms, before[1])
         # a candidate left out of owner is not tested and stays out
         hit = np.zeros(len(cands), dtype=bool)
         hit[::3] = True
+        expected = np.flatnonzero(~(_reference_dominated(cands, doms) | hit))
         kept, _ = _undominated(cands, np.flatnonzero(~hit), doms)
-        assert kept.tolist() == np.flatnonzero(~(_reference_dominated(cands, doms) | hit)).tolist()
+        assert kept.tolist() == expected.tolist()
+        assert _lift_query(cands[~hit], doms) == sorted(set(map(tuple, cands[expected].tolist())))
 
 
 @pytest.mark.parametrize("path", [BITSET_ONLY, BROADCAST_ONLY], ids=["bitset", "broadcast"])
 def test_dominated_checks_once_per_block_on_both_paths(monkeypatch, path):
-    # no candidate is dominated, so every one of the three blocks runs
+    # No candidate is dominated, so every block runs: three blocks of
+    # 150 dominators, one of 70.  Both forms of _surviving_lifts check
+    # once per block; the broadcast form takes only a single block.
     monkeypatch.setattr(bitsets, "_BLOCK", 70)
     monkeypatch.setattr(bitsets, "_BROADCAST", path)
-    doms = np.ones((150, 3), dtype=np.int64)
     cands = np.zeros((10, 3), dtype=np.int64)
-    calls = []
-    kept, _ = _undominated(cands, np.arange(10), doms, lambda: calls.append(1))
-    assert len(kept) == 10 and len(calls) == 3
+    for blocks, doms in ((3, np.ones((150, 3), dtype=np.int64)), (1, np.ones((70, 3), dtype=np.int64))):
+        calls = []
+        kept, _ = _undominated(cands, np.arange(10), doms, lambda: calls.append(1))
+        assert len(kept) == 10 and len(calls) == blocks
+        calls = []
+        assert len(_lift_query(cands, doms, lambda: calls.append(1))) == 1
+        assert len(calls) == blocks
 
 
 def test_threshold_table_lookups_and_levels(monkeypatch):
@@ -406,7 +420,7 @@ def test_fold_step_query_matches_full_minimalization(monkeypatch):
     # of support-degree >= m, and add the lifts that _surviving_lifts
     # keeps.  That must equal minimalizing all kept and lifted rows.
     # Small blocks and chunks put many boundaries inside each query,
-    # which runs once through each path of the kernel.
+    # which runs once through each form of _surviving_lifts.
     monkeypatch.setattr(bitsets, "_BLOCK", 70)
     monkeypatch.setattr(bitsets, "_CHUNK", 9)
     for path in (BITSET_ONLY, BROADCAST_ONLY):
@@ -612,6 +626,15 @@ def test_power_checks_the_generator_cap_before_building_the_products(monkeypatch
     frames = [f.name for f in traceback.extract_tb(exc.__traceback__)]
     assert frames[frames.index("multiply") + 1] == "check"
     assert minimalized == [16]
+
+
+@pytest.mark.parametrize("cap", [0, -1])
+def test_budget_refuses_a_generator_cap_below_one(cap):
+    # a bad cap is a bad argument, not a limit that the first fold step
+    # or multiply reaches
+    with pytest.raises(ValueError, match="^generator cap must be positive$"):
+        Budget(generator_cap=cap)
+    assert Budget(generator_cap=1).generator_cap == 1
 
 
 def test_power_without_a_budget_stops_at_the_default_cap():

@@ -143,6 +143,13 @@ def test_decomposition_is_the_value_of_its_minimal_supports():
     assert PrimeDecomposition(8, P.supports) != PrimeDecomposition(7, P.supports)
 
 
+def test_hashing_a_decomposition_builds_no_support_tuples():
+    # the hash reads the rows' bytes; supports is built on first read only
+    P, Q = fano_complement(), fano_complement()
+    assert hash(P) == hash(Q)
+    assert "supports" not in vars(P) and "supports" not in vars(Q)
+
+
 def mixed_supports(seed: int) -> list[tuple[int, ...]]:
     """10,000 random 3-, 4- and 5-subsets of 40 variables, most of them 3-subsets."""
     rng = Random(seed)
