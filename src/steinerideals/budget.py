@@ -7,6 +7,7 @@ A function given ``budget=None`` runs under ``Budget()``.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Callable
@@ -34,6 +35,8 @@ class Budget:
     def __post_init__(self):
         if self.generator_cap < 1:
             raise ValueError("generator cap must be positive")
+        if self.deadline is not None and math.isnan(self.deadline):
+            raise ValueError("deadline must not be NaN")
 
     def check(self, stage: str, partial: dict, candidate: int = 0) -> None:
         """Report to ``progress``; raise ResourceLimit once a limit is passed."""

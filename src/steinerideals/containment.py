@@ -29,13 +29,13 @@ only in audit mode, to cross-check it.
 Every reported failure witness is independently confirmed: membership in
 the symbolic power by the linear support predicate, non-membership in
 M^slack * I^r by an exhaustive search over the r-multisets of base
-generators, pruned by divisibility and degree, unless it would test
-_RECHECK_CAP prefixes.  Exact rational arithmetic throughout; no floats.
+generators, pruned by divisibility and degree.  Exact rational
+arithmetic throughout; no floats.
 """
 
 from __future__ import annotations
 
-import logging
+import operator
 import time
 from dataclasses import dataclass
 from enum import Enum
@@ -58,11 +58,8 @@ from .symbolic import (
     symbolic_power,
 )
 
-_RECHECK_CAP = 1 << 20  # prefixes the witness's exhaustive search may test
-_RECHECK_CHUNK = 4096  # prefixes per vectorized step of that search
+_RECHECK_CHUNK = 4096  # prefixes per vectorized step of the witness's exhaustive search
 _SCAN_CHUNK = 1 << 18  # generator-by-base-row tests per vectorized step of the scan
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -264,11 +261,9 @@ class ContainmentEngine:
         ``multisets_checked`` counts the multisets ruled out so far: those
         with a row that does not divide w, then every completion of each
         cut or dropped prefix; it never decreases and reaches
-        ``multisets_total`` when the search ends.  The search tests fewer
-        than _RECHECK_CAP prefixes: one that would reach the cap stops
-        before its next chunk (before its first budget check, if that chunk
-        is the first), leaves the witness unconfirmed and says so at log
-        level INFO.
+        ``multisets_total`` when the search ends.  The search has no limit
+        of its own: it ends when it has ruled out every multiset or found
+        a dividing product, or when the budget stops it.
         """
         P = self.decomposition
         if not member_of_symbolic(w, P, m):
@@ -295,7 +290,6 @@ class ContainmentEngine:
             "multisets_total": total,
         }
         unfit = total - comb(c + r - 1, r)  # the multisets with a row that cannot divide w
-        tested = 0
         # a chunk is (k, sums, degrees, last): prefixes of k rows, their
         # sums and degrees, and the index of their last row
         stack = [(0, np.zeros((1, len(target)), dtype), np.zeros(1, np.int64), np.zeros(1, np.int64))]
@@ -305,14 +299,6 @@ class ContainmentEngine:
             hi = np.maximum(np.searchsorted(cdeg, (room - deg) // (r - k), side="right"), last)
             counts = hi - last
             n = int(counts.sum())
-            if tested + n >= _RECHECK_CAP:
-                logger.info(
-                    "witness %s of m=%d, r=%d left unconfirmed: the search stopped at "
-                    "the cap after testing %d prefixes",
-                    w, m, r, tested,
-                )
-                return
-            tested += n
             self.budget.check("witness-enumeration", partial)
             offsets = np.cumsum(counts) - counts
             parent = np.repeat(np.arange(len(last)), counts)
@@ -360,6 +346,7 @@ class ContainmentEngine:
         order, so the witness is the first generator outside
         M^slack * I^r.
         """
+        m, r, slack = map(operator.index, (m, r, slack))  # TypeError on a non-integer
         if m < 1 or r < 1 or slack < 0:
             raise ValueError("need m >= 1, r >= 1, slack >= 0")
         t0 = time.perf_counter()

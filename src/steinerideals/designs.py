@@ -243,7 +243,10 @@ class Partition:
     classes: tuple[Edge, ...]
 
     def __post_init__(self):
-        cls = tuple(tuple(sorted(int(x) for x in c)) for c in self.classes)
+        try:
+            cls = tuple(tuple(sorted(map(operator.index, c))) for c in self.classes)
+        except TypeError:
+            raise ValueError(f"Partition classes {self.classes} must hold integers only") from None
         if any(len(c) == 0 for c in cls):
             raise ValueError("partition classes must be nonempty")
         flat = list(itertools.chain.from_iterable(cls))

@@ -234,6 +234,7 @@ def member_of_power(
     """
     if w.variable_count != I.variable_count:
         raise MixedAmbient(I.variable_count, w.variable_count)
+    r, slack = operator.index(r), operator.index(slack)  # TypeError on a non-integer
     if r < 0 or slack < 0:
         raise ValueError("r and slack must be >= 0")
     if r == 0:

@@ -1,7 +1,6 @@
 """Containment decisions, conjecture scans, and the resurgence region."""
 
 import dataclasses
-import logging
 import re
 import time
 import traceback
@@ -222,17 +221,17 @@ def test_confirm_witness_enumerates_the_last_chunk(triangle, monkeypatch, chunk)
         triangle._confirm_witness(Monomial((0, 2, 2)), 2, 2, 0)
 
 
-def test_confirm_witness_above_the_recheck_cap_skips_only_the_enumeration(triangle, monkeypatch):
-    # x1x2x3 lies in I^(2) but not in I^2, whose generators have degree 4
+def test_confirm_witness_tests_the_symbolic_power_before_the_enumeration(triangle):
+    # x1x2x3 lies in I^(2) but not in I^2, whose generators have degree 4:
+    # one chunk rules out every multiset; x2^2x3^2 is not in I^(3), and
+    # that raises before any enumeration
     stages = []
     triangle.budget.progress = lambda stage, partial: stages.append(stage)
     triangle._confirm_witness(Monomial((1, 1, 1)), 2, 2, 0)
     assert stages == ["witness-enumeration"]
     stages.clear()
-    monkeypatch.setattr(containment, "_RECHECK_CAP", 0)
     with pytest.raises(InternalInconsistency, match="not in the symbolic power"):
         triangle._confirm_witness(Monomial((0, 2, 2)), 3, 2, 0)
-    triangle._confirm_witness(Monomial((1, 1, 1)), 2, 2, 0)
     assert stages == []
 
 
@@ -317,56 +316,59 @@ def test_confirm_witness_at_a_large_r_rules_out_every_multiset():
     assert final["multisets_checked"] == final["multisets_total"] == comb(10**6 + 6, 10**6)
 
 
-def test_confirm_witness_says_when_the_cap_stops_its_search(monkeypatch, caplog, capsys):
-    # the same search tests 13 prefixes, then 91: a cap of 104 stops it
-    # before its second chunk and a cap of 105 lets it end
-    engine = ContainmentEngine(cover_ideal(oracles.pg23().hypergraph()))
-    engine.base_ideal()
-    stages = []
-    engine.budget.progress = lambda stage, partial: stages.append(stage)
-    x_v = Monomial((1,) * 13)
-    with caplog.at_level(logging.INFO, logger="steinerideals.containment"):
-        monkeypatch.setattr(containment, "_RECHECK_CAP", 104)
-        engine._confirm_witness(x_v, 4, 3, 0)
-        assert stages == ["witness-enumeration"]
-        [record] = [rec for rec in caplog.records if rec.name == "steinerideals.containment"]
-        assert record.levelno == logging.INFO
-        msg = record.getMessage()
-        assert str(x_v) in msg and "m=4, r=3" in msg and "testing 13 prefixes" in msg
-        caplog.clear()
-        stages.clear()
-        monkeypatch.setattr(containment, "_RECHECK_CAP", 105)
-        engine._confirm_witness(x_v, 4, 3, 0)
-        assert stages == ["witness-enumeration"] * 2
-        assert not [rec for rec in caplog.records if rec.name == "steinerideals.containment"]
-    assert capsys.readouterr() == ("", "")
-
-
 @pytest.mark.slow
-def test_pg23_cover_witnesses_are_confirmed_by_a_search_that_runs_to_the_end(caplog):
+def test_pg23_cover_witnesses_are_confirmed_by_a_search_that_runs_to_the_end():
     engine = ContainmentEngine(cover_ideal(oracles.pg23().hypergraph()))
     seen = []
     engine.budget.progress = lambda stage, partial: (
         seen.append((dict(partial), partial)) if stage == "witness-enumeration" else None
     )
-    with caplog.at_level(logging.INFO, logger="steinerideals.containment"):
-        for m, r in ((4, 3), (5, 4)):
-            seen.clear()
-            rep = engine.check(m, r)
-            assert not rep.holds and rep.method == "generator-scan"
-            counts = [copy["multisets_checked"] for copy, _ in seen]
-            assert counts == sorted(counts) and counts[-1] <= seen[-1][0]["multisets_total"]
-            # the sink's partial is the search's own dict: once the search
-            # has ended it holds every multiset ruled out
-            final = seen[-1][1]
-            assert final["multisets_checked"] == final["multisets_total"] == comb(247 + r - 1, r)
-    assert not [rec for rec in caplog.records if rec.name == "steinerideals.containment"]
-    # a product of 4 base rows lies in I^4, so in I^(4): C(250, 4) multisets,
-    # above the old enumeration's cap, and the search finds the product
+    for m, r in ((4, 3), (5, 4)):
+        seen.clear()
+        rep = engine.check(m, r)
+        assert not rep.holds and rep.method == "generator-scan"
+        counts = [copy["multisets_checked"] for copy, _ in seen]
+        assert counts == sorted(counts) and counts[-1] <= seen[-1][0]["multisets_total"]
+        # the sink's partial is the search's own dict: once the search
+        # has ended it holds every multiset ruled out
+        final = seen[-1][1]
+        assert final["multisets_checked"] == final["multisets_total"] == comb(247 + r - 1, r)
+    # a product of 4 base rows lies in I^4, so in I^(4): among the
+    # C(250, 4) multisets the search finds the product
     rows = engine.base_ideal().rows
     w = Monomial(tuple(rows[[0, 5, 77, 200]].sum(axis=0).tolist()))
     with pytest.raises(InternalInconsistency, match="divisible by a generator product"):
         engine._confirm_witness(w, 4, 4, 0)
+
+
+@pytest.mark.parametrize("source", ["cover", "complement"])
+@pytest.mark.parametrize("design", [builtin_fano, builtin_sqs8, oracles.ag23])
+def test_every_ladder_witness_is_certified_by_a_search_that_runs_to_the_end(design, source):
+    # the witness search has no limit of its own: on every failing cell
+    # of the box m <= 5, r <= 3 it rules out all r-multisets
+    D = design()
+    engine = ContainmentEngine(
+        cover_ideal(D.hypergraph()) if source == "cover" else complement_ideal(D)
+    )
+    searches = []  # each search's own partial dict, once
+    engine.budget.progress = lambda stage, partial: (
+        searches.append(partial)
+        if stage == "witness-enumeration" and not any(p is partial for p in searches)
+        else None
+    )
+    failures = 0
+    for r in range(1, 4):
+        for m in range(1, 6):
+            searches.clear()
+            rep = engine.check(m, r)
+            if rep.holds:
+                assert searches == []
+                continue
+            failures += 1
+            [final] = searches
+            assert (final["m"], final["r"]) == (m, r)
+            assert final["multisets_checked"] == final["multisets_total"]
+    assert failures >= 3
 
 
 def test_report_dict_schema(fano_c):
@@ -422,6 +424,33 @@ def test_check_validation(fano_c):
     for bad in ((0, 1, 0), (1, 0, 0), (1, 1, -1)):
         with pytest.raises(ValueError):
             fano_c.check(*bad)
+    # numpy integers are integers, and the report holds Python ints
+    got = fano_c.check(np.int64(3), np.int32(2), np.int64(0)).to_dict()
+    assert {**got, "elapsed_ms": 0} == {**fano_c.check(3, 2, 0).to_dict(), "elapsed_ms": 0}
+    assert type(got["slack"]) is int
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda e, x_v: e.check(3, 2, 0.5),
+        lambda e, x_v: e.check(2.5, 1),
+        lambda e, x_v: e.check(3, 2.0),
+        lambda e, x_v: member_of_power(x_v, e.base_ideal(), 1.5),
+        lambda e, x_v: member_of_power(x_v, e.base_ideal(), 1, 0.5),
+    ],
+    ids=["check-slack", "check-m", "check-r", "member-r", "member-slack"],
+)
+def test_check_and_member_of_power_take_only_integers(call):
+    # int() or a numpy cast would round these, or reach a search with a
+    # fractional slack; each is refused before any search runs
+    engine = ContainmentEngine(complement_ideal(builtin_fano()))
+    engine.base_ideal()
+    stages = []
+    engine.budget.progress = lambda stage, partial: stages.append(stage)
+    with pytest.raises(TypeError):
+        call(engine, Monomial((1,) * 7))
+    assert stages == []
 
 
 def test_engine_caches_are_shared(fano_c):

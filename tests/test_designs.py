@@ -441,10 +441,11 @@ def test_hypergraph_documents_take_only_json_integers(doc, bad):
 
 
 # Each builder puts x where the integer k belongs: an exponent, an edge's
-# vertex, each Fano block's point k, a support's variable.  Then come the
-# error a non-integer x raises and what of x its message shows: the
-# Monomial's is operator.index's own TypeError, which names x's type;
-# the others name the edge, block or support that holds x.
+# vertex, each Fano block's point k, a support's variable, a partition
+# class's vertex.  Then come the error a non-integer x raises and what of
+# x its message shows: the Monomial's is operator.index's own TypeError,
+# which names x's type; the others name the edge, block, support or
+# partition classes that hold x.
 _BUILDERS = {
     "Monomial": (lambda x, k: Monomial((x, 2)), TypeError, lambda x: type(x).__name__),
     "Hypergraph": (lambda x, k: Hypergraph(3, ((x, 3), (1, 2), (2, 3))), ValueError, repr),
@@ -454,6 +455,7 @@ _BUILDERS = {
         repr,
     ),
     "PrimeDecomposition": (lambda x, k: PrimeDecomposition(3, [(x, 3)]), ValueError, repr),
+    "Partition": (lambda x, k: Partition(((x, 3), (3 - k,))), ValueError, repr),
 }
 
 

@@ -637,6 +637,14 @@ def test_budget_refuses_a_generator_cap_below_one(cap):
     assert Budget(generator_cap=1).generator_cap == 1
 
 
+def test_budget_refuses_a_nan_deadline():
+    # time.monotonic() > nan is never true, so a NaN deadline would never
+    # stop a loop
+    with pytest.raises(ValueError, match="^deadline must not be NaN$"):
+        Budget(deadline=float("nan"))
+    assert Budget(deadline=0.0).deadline == 0.0
+
+
 def test_power_without_a_budget_stops_at_the_default_cap():
     # budget=None means Budget(), as in symbolic_power: (x, y)^1414 has
     # 1415 generators, so squaring it builds 2,002,225 > 2,000,000 products
