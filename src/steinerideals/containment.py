@@ -47,7 +47,14 @@ import numpy as np
 
 from .budget import Budget
 from .errors import DegenerateRegion, InternalInconsistency
-from .monomials import Monomial, MonomialIdeal, _greedy_members, member_of_power, power
+from .monomials import (
+    EXPONENT_LIMIT,
+    Monomial,
+    MonomialIdeal,
+    _greedy_members,
+    member_of_power,
+    power,
+)
 from .symbolic import (
     AlphaTable,
     PrimeDecomposition,
@@ -150,10 +157,12 @@ class ContainmentEngine:
     recomputing.  A new symbolic power I^(m) is folded from the largest
     cached I^(k), k < m, if any, since I^(m) lies in I^(k); no power is
     folded only to serve as a seed.  The engine is the one memo of
-    initial degrees, and audits those of a Steiner complement against
-    the closed form.  alpha_table, the conjecture families and the
-    resurgence scans take the engine as their first argument and read
-    the decomposition from it.  The budget applies to every symbolic
+    initial degrees: each new alpha(I^(m)) is searched between the
+    bounds the cached ones prove (see initial_degree), and those of a
+    Steiner complement are audited against the closed form.
+    alpha_table, the conjecture families and the resurgence scans take
+    the engine as their first argument and read the decomposition from
+    it.  The budget applies to every symbolic
     power, initial-degree search, ordinary power, membership scan and
     witness enumeration the engine runs.
     """
@@ -189,7 +198,7 @@ class ContainmentEngine:
         return self.symbolic(1)
 
     def alpha(self, m: int) -> int:
-        """alpha(I^(m)) by bound-and-search, cached per m.
+        """alpha(I^(m)) by one search between the bounds the cached alphas prove, cached per m.
 
         For a Steiner complement each searched value is checked against
         complement_alpha_formula; a mismatch raises InternalInconsistency.
@@ -198,7 +207,7 @@ class ContainmentEngine:
         if hit is not None:
             return hit
         P = self.decomposition
-        val = initial_degree(P, m, budget=self.budget)
+        val = initial_degree(P, m, budget=self.budget, known=self._alpha)
         if P.steiner is not None:
             _, n, v = P.steiner
             expect = complement_alpha_formula(v, n, m)
@@ -364,7 +373,7 @@ class ContainmentEngine:
 
         # degree obstruction: too little degree to lie in M^slack * I^r
         if alpha_m < alpha_r + slack:
-            witness = Monomial(_search_total(P, m, alpha_m, self.budget, largest_first=True))
+            witness = Monomial(_search_total(P, m, alpha_m, self.budget, True, floor=alpha_m))
             self._confirm_witness(witness, m, r, slack)
             return report(False, witness, "degree-obstruction")
 
@@ -409,10 +418,13 @@ def alpha_table(engine: ContainmentEngine, M: int) -> AlphaTable:
     The entries are the engine's cached and audited initial degrees, so
     a table costs no search the engine has already run.  The lower bound
     is the exact Waldschmidt constant v / n of an S(t, n, v) complement,
-    and None without Steiner provenance.
+    and None without Steiner provenance.  Raises OverflowError, before
+    any search, when M exceeds EXPONENT_LIMIT.
     """
     if M < 1:
         raise ValueError("M must be >= 1")
+    if M > EXPONENT_LIMIT:
+        raise OverflowError(f"symbolic exponent {M} exceeds limit {EXPONENT_LIMIT}")
     entries = tuple((m, engine.alpha(m)) for m in range(1, M + 1))
     steiner = engine.decomposition.steiner
     return AlphaTable(entries, None if steiner is None else Fraction(steiner[2], steiner[1]))
@@ -675,9 +687,13 @@ def resurgence_search(engine: ContainmentEngine, m_max: int, r_max: int) -> Resu
 
     Within one r column, cells are checked with m ascending; cached
     symbolic powers are shared across columns through the engine.
+    Raises OverflowError, before any check, when m_max exceeds
+    EXPONENT_LIMIT.
     """
     if m_max < 1 or r_max < 1:
         raise ValueError("m_max and r_max must be >= 1")
+    if m_max > EXPONENT_LIMIT:
+        raise OverflowError(f"symbolic exponent {m_max} exceeds limit {EXPONENT_LIMIT}")
     cells = []
     for r in range(1, r_max + 1):
         seen_hold = False

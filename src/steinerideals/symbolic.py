@@ -14,8 +14,9 @@ is the independent oracle used to cross-check the generator enumeration.
 Two constructions feed decompositions from designs: cover_ideal takes the
 edges of a hypergraph as supports; complement_ideal takes the non-blocks
 of a Steiner system S(t, n, v) and records the (t, n, v) provenance.
-Initial degrees are always searched; the provenance unlocks the audit of
-each searched alpha against complement_alpha_formula, the containment
+Initial degrees are always computed, by one bounded search or from the
+bounds alone, never read off a closed form; the provenance unlocks the
+audit of each alpha against complement_alpha_formula, the containment
 engine's regularity-threshold shortcut, the Stable Harbourne threshold
 v / (n - 1) and the Waldschmidt lower bound v / n of alpha_table.
 """
@@ -25,6 +26,7 @@ from __future__ import annotations
 import functools
 import itertools
 import logging
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -323,28 +325,39 @@ def _search_total(
     degree: int,
     budget: Budget,
     largest_first: bool = False,
+    *,
+    floor: int,
 ) -> tuple[int, ...] | None:
-    """The first feasible vector of total degree <= degree, or None.
+    """A feasible vector of least total degree <= degree, or None.
+
+    A branch and bound with a bound that starts at degree: each feasible
+    vector reached within the bound becomes the best one and lowers the
+    bound to its total - 1, and the search returns at once when that
+    total is <= floor.  So it returns the first vector in search order
+    of total <= floor if there is one, and otherwise the first of least
+    total.  With floor = degree it is a decision search; with floor at
+    or below alpha(I^(m)) it proves the vector it returns least.
 
     The search assigns the variables in their natural order and tries
-    each variable's exponents from 0 up, so the vector it returns is the
-    lex-smallest feasible one.  With largest_first the exponents run
-    from min(left, m) down and the vector is the lex-largest: at degree
-    = alpha, every feasible vector is a minimal generator of I^(m) of
-    degree alpha, so that is the canonically first generator of I^(m).
-    The support tables are P's, built on its first search and shared by
-    every later one.
+    each variable's exponents from 0 up, so of the vectors of one total
+    it returns the lex-smallest.  With largest_first the exponents run
+    from min(bound - spent, m) down and the vector is the lex-largest:
+    at degree = floor = alpha, every feasible vector is a minimal
+    generator of I^(m) of degree alpha, so that is the canonically first
+    generator of I^(m).  The support tables are P's, built on its first
+    search and shared by every later one.
 
     The search tree has one node per partial assignment of the variables
     0..idx-1.  It is expanded as a depth-first stack of frontier chunks:
     blocks of at most a few hundred nodes at the same idx, each held as
-    a ``need`` matrix (nodes x open supports), a ``left`` vector (the
-    degree left) and the exponent prefix.  ``need[k]``
+    a ``need`` matrix (nodes x open supports), a ``spent`` vector (the
+    degree of the prefix) and the exponent prefix.  ``need[k]``
     is m minus the k-th support's degree, clipped at 0, so a row's sum
     is its summed support deficit.  Popping a chunk expands every node
-    at variable idx at once, with one numpy step: each exponent e in
-    0..min(left, m) becomes a child, ``need`` drops by e on the supports
-    incident to idx, and a child is cut when
+    at variable idx at once, with one numpy step, under the bound of
+    that moment: each exponent e in 0..min(left, m), left = bound -
+    spent, becomes a child (a node with left < 0 has none), ``need``
+    drops by e on the supports incident to idx, and a child is cut when
 
     - a support whose last variable is idx is still deficient; supports
       closed earlier were checked at an ancestor and cannot change, so
@@ -358,11 +371,12 @@ def _search_total(
     The survivors go back on the stack in row-bounded slices, the first
     slice on top, so the search stays depth-first and its memory stays
     bounded; a lone row with more children than a chunk may hold (a
-    large m) is expanded a block of exponents at a time.  These are the
-    cuts of a node-at-a-time depth-first search, at the same nodes and
-    in the same order, so the first leaf that survives is that search's
-    first feasible vector.  The budget is checked at the root and once
-    per chunk popped.
+    large m) is expanded a block of exponents at a time, and records the
+    next exponent it will try, as the bound may drop before it is popped
+    again.  The leaves of a chunk are taken in search order, as a
+    node-at-a-time search would take them, so the vector returned is
+    that search's.  The budget is checked at the root and once per chunk
+    popped; ``degree_tried`` is the bound.
 
     At the root the last two cuts are the counting bound itself: the
     search stops there, after one budget check, iff degree < m or degree
@@ -385,27 +399,33 @@ def _search_total(
     # rows are summed in int16 unless a deficit could overflow it
     acc = np.int16 if m * start[nv] <= np.iinfo(np.int16).max else np.int64
     zeros = np.zeros(start[nv], dtype)
-    # a chunk is (idx, need, left, prefix, first): its rows' children
-    # take the exponents on variable idx from 0 up, or from min(left, m)
-    # down when largest_first, after skipping the first `first` of them
-    stack = [(0, np.full((1, start[nv]), m, dtype), np.array([degree]), np.zeros((1, 0), dtype), 0)]
+    bound, best = degree, None
+    # a chunk is (idx, need, spent, prefix, first): its rows' children
+    # take the exponents on variable idx from `first` up to the degree
+    # left, or from `first`, capped there, down to 0 when largest_first
+    fresh = m if largest_first else 0
+    root = np.full((1, start[nv]), m, dtype), np.zeros(1, np.int64), np.zeros((1, 0), dtype)
+    stack = [(0, *root, fresh)]
     while stack:
         budget.check("initial-degree", partial)
-        idx, need, left, prefix, first = stack.pop()
-        top = np.minimum(left, m)
-        counts = top + 1 - first
+        idx, need, spent, prefix, first = stack.pop()
+        top = np.minimum(bound - spent, m)
+        least, most = (0, np.minimum(top, first)) if largest_first else (first, top)
+        counts = np.maximum(most + 1 - least, 0)
         take = max(1, _CHUNK_CELLS // max(1, need.shape[1]))
         if counts[0] > take:
             # only a lone row (a large m) has more children than a chunk
             # may hold: expand the first take of them, the rest after
-            stack.append((idx, need, left, prefix, first + take))
+            rest = int(most[0]) - take if largest_first else least + take
+            stack.append((idx, need, spent, prefix, rest))
             counts = np.array([take])
         offsets = np.cumsum(counts) - counts
         if largest_first:
-            e = np.repeat(top - first + offsets, counts) - np.arange(counts.sum())
+            e = np.repeat(most + offsets, counts) - np.arange(counts.sum())
         else:
-            e = first + np.arange(counts.sum()) - np.repeat(offsets, counts)
-        left = np.repeat(left, counts) - e
+            e = least + np.arange(counts.sum()) - np.repeat(offsets, counts)
+        spent = np.repeat(spent, counts) + e
+        left = bound - spent
         e = e.astype(dtype)
         # a zero row, not the scalar 0: numpy's int8 maximum is much
         # faster against an array of the same shape
@@ -418,47 +438,89 @@ def _search_total(
         ok &= need.sum(axis=1, dtype=acc) <= left * fsuf[idx + 1]
         ok &= need.max(axis=1, initial=0) <= left
         prefix = np.column_stack([np.repeat(prefix, counts, axis=0), e])
+        need, spent, prefix = need[ok], spent[ok], prefix[ok]
         if idx + 1 == nv:
-            if ok.any():
-                return tuple(prefix[ok.argmax()].tolist())
+            if len(spent):
+                # the leaf a node-at-a-time search would keep last: the
+                # first of total <= floor, else the first of least total
+                i = int(np.maximum(spent, floor).argmin())
+                best, bound = tuple(prefix[i].tolist()), int(spent[i]) - 1
+                if bound < floor:
+                    return best
+                partial["degree_tried"] = bound
             continue
-        need, left, prefix = need[ok], left[ok], prefix[ok]
         rows = max(1, min(_CHUNK_ROWS, _CHUNK_CELLS // ((m + 1) * max(1, need.shape[1]))))
-        for lo in reversed(range(0, len(left), rows)):
+        for lo in reversed(range(0, len(spent), rows)):
             hi = lo + rows
-            stack.append((idx + 1, need[lo:hi], left[lo:hi], prefix[lo:hi], 0))
-    return None
+            stack.append((idx + 1, need[lo:hi], spent[lo:hi], prefix[lo:hi], fresh))
+    return best
 
 
-def initial_degree(P: PrimeDecomposition, m: int, *, budget: Budget | None = None) -> int:
+def initial_degree(
+    P: PrimeDecomposition,
+    m: int,
+    *,
+    budget: Budget | None = None,
+    known: Mapping[int, int] | None = None,
+) -> int:
     """alpha(I^(m)): least degree of a monomial in the symbolic power.
 
-    Tries the degrees from the counting bound max(m, ceil(m * #supports
-    / f_max)) up, one decision search each, and returns the first that
-    is feasible; never enumerates the generating set.  No degree below
-    that bound is tried, since the search's root cut would refute it.
-    The support tables are built on the first search of P and shared by
-    every degree, every m and every later call.  The loop ends by
-    m * variable_count at the latest, where the all-m vector is
-    feasible.  Exponents are capped at m: lowering an exponent above m
-    to m keeps a member in I^(m) and lowers its degree.  Each search
-    expands a depth-first stack of frontier chunks, one numpy step per
-    chunk and variable, and cuts a node when the degree left, times the
-    most supports on any variable still free, is below the summed
-    support deficit: one unit of degree lowers that sum by at most that
-    many (details in _search_total).  Raises ResourceLimit (stage
-    "initial-degree") when the budget's deadline passes; the search
-    checks it at each degree's root and once per chunk.  Raises
-    OverflowError, before searching, when m exceeds EXPONENT_LIMIT, as
-    symbolic_power does.
+    ``known`` maps some k to a_k = alpha(I^(k)) of the same P (the
+    containment engine passes its memo).  alpha(I^(m)) is at least the
+    largest of
+
+    - m: each support of a member has degree >= m;
+    - ceil(m * #supports / f_max), f_max the most supports on any
+      variable: the support degrees sum to >= m * #supports, and one
+      unit of degree adds at most f_max to that sum;
+    - a_k + m - k, k < m: a member of I^(j+1) divided by a variable it
+      holds lies in I^(j), as each support loses at most one degree;
+
+    and at most the least of
+
+    - m * variable_count: the all-m vector is a member;
+    - ceil(m / k) * a_k: the c-th power of a member of I^(k) is in I^(ck);
+    - a_k + a_(m-k): I^(k) I^(m-k) lies in I^(m);
+    - a_k - (k - m), k > m: the third lower bound, read from above.
+
+    Crossed bounds raise InternalInconsistency, and equal bounds are
+    alpha.  Otherwise one branch-and-bound search (_search_total) runs
+    from upper - 1 down to lower: alpha is the total of the vector it
+    returns, or upper if there is none.  The generating set is never
+    enumerated.  The support tables are built on the first search of P
+    and shared by every m and every later call.  Exponents are capped at
+    m: lowering an exponent above m to m keeps a member in I^(m) and
+    lowers its degree.  The search expands a depth-first stack of
+    frontier chunks, one numpy step per chunk and variable, and cuts a
+    node when the degree left, times the most supports on any variable
+    still free, is below the summed support deficit: one unit of degree
+    lowers that sum by at most that many (details in _search_total).
+    Raises ResourceLimit (stage "initial-degree") when the budget's
+    deadline passes; the search checks it at its root and once per
+    chunk.  Raises OverflowError, before searching, when m exceeds
+    EXPONENT_LIMIT, as symbolic_power does.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     if m > EXPONENT_LIMIT:
         raise OverflowError(f"symbolic exponent {m} exceeds limit {EXPONENT_LIMIT}")
-    budget = budget or Budget()
-    bound = max(m, -(-m * P._tables.start[-1] // P._tables.fsuf[0]))
-    return next(d for d in itertools.count(bound) if _search_total(P, m, d, budget) is not None)
+    known = known or {}
+    lower = max(
+        [m, -(-m * P._tables.start[-1] // P._tables.fsuf[0])]
+        + [a + m - k for k, a in known.items() if k < m]
+    )
+    upper = min(
+        [m * P.variable_count]
+        + [-(-m // k) * a for k, a in known.items()]
+        + [a + known[m - k] for k, a in known.items() if m - k in known]
+        + [a - (k - m) for k, a in known.items() if k > m]
+    )
+    if lower > upper:
+        raise InternalInconsistency(f"alpha({m}) bounds cross: {lower} > {upper}, from {known}")
+    if lower == upper:
+        return lower
+    best = _search_total(P, m, upper - 1, budget or Budget(), floor=lower)
+    return upper if best is None else sum(best)
 
 
 def complement_alpha_formula(v: int, n: int, m: int) -> int:

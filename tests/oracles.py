@@ -283,8 +283,9 @@ def search_partition(H: Hypergraph, k: int, mode: str, budget: Budget) -> Partit
 def search_total(P, m: int, degree: int, collect: bool):
     """Reference alpha search: a recursive depth-first search, one node at a time.
 
-    Same contract and same cuts as ``symbolic._search_total``, which
-    expands the same tree in vectorized chunks.  ``need[k]`` is m minus
+    Same cuts as ``symbolic._search_total``, which expands the same tree
+    in vectorized chunks; this is its decision search, floor = degree,
+    whose bound never drops.  ``need[k]`` is m minus
     the k-th support's degree under the partial assignment ``a``, and
     ``deficit`` is the sum of the positive ``need[k]``.  A node prunes
     when a support closed by the last assigned variable is still

@@ -638,8 +638,9 @@ def test_alpha_takes_no_generator_cap(capsys):
 
 
 def test_exponent_past_the_limit_exits_2(capsys, tmp_path):
-    # m = EXPONENT_LIMIT + 1 is refused before the fold and before the
-    # alpha search, and r past the ordinary-power limit before the audit
+    # m = EXPONENT_LIMIT + 1 is refused before the fold, before the alpha
+    # search and before an alpha table or a scan computes its first
+    # entry, and r past the ordinary-power limit before the audit
     # builds I^r; the time cap turns a search that would not end into
     # exit 4, so a regression fails here rather than hangs
     path = tmp_path / "h.json"
@@ -649,6 +650,9 @@ def test_exponent_past_the_limit_exits_2(capsys, tmp_path):
         ("containment", "builtin:fano", "--source", "cover", "1", "1048577", "--audit"),
         ("containment", "builtin:fano", "--source", "complement", "1048577", "1", "--time-cap", "5"),
         ("containment", "builtin:fano", "--source", "cover", "1048577", "2", "--time-cap", "5"),
+        ("alpha", "builtin:fano", "--source", "cover", "-M", "1048577", "--time-cap", "5"),
+        ("scan", "builtin:fano", "--source", "cover", "--m-max", "1048577", "--r-max", "1",
+         "--time-cap", "5"),
     ):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "", argv
@@ -1176,21 +1180,20 @@ def test_each_claim_passes_on_its_own(cid):
 
 
 def record_claim_work(monkeypatch):
-    """Log each (decomposition, m) the engines fold and each (decomposition, m, degree) decided.
+    """Log each (decomposition, m) the engines fold or search the alpha of.
 
-    Every search for alpha(I^(m)), on any path, runs one 0-first decision
-    search per degree from the same lower bound up, so searching one
-    initial degree twice logs some (decomposition, m, degree) twice.  A
-    largest-first search finds a witness at a known alpha and is not
-    logged.
+    Every search for alpha(I^(m)), on any path, is one 0-first search, so
+    searching one initial degree twice logs some (decomposition, m)
+    twice.  A largest-first search finds a witness at a known alpha and
+    is not logged.
     """
     folds, alphas = [], []
     fold, search = containment.symbolic_power, symbolic._search_total
 
-    def logged_search(P, m, degree, budget, largest_first=False):
+    def logged_search(P, m, degree, budget, largest_first=False, *, floor):
         if not largest_first:
-            alphas.append((P, m, degree))
-        return search(P, m, degree, budget, largest_first)
+            alphas.append((P, m))
+        return search(P, m, degree, budget, largest_first, floor=floor)
 
     monkeypatch.setattr(
         containment, "symbolic_power", lambda P, m, **kw: folds.append((P, m)) or fold(P, m, **kw)

@@ -465,17 +465,18 @@ def test_symbolic_power_matches_the_reference_fold_on_random_decompositions(monk
 def test_initial_degree_search_obeys_the_budget():
     P = fano_complement()
     expired = Budget(deadline=time.monotonic() - 1.0)
+    # initial_degree's one search starts one below the upper bound 4 * 7
+    # and is stopped at its root; the direct search starts at its degree
     searches = (
-        lambda: initial_degree(P, 4, budget=expired),
-        lambda: _search_total(P, 4, 10, expired, largest_first=True),
+        (lambda: initial_degree(P, 4, budget=expired), 27),
+        (lambda: _search_total(P, 4, 10, expired, largest_first=True, floor=10), 10),
     )
-    for search in searches:
+    for search, degree in searches:
         with pytest.raises(ResourceLimit) as ei:
             search()
         exc = ei.value
         assert exc.stage == "initial-degree"
-        # the first degree tried is the counting bound ceil(4 * 28 / 12)
-        assert exc.partial == {"m": 4, "degree_tried": 10}
+        assert exc.partial == {"m": 4, "degree_tried": degree}
     with pytest.raises(ResourceLimit):
         alpha_table(ContainmentEngine(P, budget=expired), 2)
     assert initial_degree(P, 4, budget=Budget(deadline=time.monotonic() + 600)) == 11
@@ -532,13 +533,13 @@ def test_largest_first_search_finds_the_canonical_first_generator():
     # last one of degree alpha
     P = cover_ideal(builtin_sqs8().hypergraph())
     alpha = initial_degree(P, 3)
-    first = _search_total(P, 3, alpha, Budget(), largest_first=True)
+    first = _search_total(P, 3, alpha, Budget(), largest_first=True, floor=alpha)
     assert first == (1, 1, 1, 1, 1, 1, 1, 0)
     assert member_of_symbolic(Monomial(first), P, 3)
     head = [g for g in symbolic_power(P, 3).generators if g.degree == alpha]
     assert len(head) == 8
     assert head[0].exponents == first
-    assert head[-1].exponents == _search_total(P, 3, alpha, Budget())
+    assert head[-1].exponents == _search_total(P, 3, alpha, Budget(), floor=alpha)
 
 
 def test_alpha_search_ends_match_symbolic_power():
@@ -547,8 +548,8 @@ def test_alpha_search_ends_match_symbolic_power():
         I = symbolic_power(P, m)
         alpha = I.min_degree()
         head = [g.exponents for g in I.generators if g.degree == alpha]
-        assert _search_total(P, m, alpha, Budget(), largest_first=True) == head[0]
-        assert _search_total(P, m, alpha, Budget()) == head[-1]
+        assert _search_total(P, m, alpha, Budget(), largest_first=True, floor=alpha) == head[0]
+        assert _search_total(P, m, alpha, Budget(), floor=alpha) == head[-1]
 
 
 def test_alpha_search_ends_match_brute_force():
@@ -564,8 +565,9 @@ def test_alpha_search_ends_match_brute_force():
             while not (want := oracles.brute_symbolic_members(P.supports, nv, m, degree)):
                 degree += 1
             want = sorted(want, key=lambda w: tuple(-e for e in w))
-            assert _search_total(P, m, degree, Budget(), largest_first=True) == want[0]
-            assert _search_total(P, m, degree, Budget()) == want[-1]
+            high = _search_total(P, m, degree, Budget(), largest_first=True, floor=degree)
+            assert high == want[0]
+            assert _search_total(P, m, degree, Budget(), floor=degree) == want[-1]
 
 
 def test_alpha_search_prunings_are_admissible():
@@ -586,14 +588,15 @@ def test_alpha_search_prunings_are_admissible():
             members = oracles.brute_symbolic_members(P.supports, nv, m, alpha)
             assert min(sum(w) for w in members) == alpha
             want = sorted((w for w in members if sum(w) == alpha), key=lambda w: tuple(-e for e in w))
-            assert _search_total(P, m, alpha, Budget(), largest_first=True) == want[0]
-            assert _search_total(P, m, alpha, Budget()) == want[-1]
+            assert _search_total(P, m, alpha, Budget(), largest_first=True, floor=alpha) == want[0]
+            assert _search_total(P, m, alpha, Budget(), floor=alpha) == want[-1]
 
 
 def test_alpha_search_root_cut_is_the_counting_bound():
-    # initial_degree climbs from m with no separate lower bound: each
-    # degree below max(m, ceil(m * #supports / f_max)) is refuted by the
-    # root node alone, and at that bound the root does not cut
+    # the counting bound max(m, ceil(m * #supports / f_max)), the least
+    # lower bound of initial_degree, is the search's root cut: each
+    # degree below it is refuted by the root node alone, and at that
+    # bound the root does not cut
     rng = Random(20261018)
     cases = [
         fano_complement(),
@@ -610,7 +613,7 @@ def test_alpha_search_root_cut_is_the_counting_bound():
             bound = max(m, -(-m * P.support_count // fmax))
             for degree in range(bound + 1):
                 budget = CountingBudget()
-                hit = _search_total(P, m, degree, budget)
+                hit = _search_total(P, m, degree, budget, floor=degree)
                 if degree < bound:
                     assert hit is None and budget.calls == 1
                 else:
@@ -618,12 +621,12 @@ def test_alpha_search_root_cut_is_the_counting_bound():
 
 
 def test_alpha_search_tree_is_pinned():
-    # one budget check per degree's root and per frontier chunk popped:
+    # one budget check per search's root and per frontier chunk popped:
     # these counts fix the number of chunks, and so the shape of the
     # pruned search tree and how it is cut into chunks
     cases = (
-        (lambda b: alpha_table(ContainmentEngine(fano_complement(), budget=b), 6), 76),
-        (lambda b: alpha_table(ContainmentEngine(sqs8_complement(), budget=b), 6), 124),
+        (lambda b: alpha_table(ContainmentEngine(fano_complement(), budget=b), 6), 38),
+        (lambda b: alpha_table(ContainmentEngine(sqs8_complement(), budget=b), 6), 55),
     )
     for run, checks in cases:
         budget = CountingBudget()
@@ -634,8 +637,9 @@ def test_alpha_search_tree_is_pinned():
     P = cover_ideal(builtin_sqs8().hypergraph())
     budget = CountingBudget()
     alpha = initial_degree(P, 3, budget=budget)
-    assert _search_total(P, 3, alpha, budget, largest_first=True) == (1, 1, 1, 1, 1, 1, 1, 0)
-    assert budget.calls == 25
+    first = _search_total(P, 3, alpha, budget, largest_first=True, floor=alpha)
+    assert first == (1, 1, 1, 1, 1, 1, 1, 0)
+    assert budget.calls == 27
 
 
 def test_alpha_search_matches_the_reference_search():
@@ -660,18 +664,52 @@ def test_alpha_search_matches_the_reference_search():
             for degree in range(m, alpha + 1):
                 assert oracles.search_total(P, m, degree, False) == (degree == alpha)
                 vecs = oracles.search_total(P, m, degree, True)
-                low = _search_total(P, m, degree, Budget())
-                high = _search_total(P, m, degree, Budget(), largest_first=True)
+                low = _search_total(P, m, degree, Budget(), floor=degree)
+                high = _search_total(P, m, degree, Budget(), largest_first=True, floor=degree)
                 if degree < alpha:
                     assert vecs == [] and low is None and high is None
                 else:
                     assert (low, high) == (vecs[0], vecs[-1])
 
 
+def test_engine_alpha_matches_the_reference_search_in_any_order():
+    # the engine bounds each search by the alphas it has cached, so the
+    # bounds depend on the order the m are asked in; alpha must not
+    rng = Random(37)
+    cases = [
+        build(S)
+        for S in (builtin_fano(), builtin_sqs8(), oracles.ag23())
+        for build in (complement_ideal, lambda S: cover_ideal(S.hypergraph()))
+    ]
+    for _ in range(150):
+        nv, sups = oracles.random_supports(rng)
+        cases.append(PrimeDecomposition(nv, tuple(sups)))
+    ms = list(range(1, 6))
+    for P in cases:
+        want = {}
+        for m in ms:
+            # the least degree the reference search accepts
+            alpha = initial_degree(P, m)
+            assert oracles.search_total(P, m, alpha, False), (P.supports, m)
+            assert not oracles.search_total(P, m, alpha - 1, False), (P.supports, m)
+            last = oracles.search_total(P, m, alpha, True)[-1]
+            assert _search_total(P, m, alpha, Budget(), largest_first=True, floor=alpha) == last
+            want[m] = alpha
+        for _ in range(3):
+            rng.shuffle(ms)
+            engine = ContainmentEngine(P)
+            assert {m: engine.alpha(m) for m in ms} == want, (P.supports, ms)
+    # crossed bounds: a "known" alpha(3) = 5 caps alpha(2) at 4, below
+    # the counting bound 5 of the Fano complement at m = 2
+    with pytest.raises(InternalInconsistency, match="bounds cross"):
+        initial_degree(fano_complement(), 2, known={3: 5})
+
+
 def test_alpha_search_splits_a_row_with_too_many_children(monkeypatch):
     # with one need entry per chunk, every row is expanded one child at
     # a time, as a row with more than _CHUNK_CELLS // #supports children
-    # is; the vectors found must not change
+    # is; the vectors found must not change, also when the bound drops
+    # between two pops of one row
     monkeypatch.setattr(symbolic, "_CHUNK_CELLS", 1)
     rng = Random(31)
     cases = [fano_complement(), cover_ideal(builtin_sqs8().hypergraph())]
@@ -679,21 +717,28 @@ def test_alpha_search_splits_a_row_with_too_many_children(monkeypatch):
         nv, sups = oracles.random_supports(rng)
         cases.append(PrimeDecomposition(nv, tuple(sups)))
     for P in cases:
-        for m in (1, 2, 3):
-            alpha = initial_degree(P, m)
+        alphas = {m: initial_degree(P, m) for m in (1, 2, 3)}
+        for m, alpha in alphas.items():
+            known = {k: a for k, a in alphas.items() if k != m}
+            assert initial_degree(P, m, known=known) == alpha
             assert not oracles.search_total(P, m, alpha - 1, False)
             vecs = oracles.search_total(P, m, alpha, True)
-            assert _search_total(P, m, alpha, Budget()) == vecs[0]
-            assert _search_total(P, m, alpha, Budget(), largest_first=True) == vecs[-1]
+            for degree, floor in ((alpha, alpha), (m * P.variable_count, m)):
+                for largest_first, want in ((False, vecs[0]), (True, vecs[-1])):
+                    got = _search_total(P, m, degree, Budget(), largest_first, floor=floor)
+                    assert got == want
     P = PrimeDecomposition(2, ((1,), (2,)))
     budget = CountingBudget()
     assert initial_degree(P, 3, budget=budget) == 6
-    # alpha = 6 is the counting bound, the first degree tried: the
-    # 0-first search checks at the root and at every child of x1 and of
-    # x2, one chunk each: 1 + 4 + 4
+    # the counting bound meets the upper bound 3 * 2, so nothing is searched
+    assert budget.calls == 0
+    budget = CountingBudget()
+    assert _search_total(P, 3, 6, budget, floor=6) == (3, 3)
+    # the 0-first search checks at the root and at every child of x1 and
+    # of x2, one chunk each: 1 + 4 + 4
     assert budget.calls == 9
     budget = CountingBudget()
-    assert _search_total(P, 3, 6, budget, largest_first=True) == (3, 3)
+    assert _search_total(P, 3, 6, budget, largest_first=True, floor=6) == (3, 3)
     # the largest-first search's first child of x1, then of x2, is (3, 3):
     # it checks at the root and at one chunk of each
     assert budget.calls == 3
@@ -706,7 +751,7 @@ def test_alpha_search_past_the_int8_range():
     for m in (127, 128, 1000):
         assert initial_degree(P, m) == 2 * m
         for largest_first in (False, True):
-            assert _search_total(P, m, 2 * m, Budget(), largest_first) == (m, m)
+            assert _search_total(P, m, 2 * m, Budget(), largest_first, floor=2 * m) == (m, m)
 
 
 # Waldschmidt tables
