@@ -373,7 +373,8 @@ class ContainmentEngine:
 
         # degree obstruction: too little degree to lie in M^slack * I^r
         if alpha_m < alpha_r + slack:
-            witness = Monomial(_search_total(P, m, alpha_m, self.budget, True, floor=alpha_m))
+            first = _search_total(P, m, alpha_m, self.budget, largest_first=True, floor=alpha_m)
+            witness = Monomial(first)
             self._confirm_witness(witness, m, r, slack)
             return report(False, witness, "degree-obstruction")
 

@@ -474,7 +474,8 @@ def initial_degree(
       variable: the support degrees sum to >= m * #supports, and one
       unit of degree adds at most f_max to that sum;
     - a_k + m - k, k < m: a member of I^(j+1) divided by a variable it
-      holds lies in I^(j), as each support loses at most one degree;
+      holds lies in I^(j), as each support loses at most one degree, so
+      a_(j+1) >= a_j + 1;
 
     and at most the least of
 
