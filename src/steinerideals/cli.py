@@ -101,13 +101,8 @@ def _progress_printer(interval: float):
     return fn
 
 
-def _emit(doc: dict, output: str | None = None) -> None:
-    line = json.dumps(doc, separators=(",", ":"))
-    if output:
-        with open(output, "w") as fh:
-            fh.write(line + "\n")
-    else:
-        print(line)
+def _emit(doc: dict) -> None:
+    print(json.dumps(doc, separators=(",", ":")))
 
 
 def _design(spec: str) -> SteinerSystem:
@@ -165,7 +160,7 @@ def cmd_complement(args) -> int:
         "edges": [list(c) for c in comp],
         "count": len(comp),
     }
-    _emit(doc, args.output)
+    _emit(doc)
     return EXIT_OK
 
 
@@ -359,9 +354,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("design", help="builtin:<name> or a design JSON file")
     p.set_defaults(fn=cmd_validate)
 
-    p = sub.add_parser("complement", help="emit the non-blocks as a hypergraph document")
+    p = sub.add_parser(
+        "complement",
+        help="emit the non-blocks as a hypergraph document on stdout (redirect it to save a file)",
+    )
     p.add_argument("design")
-    p.add_argument("--output", default=None, help="write JSON here instead of stdout")
     p.set_defaults(fn=cmd_complement)
 
     p = sub.add_parser("coverability", help="coverability, colourability, chromatic number")

@@ -634,6 +634,7 @@ def resurgence_region(
     hypothesis of the bounding argument fails and no finite region is
     implied.  r1 must exceed 1.
     """
+    big_height, ambient_dim = map(operator.index, (big_height, ambient_dim))  # TypeError on a non-integer
     if big_height < 1 or ambient_dim < 1:
         raise ValueError("big_height and ambient_dim must be >= 1")
     r1 = Fraction(r1)

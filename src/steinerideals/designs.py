@@ -361,6 +361,7 @@ def is_colourable(H: Hypergraph, m: int, *, budget: Budget | None = None) -> Par
     Raises ResourceLimit (stage "partition-search") when the budget's
     deadline passes mid-search.
     """
+    m = operator.index(m)  # TypeError on a non-integer
     if m < 1:
         raise ValueError("m must be >= 1")
     if min_edge_size(H) < 2:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, TextIO
+from typing import Iterator
 
 import numpy as np
 
@@ -305,25 +305,18 @@ def _greedy_members(targets: np.ndarray, I: MonomialIdeal, r: int, slack: int) -
 # starting with '#' are ignored.
 
 
-def dump_monomials(target: str | TextIO, ideal: MonomialIdeal) -> None:
-    """Write the ideal's minimal generators, in canonical order, in the plain-text format."""
+def dump_monomials(target: str, ideal: MonomialIdeal) -> None:
+    """Write the ideal's minimal generators, in canonical order, to the file at target."""
     lines = [f"vars: {ideal.variable_count}"]
     lines += [" ".join(map(str, r)) for r in ideal.rows.tolist()]
-    text = "\n".join(lines) + "\n"
-    if hasattr(target, "write"):
-        target.write(text)
-    else:
-        with open(target, "w") as fh:
-            fh.write(text)
+    with open(target, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
-def load_monomials(source: str | TextIO) -> tuple[int, tuple[Monomial, ...]]:
-    """Read the plain-text format; returns (variable_count, monomials)."""
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        with open(source) as fh:
-            text = fh.read()
+def load_monomials(source: str) -> tuple[int, tuple[Monomial, ...]]:
+    """Read the file at source; returns (variable_count, monomials)."""
+    with open(source) as fh:
+        text = fh.read()
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines or not lines[0].startswith("vars:"):

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-import logging
+import operator
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,13 +33,12 @@ from math import comb
 
 import numpy as np
 
-from .bitsets import _canonical_order, _distinct, _minimal_rows, _surviving_lifts
+from .bitsets import _canonical_order, _minimal_rows, _surviving_lifts
 from .budget import Budget
 from .designs import Hypergraph, SteinerSystem, _normalize_edge, complement_blocks
 from .errors import InternalInconsistency, MixedAmbient
 from .monomials import EXPONENT_LIMIT, Monomial, MonomialIdeal
 
-logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True, init=False, eq=False)
 class PrimeDecomposition:
@@ -48,9 +47,9 @@ class PrimeDecomposition:
     ``rows``, one read-only 0/1 int8 row per support in canonical order
     (size ascending, then the row descending: (size, lex) order on sorted
     tuples), is the only stored form; ``supports`` builds those tuples on
-    first read.  _minimal_rows drops embedded supports, each with a logged
-    notice.  ``steiner`` carries (t, n, v) for the complement configuration
-    of a validated S(t, n, v), and None otherwise.  ``budget`` is checked
+    first read.  _minimal_rows drops embedded supports.  ``steiner``
+    carries (t, n, v) for the complement configuration of a validated
+    S(t, n, v), and None otherwise.  ``budget`` is checked
     (stage "decomposition") before each run of 2^16 supports is turned
     into rows (``supports_checked`` of the ``supports_total`` given), then,
     both at the total, before each block of the embedding test.
@@ -92,12 +91,6 @@ class PrimeDecomposition:
                 fill(lo, [_normalize_edge(s, variable_count, "support") for s in run])
         done = {"supports_checked": len(given), "supports_total": len(given)}
         minimal = _minimal_rows(rows, lambda: budget.check("decomposition", done))
-        if len(minimal) < len(given):
-            kept = set(map(bytes, minimal))
-            for row in rows[_distinct(rows)]:
-                if bytes(row) not in kept:
-                    support = tuple((row.nonzero()[0] + 1).tolist())
-                    logger.info("normalized away embedded support %s", support)
         minimal.flags.writeable = False  # a view of it can never be made writeable
         vars(self).update(variable_count=variable_count, rows=minimal.view(), steiner=steiner)
 
@@ -155,6 +148,7 @@ def member_of_symbolic(w: Monomial, P: PrimeDecomposition, m: int) -> bool:
     """Decide w in I^(m): every support's degree >= m, by one einsum on the uncopied int8 rows."""
     if w.variable_count != P.variable_count:
         raise MixedAmbient(P.variable_count, w.variable_count)
+    m = operator.index(m)  # TypeError on a non-integer
     if m < 0:
         raise ValueError("m must be >= 0")
     return bool((np.einsum("ij,j->i", P.rows, np.asarray(w.exponents, np.int64)) >= m).all())
@@ -531,6 +525,7 @@ def complement_alpha_formula(v: int, n: int, m: int) -> int:
     fractional-layer term: 0 for q = 0, v - n for q = 1 (the initial
     degree of the ideal itself), and v - n + q for 2 <= q < n.
     """
+    v, n, m = map(operator.index, (v, n, m))  # TypeError on a non-integer
     if not (1 <= n <= v) or m < 1:
         raise ValueError("need 1 <= n <= v and m >= 1")
     p, q = divmod(m, n)

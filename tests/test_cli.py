@@ -325,22 +325,27 @@ def test_validate_io_errors(capsys, tmp_path):
 # complement and coverability
 
 
-def test_complement_golden_stdout(capsys, tmp_path):
+def test_complement_golden_stdout(capsys):
     assert run(capsys, "complement", "builtin:fano") == (0, COMPLEMENT_FANO, "")
-    out_file = tmp_path / "comp.json"
-    assert run(capsys, "complement", "builtin:fano", "--output", str(out_file)) == (0, "", "")
-    assert out_file.read_bytes() == COMPLEMENT_FANO.encode()
+
+
+def test_complement_has_no_output_flag(capsys, tmp_path):
+    # the document goes to stdout like every other command's; > saves it
+    with pytest.raises(SystemExit) as exc:
+        main(["complement", "builtin:fano", "--output", str(tmp_path / "x")])
+    assert exc.value.code == 2 and capsys.readouterr().out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_complement_round_trip(capsys, tmp_path):
-    out_file = str(tmp_path / "comp.json")
-    code, out, _ = run(capsys, "complement", "builtin:fano", "--output", out_file)
+    code, out, _ = run(capsys, "complement", "builtin:fano")
     assert code == 0
-    with open(out_file) as fh:
-        doc = json.load(fh)
+    doc = json.loads(out)
     assert doc["count"] == 28 and len(doc["edges"]) == 28
+    out_file = tmp_path / "comp.json"
+    out_file.write_text(out)
     # the emitted document is valid CLI input
-    code, doc, _ = run_json(capsys, "coverability", out_file, "--chromatic")
+    code, doc, _ = run_json(capsys, "coverability", str(out_file), "--chromatic")
     assert code == 0
     assert doc["chromatic_number"] == 3
 
@@ -596,6 +601,17 @@ def _first_call(argv):
         capture_output=True, text=True, env=env, timeout=120,
     )
     return proc.returncode, proc.stdout
+
+
+def test_the_cli_imports_no_logging():
+    # results leave by stdout, a --generators-out file or stderr; the
+    # package keeps no logger, so importing the CLI loads no logging
+    root = Path(__file__).resolve().parents[1]
+    path = [str(root / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    probe = "import sys, steinerideals.cli; print('logging' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
 
 
 def test_main_shares_one_parser_that_keeps_no_state_between_calls(capsys):

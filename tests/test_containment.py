@@ -27,11 +27,13 @@ from steinerideals import (
     builtin_fano,
     builtin_sqs8,
     chudnovsky_check,
+    complement_alpha_formula,
     complement_ideal,
     cover_ideal,
     demailly_check,
     els_scan,
     harbourne_huneke_scan,
+    is_colourable,
     is_coverable,
     member_of_power,
     member_of_symbolic,
@@ -451,6 +453,28 @@ def test_check_and_member_of_power_take_only_integers(call):
     with pytest.raises(TypeError):
         call(engine, Monomial((1,) * 7))
     assert stages == []
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: member_of_symbolic(Monomial((1,) * 7), complement_ideal(builtin_fano()), 1.5),
+        lambda: is_colourable(builtin_fano().hypergraph(), 3.0),
+        lambda: complement_alpha_formula(7, 3, 2.5),
+        lambda: complement_alpha_formula(7.0, 3, 2),
+        lambda: complement_alpha_formula(7, 3.0, 2),
+        lambda: resurgence_region(3.5, 3, 2, 2),
+        lambda: resurgence_region(3, 3.0, 2, 2),
+    ],
+    ids=["symbolic-m", "colour-m", "formula-m", "formula-v", "formula-n", "region-height", "region-dim"],
+)
+def test_integer_parameters_take_only_integers(call):
+    # each of these once answered as if the float were rounded or exact
+    with pytest.raises(TypeError):
+        call()
+    # numpy integers are integers
+    assert complement_alpha_formula(np.int64(7), np.int32(3), np.int64(2)) == 6
+    assert resurgence_region(np.int64(3), np.int64(3), 2, 2).r_max == resurgence_region(3, 3, 2, 2).r_max
 
 
 def test_engine_caches_are_shared(fano_c):

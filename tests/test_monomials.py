@@ -1,6 +1,5 @@
 """Monomial ideal arithmetic cross-checked against exhaustive oracles."""
 
-import io
 import itertools
 import re
 import time
@@ -833,15 +832,18 @@ def test_text_format_round_trip(tmp_path):
     nv, items = load_monomials(str(path))
     assert nv == 3
     assert items == I.generators
-    buf = io.StringIO()
-    dump_monomials(buf, I)
-    nv2, items2 = load_monomials(io.StringIO(buf.getvalue()))
-    assert (nv2, items2) == (3, I.generators)
+    # a Path names the file as well as a str does
+    dump_monomials(path, I)
+    assert path.read_text() == "vars: 3\n2 0 1\n0 3 0\n"
+    assert load_monomials(path) == (3, I.generators)
 
 
-def test_text_format_comments_and_errors():
-    nv, items = load_monomials(io.StringIO("# note\nvars: 2\n\n1 0\n# mid\n0 2\n"))
+def test_text_format_comments_and_errors(tmp_path):
+    path = tmp_path / "gens.txt"
+    path.write_text("# note\nvars: 2\n\n1 0\n# mid\n0 2\n")
+    nv, items = load_monomials(path)
     assert nv == 2 and items == (M(1, 0), M(0, 2))
     for text in ("1 0\n", "vars: x\n", "vars: 0\n", "vars: 2\n1\n", "vars: 2\n1 a\n", "vars: 2\n1 -1\n"):
+        path.write_text(text)
         with pytest.raises(FormatError):
-            load_monomials(io.StringIO(text))
+            load_monomials(path)
