@@ -155,12 +155,7 @@ def cmd_validate(args) -> int:
 def cmd_complement(args) -> int:
     S = _design(args.design)
     comp = complement_blocks(S)
-    doc = {
-        "vertices": S.v,
-        "edges": [list(c) for c in comp],
-        "count": len(comp),
-    }
-    _emit(doc)
+    _emit({"vertices": S.v, "edges": comp, "count": len(comp)})
     return EXIT_OK
 
 
@@ -182,7 +177,7 @@ def cmd_coverability(args) -> int:
     part = search(H, count, budget=budget)
     doc = {"query": query, key: count, answer: part is not None}
     if part is not None:
-        doc["classes"] = [list(c) for c in part.classes]
+        doc["classes"] = part.classes
     else:
         doc["exhaustive"] = True
     _emit(doc)

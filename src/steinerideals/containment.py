@@ -35,7 +35,7 @@ arithmetic throughout; no floats.
 
 from __future__ import annotations
 
-import operator
+import numbers
 import time
 from dataclasses import dataclass
 from enum import Enum
@@ -46,7 +46,7 @@ from typing import Callable
 import numpy as np
 
 from .budget import Budget
-from .errors import DegenerateRegion, InternalInconsistency
+from .errors import DegenerateRegion, InternalInconsistency, _integer
 from .monomials import (
     EXPONENT_LIMIT,
     Monomial,
@@ -177,6 +177,7 @@ class ContainmentEngine:
     # cached building blocks
 
     def symbolic(self, m: int) -> MonomialIdeal:
+        m = _integer(m, "symbolic exponent", most=EXPONENT_LIMIT)
         hit = self._symbolic.get(m)
         if hit is not None:
             return hit
@@ -203,6 +204,7 @@ class ContainmentEngine:
         For a Steiner complement each searched value is checked against
         complement_alpha_formula; a mismatch raises InternalInconsistency.
         """
+        m = _integer(m, "symbolic exponent", most=EXPONENT_LIMIT)
         hit = self._alpha.get(m)
         if hit is not None:
             return hit
@@ -220,6 +222,7 @@ class ContainmentEngine:
         return val
 
     def ordinary_power(self, r: int) -> MonomialIdeal:
+        r = _integer(r, "power exponent", 0, EXPONENT_LIMIT)
         hit = self._ordinary.get(r)
         if hit is not None:
             return hit
@@ -236,6 +239,7 @@ class ContainmentEngine:
         and so equals u, hence u^r is minimal in I^r.  audit=True builds
         I^r and raises InternalInconsistency on a mismatch.
         """
+        r = _integer(r, "r", 0)
         val = r * self.base_ideal().max_degree()
         if audit:
             got = self.ordinary_power(r).max_degree()
@@ -355,9 +359,7 @@ class ContainmentEngine:
         order, so the witness is the first generator outside
         M^slack * I^r.
         """
-        m, r, slack = map(operator.index, (m, r, slack))  # TypeError on a non-integer
-        if m < 1 or r < 1 or slack < 0:
-            raise ValueError("need m >= 1, r >= 1, slack >= 0")
+        m, r, slack = _integer(m, "m"), _integer(r, "r"), _integer(slack, "slack", 0)
         t0 = time.perf_counter()
         P = self.decomposition
         alpha_1 = self.alpha(1)
@@ -422,10 +424,7 @@ def alpha_table(engine: ContainmentEngine, M: int) -> AlphaTable:
     and None without Steiner provenance.  Raises OverflowError, before
     any search, when M exceeds EXPONENT_LIMIT.
     """
-    if M < 1:
-        raise ValueError("M must be >= 1")
-    if M > EXPONENT_LIMIT:
-        raise OverflowError(f"symbolic exponent {M} exceeds limit {EXPONENT_LIMIT}")
+    M = _integer(M, "M", most=EXPONENT_LIMIT)
     entries = tuple((m, engine.alpha(m)) for m in range(1, M + 1))
     steiner = engine.decomposition.steiner
     return AlphaTable(entries, None if steiner is None else Fraction(steiner[2], steiner[1]))
@@ -448,6 +447,7 @@ def _r_family(
     outcome raises InternalInconsistency, and instances report only r
     and m (the slack is always 0).
     """
+    r_lo, r_hi = _integer(r_lo, "r_lo", None), _integer(r_hi, "r_hi", None)
     if not (1 <= r_lo <= r_hi):
         raise ValueError("need 1 <= r_lo <= r_hi")
     instances = []
@@ -509,6 +509,7 @@ def harbourne_huneke_scan(
     form 2: I^(h*r - h + 1) <= M^((r-1)*(h-1)) * I^r
     """
     h = engine.decomposition.big_height
+    form = _integer(form, "form", None)
     if form == 1:
         name, rule = Conjecture.HARBOURNE_HUNEKE_1, lambda r: (h * r, r * (h - 1))
     elif form == 2:
@@ -544,6 +545,7 @@ def demailly_check(
     bound.  Exact rationals throughout.
     """
     N = demailly_dimension(engine.decomposition, m, h_max, ambient_dim)
+    m = _integer(m, "m")  # a Python int in the instance parameters
     rhs = Fraction(engine.alpha(m) + N - 1, m + N - 1)
     instances = []
     for h in range(1, h_max + 1):
@@ -566,21 +568,21 @@ def demailly_dimension(
     ambient_dim) uses on P, after checking its parameters.
 
     Nothing is computed, so a caller can refuse bad parameters before any
-    other work: ValueError when ambient_dim, h_max or m is below 1, or
-    when P has no Steiner provenance and no ambient_dim is given.
+    other work: TypeError when one is not an integer, ValueError when
+    ambient_dim, h_max or m is below 1, or when P has no Steiner
+    provenance and no ambient_dim is given, and OverflowError when h_max
+    or m exceeds EXPONENT_LIMIT.
     """
     if ambient_dim is not None:
-        if ambient_dim < 1:
-            raise ValueError("ambient_dim must be >= 1")
-        N = ambient_dim
+        N = _integer(ambient_dim, "ambient_dim")
     elif P.steiner is not None:
         N = P.steiner[1]  # block size
     else:
         raise ValueError(
             "ambient_dim is required for decompositions without Steiner provenance"
         )
-    if h_max < 1 or m < 1:
-        raise ValueError("h_max and m must be >= 1")
+    _integer(h_max, "h_max", most=EXPONENT_LIMIT)
+    _integer(m, "m", most=EXPONENT_LIMIT)
     return N
 
 
@@ -632,13 +634,15 @@ def resurgence_region(
 
     Raises DegenerateRegion when failing_ratio <= h*(1 - 1/r1); then the
     hypothesis of the bounding argument fails and no finite region is
-    implied.  r1 must exceed 1.
+    implied.  r1 must exceed 1.  r1 and failing_ratio are exact
+    rationals (int, Fraction, numpy integers); a float raises TypeError.
     """
-    big_height, ambient_dim = map(operator.index, (big_height, ambient_dim))  # TypeError on a non-integer
-    if big_height < 1 or ambient_dim < 1:
-        raise ValueError("big_height and ambient_dim must be >= 1")
-    r1 = Fraction(r1)
-    ratio = Fraction(failing_ratio)
+    big_height = _integer(big_height, "big_height")
+    ambient_dim = _integer(ambient_dim, "ambient_dim")
+    if not all(isinstance(q, numbers.Rational) for q in (r1, failing_ratio)):
+        raise TypeError("r1 and failing_ratio must be exact rationals")
+    # Python ints on both sides: a Fraction keeps a numpy numerator as it is
+    r1, ratio = (Fraction(int(q.numerator), int(q.denominator)) for q in (r1, failing_ratio))
     if r1 <= 1:
         raise ValueError("r1 must be > 1")
     asymptotic = big_height * (1 - Fraction(1, r1))
@@ -692,10 +696,7 @@ def resurgence_search(engine: ContainmentEngine, m_max: int, r_max: int) -> Resu
     Raises OverflowError, before any check, when m_max exceeds
     EXPONENT_LIMIT.
     """
-    if m_max < 1 or r_max < 1:
-        raise ValueError("m_max and r_max must be >= 1")
-    if m_max > EXPONENT_LIMIT:
-        raise OverflowError(f"symbolic exponent {m_max} exceeds limit {EXPONENT_LIMIT}")
+    m_max, r_max = _integer(m_max, "m_max", most=EXPONENT_LIMIT), _integer(r_max, "r_max")
     cells = []
     for r in range(1, r_max + 1):
         seen_hold = False

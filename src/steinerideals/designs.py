@@ -36,6 +36,7 @@ from .errors import (
     TSubsetMultiplyCovered,
     TSubsetUncovered,
     Uncolourable,
+    _integer,
 )
 
 Edge = tuple[int, ...]
@@ -65,8 +66,7 @@ class Hypergraph:
     edges: tuple[Edge, ...]
 
     def __post_init__(self):
-        if self.vertex_count < 1:
-            raise ValueError("vertex_count must be >= 1")
+        object.__setattr__(self, "vertex_count", _integer(self.vertex_count, "vertex_count"))
         norm = sorted(
             {_normalize_edge(e, self.vertex_count) for e in self.edges},
             key=lambda e: (len(e), e),
@@ -98,10 +98,7 @@ class SteinerSystem:
     blocks: tuple[Edge, ...]
 
     def __post_init__(self):
-        v, n, t = self.v, self.n, self.t
-        for name, val in (("v", v), ("n", n), ("t", t)):
-            if not isinstance(val, int):
-                raise ValueError(f"{name} must be an integer")
+        v, n, t = (_integer(getattr(self, k), k, None) for k in "vnt")
         if not (1 <= t < n <= v):
             raise ValueError(f"need 1 <= t < n <= v, got t={t}, n={n}, v={v}")
         blocks = []
@@ -138,7 +135,7 @@ class SteinerSystem:
         # defensive identity check.
         if len(blocks) != num // den:
             raise CountMismatch(len(blocks), num // den)
-        object.__setattr__(self, "blocks", tuple(blocks))
+        vars(self).update(v=v, n=n, t=t, blocks=tuple(blocks))
 
     @property
     def block_count(self) -> int:
@@ -346,8 +343,7 @@ def is_coverable(H: Hypergraph, c: int, *, budget: Budget | None = None) -> Part
     answer.  Raises ResourceLimit (stage "partition-search") when the
     budget's deadline passes mid-search.
     """
-    if c < 1:
-        raise ValueError("c must be >= 1")
+    c = _integer(c, "c")
     if c == 1:
         return Partition((tuple(range(1, H.vertex_count + 1)),))
     if min_edge_size(H) < c:
@@ -361,9 +357,7 @@ def is_colourable(H: Hypergraph, m: int, *, budget: Budget | None = None) -> Par
     Raises ResourceLimit (stage "partition-search") when the budget's
     deadline passes mid-search.
     """
-    m = operator.index(m)  # TypeError on a non-integer
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    m = _integer(m, "m")
     if min_edge_size(H) < 2:
         return None  # a singleton edge is monochromatic under any partition
     return _search_partition(H, m, "colour", budget)

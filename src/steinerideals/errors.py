@@ -1,4 +1,4 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and its one integer-argument check.
 
 Design validation failures are subclasses of DesignError so callers can
 catch the whole family at once.  ResourceLimit and DegenerateRegion are
@@ -7,6 +7,8 @@ carry enough structured state to serialize a partial report.
 """
 
 from __future__ import annotations
+
+import operator
 
 
 class SteinerIdealsError(Exception):
@@ -98,3 +100,22 @@ class ResourceLimit(SteinerIdealsError):
 
 class InternalInconsistency(SteinerIdealsError):
     """Two independent code paths disagreed; indicates an implementation bug."""
+
+
+def _integer(x, name: str, least: int | None = 1, most: int | None = None) -> int:
+    """x as a Python int, for the scalar integer argument called name.
+
+    Every layer checks its integer arguments here, on entry: a float or
+    a string raises TypeError (operator.index rounds nothing), a value
+    below least a ValueError, and one above most an OverflowError.  A
+    bound of None is not checked.  Numpy integers are integers.
+    """
+    try:
+        x = operator.index(x)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, not {type(x).__name__}") from None
+    if least is not None and x < least:
+        raise ValueError(f"{name} must be >= {least}")
+    if most is not None and x > most:
+        raise OverflowError(f"{name} {x} exceeds limit {most}")
+    return x

@@ -23,7 +23,7 @@ import numpy as np
 
 from .bitsets import _minimal_rows
 from .budget import Budget
-from .errors import FormatError, MixedAmbient
+from .errors import FormatError, MixedAmbient, _integer
 
 # Every stored exponent is at most 2^20, so the sum of two stored rows,
 # a multiply product, stays below 2^21, far inside int64; a product
@@ -89,9 +89,11 @@ class MonomialIdeal:
     rows: np.ndarray
 
     def __post_init__(self):
+        nv = _integer(self.variable_count, "variable_count", 0)
+        object.__setattr__(self, "variable_count", nv)
         rows = np.array(self.rows, dtype=np.int64)
-        if rows.ndim != 2 or rows.shape[1] != self.variable_count:
-            raise ValueError(f"rows of shape {rows.shape} for {self.variable_count} variables")
+        if rows.ndim != 2 or rows.shape[1] != nv:
+            raise ValueError(f"rows of shape {rows.shape} for {nv} variables")
         if rows.size and rows.min() < 0:
             raise ValueError("negative exponent in generator rows")
         if rows.size and rows.max() > EXPONENT_LIMIT:
@@ -186,10 +188,7 @@ def power(I: MonomialIdeal, r: int, *, budget: Budget | None = None) -> Monomial
     "ordinary-power"; ``factors_done`` counts the factors multiplied so
     far).
     """
-    if r < 0:
-        raise ValueError("power exponent must be >= 0")
-    if r > EXPONENT_LIMIT:
-        raise OverflowError(f"power exponent {r} exceeds limit {EXPONENT_LIMIT}")
+    r = _integer(r, "power exponent", 0, EXPONENT_LIMIT)
     if r == 0:
         return MonomialIdeal.unit(I.variable_count)
     out = I
@@ -234,9 +233,7 @@ def member_of_power(
     """
     if w.variable_count != I.variable_count:
         raise MixedAmbient(I.variable_count, w.variable_count)
-    r, slack = operator.index(r), operator.index(slack)  # TypeError on a non-integer
-    if r < 0 or slack < 0:
-        raise ValueError("r and slack must be >= 0")
+    r, slack = _integer(r, "r", 0), _integer(slack, "slack", 0)
     if r == 0:
         return w.degree >= slack
     if I.is_zero:

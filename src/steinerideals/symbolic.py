@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import operator
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,7 +35,7 @@ import numpy as np
 from .bitsets import _canonical_order, _minimal_rows, _surviving_lifts
 from .budget import Budget
 from .designs import Hypergraph, SteinerSystem, _normalize_edge, complement_blocks
-from .errors import InternalInconsistency, MixedAmbient
+from .errors import InternalInconsistency, MixedAmbient, _integer
 from .monomials import EXPONENT_LIMIT, Monomial, MonomialIdeal
 
 
@@ -60,13 +59,12 @@ class PrimeDecomposition:
     steiner: tuple[int, int, int] | None = None
 
     def __init__(self, variable_count, supports, steiner=None, budget: Budget | None = None):
-        if variable_count < 1:
-            raise ValueError("variable_count must be >= 1")
+        variable_count = _integer(variable_count, "variable_count")
         given = tuple(supports)
         if not given:
             raise ValueError("a prime decomposition needs at least one support")
         if steiner is not None:
-            t, n, v = steiner
+            t, n, v = (_integer(x, "steiner", None) for x in steiner)
             if not (1 <= t < n <= v):
                 raise ValueError(f"bad steiner provenance {steiner}")
             steiner = (t, n, v)
@@ -148,9 +146,7 @@ def member_of_symbolic(w: Monomial, P: PrimeDecomposition, m: int) -> bool:
     """Decide w in I^(m): every support's degree >= m, by one einsum on the uncopied int8 rows."""
     if w.variable_count != P.variable_count:
         raise MixedAmbient(P.variable_count, w.variable_count)
-    m = operator.index(m)  # TypeError on a non-integer
-    if m < 0:
-        raise ValueError("m must be >= 0")
+    m = _integer(m, "m", 0)
     return bool((np.einsum("ij,j->i", P.rows, np.asarray(w.exponents, np.int64)) >= m).all())
 
 
@@ -214,10 +210,7 @@ def symbolic_power(
     OverflowError, before folding, when m exceeds EXPONENT_LIMIT: the
     m-th multiple of a minimal transversal is a generator of I^(m).
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if m > EXPONENT_LIMIT:
-        raise OverflowError(f"symbolic exponent {m} exceeds limit {EXPONENT_LIMIT}")
+    m = _integer(m, "symbolic exponent", most=EXPONENT_LIMIT)
     budget = budget or Budget()
     nv = P.variable_count
     # G is held column-major in an append buffer: column i is row i of G
@@ -495,10 +488,7 @@ def initial_degree(
     chunk.  Raises OverflowError, before searching, when m exceeds
     EXPONENT_LIMIT, as symbolic_power does.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if m > EXPONENT_LIMIT:
-        raise OverflowError(f"symbolic exponent {m} exceeds limit {EXPONENT_LIMIT}")
+    m = _integer(m, "symbolic exponent", most=EXPONENT_LIMIT)
     known = known or {}
     lower = max(
         [m, -(-m * P._tables.start[-1] // P._tables.fsuf[0])]
@@ -525,9 +515,9 @@ def complement_alpha_formula(v: int, n: int, m: int) -> int:
     fractional-layer term: 0 for q = 0, v - n for q = 1 (the initial
     degree of the ideal itself), and v - n + q for 2 <= q < n.
     """
-    v, n, m = map(operator.index, (v, n, m))  # TypeError on a non-integer
-    if not (1 <= n <= v) or m < 1:
-        raise ValueError("need 1 <= n <= v and m >= 1")
+    v, n, m = _integer(v, "v"), _integer(n, "n"), _integer(m, "m")
+    if n > v:
+        raise ValueError("need n <= v")
     p, q = divmod(m, n)
     if q == 0:
         return p * v

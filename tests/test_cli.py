@@ -1070,8 +1070,8 @@ def test_conjectures_reject_an_empty_r_range(capsys, family):
     ("flag", "message"),
     [
         ("--ambient-dim", "error: ambient_dim must be >= 1\n"),
-        ("--h-max", "error: h_max and m must be >= 1\n"),
-        ("-m", "error: h_max and m must be >= 1\n"),
+        ("--h-max", "error: h_max must be >= 1\n"),
+        ("-m", "error: m must be >= 1\n"),
     ],
     ids=["ambient-dim", "h-max", "m"],
 )

@@ -42,7 +42,9 @@ from steinerideals import (
     resurgence_search,
     stable_harbourne_scan,
     symbolic_power,
+    validate_steiner,
 )
+from steinerideals.designs import FANO_BLOCKS
 
 import oracles
 
@@ -458,23 +460,50 @@ def test_check_and_member_of_power_take_only_integers(call):
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: member_of_symbolic(Monomial((1,) * 7), complement_ideal(builtin_fano()), 1.5),
-        lambda: is_colourable(builtin_fano().hypergraph(), 3.0),
-        lambda: complement_alpha_formula(7, 3, 2.5),
-        lambda: complement_alpha_formula(7.0, 3, 2),
-        lambda: complement_alpha_formula(7, 3.0, 2),
-        lambda: resurgence_region(3.5, 3, 2, 2),
-        lambda: resurgence_region(3, 3.0, 2, 2),
+        lambda e: member_of_symbolic(Monomial((1,) * 7), e.decomposition, 1.5),
+        lambda e: is_colourable(builtin_fano().hypergraph(), 3.0, budget=e.budget),
+        lambda e: is_coverable(builtin_fano().hypergraph(), 1.0, budget=e.budget),
+        lambda e: complement_alpha_formula(7, 3, 2.5),
+        lambda e: complement_alpha_formula(7.0, 3, 2),
+        lambda e: complement_alpha_formula(7, 3.0, 2),
+        lambda e: resurgence_region(3.5, 3, 2, 2),
+        lambda e: resurgence_region(3, 3.0, 2, 2),
+        lambda e: resurgence_region(3, 3, 1.1, 2.9),
+        lambda e: harbourne_huneke_scan(e, 1, 2, 1.0),
+        lambda e: MonomialIdeal(2.0, [[1, 0]]),
+        lambda e: PrimeDecomposition(7, e.decomposition.supports, steiner=(2, 3.0, 7)),
+        lambda e: e.alpha(2.0),
+        lambda e: e.symbolic(2.0),
+        lambda e: e.ordinary_power(2.0),
+        lambda e: symbolic_power(e.decomposition, 2.0, budget=e.budget),
+        lambda e: symbolic.initial_degree(e.decomposition, 2.0, budget=e.budget),
+        lambda e: demailly_check(e, 1.5, 3),
+        lambda e: chudnovsky_check(e, 3, 2.0),
     ],
-    ids=["symbolic-m", "colour-m", "formula-m", "formula-v", "formula-n", "region-height", "region-dim"],
+    ids=[
+        "symbolic-m", "colour-m", "cover-c", "formula-m", "formula-v", "formula-n",
+        "region-height", "region-dim", "region-r1", "hh-form", "ideal-vars", "provenance-n",
+        "engine-alpha", "engine-symbolic", "engine-power", "fold-m", "alpha-m", "demailly-m",
+        "chudnovsky-dim",
+    ],
 )
 def test_integer_parameters_take_only_integers(call):
-    # each of these once answered as if the float were rounded or exact
-    with pytest.raises(TypeError):
-        call()
-    # numpy integers are integers
+    # each of these once answered as if the float were rounded or exact,
+    # answered from a cache, or failed in numpy after a search began; the
+    # engine holds I^(2) and I^2, so a cache lookup by 2.0 would hit
+    engine = ContainmentEngine(complement_ideal(builtin_fano()))
+    engine.symbolic(2), engine.ordinary_power(2)
+    stages = []
+    engine.budget.progress = lambda stage, partial: stages.append(stage)
+    with pytest.raises(TypeError, match="must be"):  # an entry check's message, not numpy's
+        call(engine)
+    assert stages == []
+    # numpy integers are integers, and Python ints once inside
     assert complement_alpha_formula(np.int64(7), np.int32(3), np.int64(2)) == 6
     assert resurgence_region(np.int64(3), np.int64(3), 2, 2).r_max == resurgence_region(3, 3, 2, 2).r_max
+    S = validate_steiner(np.int64(7), np.int32(3), np.int64(2), FANO_BLOCKS)
+    assert S == builtin_fano()
+    assert [type(x) for x in (S.v, S.n, S.t)] == [int, int, int]
 
 
 def test_engine_caches_are_shared(fano_c):
