@@ -12,7 +12,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import ResourceLimit
+from .errors import ResourceLimit, _integer
 
 DEFAULT_GENERATOR_CAP = 2_000_000
 
@@ -33,6 +33,7 @@ class Budget:
     progress: Callable[[str, dict], None] | None = None
 
     def __post_init__(self):
+        self.generator_cap = _integer(self.generator_cap, "generator cap", None)
         if self.generator_cap < 1:
             raise ValueError("generator cap must be positive")
         if self.deadline is not None and math.isnan(self.deadline):

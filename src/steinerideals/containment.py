@@ -38,7 +38,6 @@ from __future__ import annotations
 import numbers
 import time
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from math import ceil, comb
 from typing import Callable
@@ -73,22 +72,26 @@ _SCAN_CHUNK = 1 << 18  # generator-by-base-row tests per vectorized step of the 
 class ContainmentReport:
     """Outcome of one containment check.
 
-    holds=False implies a witness: a minimal generator of I^(m) outside
-    M^slack * I^r, the canonically first one the scan encountered.
-    ``method`` records which path decided the question.  elapsed_ms is
-    wall time and is the only non-deterministic field.
+    The containment fails exactly when there is a witness: a minimal
+    generator of I^(m) outside M^slack * I^r, the canonically first one
+    the scan encountered.  ``method`` records which path decided the
+    question.  elapsed_ms is wall time and is the only non-deterministic
+    field.
     """
 
     m: int
     r: int
     slack: int
-    holds: bool
     witness: Monomial | None
     alpha_m: int
     alpha_r: int
     omega_r: int
     method: str
     elapsed_ms: float
+
+    @property
+    def holds(self) -> bool:
+        return self.witness is None
 
     def to_dict(self) -> dict:
         return {
@@ -103,15 +106,6 @@ class ContainmentReport:
             "method": self.method,
             "elapsed_ms": self.elapsed_ms,
         }
-
-
-class Conjecture(str, Enum):
-    HARBOURNE_HUNEKE_1 = "harbourne-huneke-1"
-    HARBOURNE_HUNEKE_2 = "harbourne-huneke-2"
-    STABLE_HARBOURNE = "stable-harbourne"
-    CHUDNOVSKY = "chudnovsky"
-    DEMAILLY = "demailly"
-    ELS = "els"
 
 
 @dataclass(frozen=True)
@@ -131,16 +125,19 @@ class ConjectureInstance:
 
 @dataclass(frozen=True)
 class ConjectureVerdict:
-    """All instances of one conjecture over a scan range."""
+    """All instances of one conjecture over a scan range, named as printed."""
 
-    name: Conjecture
+    name: str
     instances: tuple[ConjectureInstance, ...]
-    all_hold: bool
     threshold: Fraction | None = None  # analytic guarantee bound, where known
+
+    @property
+    def all_hold(self) -> bool:
+        return all(inst.holds for inst in self.instances)
 
     def to_dict(self) -> dict:
         out = {
-            "conjecture": self.name.value,
+            "conjecture": self.name,
             "all_hold": self.all_hold,
             "instances": [inst.to_dict() for inst in self.instances],
         }
@@ -367,30 +364,28 @@ class ContainmentEngine:
         alpha_r = r * alpha_1  # alpha is additive on ordinary powers of monomial ideals
         omega_r = self.omega_r(r, audit=audit)
 
-        def report(holds: bool, witness: Monomial | None, method: str) -> ContainmentReport:
+        def report(witness: Monomial | None, method: str) -> ContainmentReport:
             elapsed = (time.perf_counter() - t0) * 1000.0
-            return ContainmentReport(
-                m, r, slack, holds, witness, alpha_m, alpha_r, omega_r, method, elapsed
-            )
+            return ContainmentReport(m, r, slack, witness, alpha_m, alpha_r, omega_r, method, elapsed)
 
         # degree obstruction: too little degree to lie in M^slack * I^r
         if alpha_m < alpha_r + slack:
             first = _search_total(P, m, alpha_m, self.budget, largest_first=True, floor=alpha_m)
             witness = Monomial(first)
             self._confirm_witness(witness, m, r, slack)
-            return report(False, witness, "degree-obstruction")
+            return report(witness, "degree-obstruction")
 
         if not audit:
             # symbolic powers shrink as m grows, so r = 1 with no slack
             # is containment in I^(1) itself
             if r == 1 and slack == 0:
-                return report(True, None, "symbolic-descent")
+                return report(None, "symbolic-descent")
             # Steiner regularity threshold: alpha(I^(m)) >= r * reg(I)
             # forces the containment, reg(I) = v - n + 1
             if slack == 0 and P.steiner is not None:
                 _, n, v = P.steiner
                 if alpha_m >= r * (v - n + 1):
-                    return report(True, None, "regularity-threshold")
+                    return report(None, "regularity-threshold")
 
         rows = self.symbolic(m).rows
         base = self.base_ideal()
@@ -411,8 +406,8 @@ class ContainmentEngine:
                 partial = dict(partial, generators_checked=lo + i)
                 if not member_of_power(g, base, r, slack, budget=self.budget, partial=partial):
                     self._confirm_witness(g, m, r, slack)
-                    return report(False, g, "generator-scan")
-        return report(True, None, "generator-scan")
+                    return report(g, "generator-scan")
+        return report(None, "generator-scan")
 
 
 def alpha_table(engine: ContainmentEngine, M: int) -> AlphaTable:
@@ -432,7 +427,7 @@ def alpha_table(engine: ContainmentEngine, M: int) -> AlphaTable:
 
 def _r_family(
     engine: ContainmentEngine,
-    name: Conjecture,
+    name: str,
     r_lo: int,
     r_hi: int,
     rule: Callable[[int], tuple[int, int]],
@@ -461,10 +456,10 @@ def _r_family(
             instances.append(ConjectureInstance({"r": r, "m": m}, True))
         else:
             raise InternalInconsistency(
-                f"{name.value} containment I^({m}) <= I^{r} reported false; "
+                f"{name} containment I^({m}) <= I^{r} reported false; "
                 f"witness {rep.witness}"
             )
-    return ConjectureVerdict(name, tuple(instances), all(i.holds for i in instances), threshold)
+    return ConjectureVerdict(name, tuple(instances), threshold)
 
 
 def els_scan(engine: ContainmentEngine, r_lo: int, r_hi: int) -> ConjectureVerdict:
@@ -474,7 +469,7 @@ def els_scan(engine: ContainmentEngine, r_lo: int, r_hi: int) -> ConjectureVerdi
     InternalInconsistency to flag the implementation bug.
     """
     h = engine.decomposition.big_height
-    return _r_family(engine, Conjecture.ELS, r_lo, r_hi, lambda r: (h * r, 0), audit=True)
+    return _r_family(engine, "els", r_lo, r_hi, lambda r: (h * r, 0), audit=True)
 
 
 def stable_harbourne_scan(engine: ContainmentEngine, r_lo: int, r_hi: int) -> ConjectureVerdict:
@@ -491,12 +486,7 @@ def stable_harbourne_scan(engine: ContainmentEngine, r_lo: int, r_hi: int) -> Co
         _, n, v = P.steiner
         threshold = Fraction(v, n - 1)
     return _r_family(
-        engine,
-        Conjecture.STABLE_HARBOURNE,
-        r_lo,
-        r_hi,
-        lambda r: (h * r - h + 1, 0),
-        threshold=threshold,
+        engine, "stable-harbourne", r_lo, r_hi, lambda r: (h * r - h + 1, 0), threshold=threshold
     )
 
 
@@ -511,9 +501,9 @@ def harbourne_huneke_scan(
     h = engine.decomposition.big_height
     form = _integer(form, "form", None)
     if form == 1:
-        name, rule = Conjecture.HARBOURNE_HUNEKE_1, lambda r: (h * r, r * (h - 1))
+        name, rule = "harbourne-huneke-1", lambda r: (h * r, r * (h - 1))
     elif form == 2:
-        name, rule = Conjecture.HARBOURNE_HUNEKE_2, lambda r: (h * r - h + 1, (r - 1) * (h - 1))
+        name, rule = "harbourne-huneke-2", lambda r: (h * r - h + 1, (r - 1) * (h - 1))
     else:
         raise ValueError("form must be 1 or 2")
     return _r_family(engine, name, r_lo, r_hi, rule)
@@ -532,7 +522,7 @@ def chudnovsky_check(
         ConjectureInstance({k: v for k, v in inst.params.items() if k != "m"}, inst.holds)
         for inst in demailly.instances
     )
-    return ConjectureVerdict(Conjecture.CHUDNOVSKY, instances, demailly.all_hold)
+    return ConjectureVerdict("chudnovsky", instances)
 
 
 def demailly_check(
@@ -556,9 +546,7 @@ def demailly_check(
                 lhs >= rhs,
             )
         )
-    return ConjectureVerdict(
-        Conjecture.DEMAILLY, tuple(instances), all(i.holds for i in instances)
-    )
+    return ConjectureVerdict("demailly", tuple(instances))
 
 
 def demailly_dimension(
@@ -607,7 +595,7 @@ class ResurgenceRegion:
     r_max: int
 
     def s_max(self, r: int) -> Fraction:
-        return (r + self.ambient_dim) * self.asymptotic
+        return (_integer(r, "r") + self.ambient_dim) * self.asymptotic
 
     def to_dict(self) -> dict:
         return {

@@ -81,8 +81,8 @@ class MonomialIdeal:
     ``rows``, one read-only int64 exponent row per minimal generator in
     canonical order, is the only stored form; ``generators`` builds the
     Monomial objects on first read.  The constructor copies rows and
-    checks shape and range but trusts them to be a canonical antichain;
-    from_rows builds an ideal from arbitrary rows.
+    checks type, shape and range but trusts them to be a canonical
+    antichain; from_rows builds an ideal from arbitrary rows.
     """
 
     variable_count: int
@@ -91,13 +91,16 @@ class MonomialIdeal:
     def __post_init__(self):
         nv = _integer(self.variable_count, "variable_count", 0)
         object.__setattr__(self, "variable_count", nv)
-        rows = np.array(self.rows, dtype=np.int64)
+        rows = np.asarray(self.rows)
+        if rows.size and not np.issubdtype(rows.dtype, np.integer):
+            raise TypeError(f"generator rows must hold integers, not {rows.dtype.type.__name__}")
         if rows.ndim != 2 or rows.shape[1] != nv:
             raise ValueError(f"rows of shape {rows.shape} for {nv} variables")
         if rows.size and rows.min() < 0:
             raise ValueError("negative exponent in generator rows")
         if rows.size and rows.max() > EXPONENT_LIMIT:
             raise OverflowError(f"exponent {rows.max()} exceeds limit {EXPONENT_LIMIT}")
+        rows = rows.astype(np.int64)  # a copy, checked before the cast
         rows.flags.writeable = False  # a view of it can never be made writeable
         object.__setattr__(self, "rows", rows.view())
 
@@ -118,11 +121,11 @@ class MonomialIdeal:
     def from_rows(cls, variable_count: int, rows: np.ndarray) -> "MonomialIdeal":
         """The ideal generated by any exponent rows, minimalized.
 
-        An empty input is the zero ideal.  Any other input must be a
-        matrix of variable_count columns with entries in range: the
-        constructor's checks run on it before it is minimalized.
+        An empty input is the zero ideal.  Any other input must be an
+        integer matrix of variable_count columns with entries in range:
+        the constructor's checks run on it before it is minimalized.
         """
-        rows = np.asarray(rows, dtype=np.int64)
+        rows = np.asarray(rows)
         if rows.size == 0:
             return cls.zero(variable_count)
         return cls(variable_count, _minimal_rows(cls(variable_count, rows).rows))

@@ -16,7 +16,10 @@ import pytest
 from steinerideals import containment, symbolic
 from steinerideals import (
     Budget,
+    ConjectureInstance,
+    ConjectureVerdict,
     ContainmentEngine,
+    ContainmentReport,
     DegenerateRegion,
     InternalInconsistency,
     Monomial,
@@ -479,12 +482,14 @@ def test_check_and_member_of_power_take_only_integers(call):
         lambda e: symbolic.initial_degree(e.decomposition, 2.0, budget=e.budget),
         lambda e: demailly_check(e, 1.5, 3),
         lambda e: chudnovsky_check(e, 3, 2.0),
+        lambda e: resurgence_region(3, 3, 2, 2).s_max(1.5),
+        lambda e: Budget(generator_cap=2.5),
     ],
     ids=[
         "symbolic-m", "colour-m", "cover-c", "formula-m", "formula-v", "formula-n",
         "region-height", "region-dim", "region-r1", "hh-form", "ideal-vars", "provenance-n",
         "engine-alpha", "engine-symbolic", "engine-power", "fold-m", "alpha-m", "demailly-m",
-        "chudnovsky-dim",
+        "chudnovsky-dim", "region-s-max", "budget-cap",
     ],
 )
 def test_integer_parameters_take_only_integers(call):
@@ -501,6 +506,7 @@ def test_integer_parameters_take_only_integers(call):
     # numpy integers are integers, and Python ints once inside
     assert complement_alpha_formula(np.int64(7), np.int32(3), np.int64(2)) == 6
     assert resurgence_region(np.int64(3), np.int64(3), 2, 2).r_max == resurgence_region(3, 3, 2, 2).r_max
+    assert resurgence_region(3, 3, 2, 2).s_max(np.int64(9)) == Fraction(18)
     S = validate_steiner(np.int64(7), np.int32(3), np.int64(2), FANO_BLOCKS)
     assert S == builtin_fano()
     assert [type(x) for x in (S.v, S.n, S.t)] == [int, int, int]
@@ -737,7 +743,7 @@ def test_els_scan_raises_on_a_false_report():
     class Broken(ContainmentEngine):
         def check(self, m, r, slack=0, *, audit=False):
             rep = super().check(m, r, slack, audit=audit)
-            return dataclasses.replace(rep, holds=False, witness=Monomial((1,) * 7))
+            return dataclasses.replace(rep, witness=Monomial((1,) * 7))
 
     with pytest.raises(InternalInconsistency, match="els containment"):
         els_scan(Broken(cover_ideal(builtin_fano().hypergraph())), 1, 1)
@@ -755,12 +761,51 @@ def test_els_sanity_checks():
         assert inst.params["m"] == P.big_height * r
 
 
+def test_a_report_holds_exactly_when_it_has_no_witness(fano_c):
+    held = fano_c.check(3, 1)
+    assert held.holds and held.witness is None
+    w = Monomial((1,) * 7)
+    failed = ContainmentReport(
+        m=3, r=2, slack=0, witness=w, alpha_m=6, alpha_r=8, omega_r=10,
+        method="generator-scan", elapsed_ms=0.0,
+    )
+    assert not failed.holds
+    assert failed.to_dict()["holds"] is False
+    assert failed.to_dict()["witness"] == w.exponent_string()
+
+
+def test_a_verdict_derives_all_hold_from_its_instances():
+    ok = ConjectureInstance({"r": 1, "m": 3}, True)
+    bad = ConjectureInstance({"r": 2, "m": 6, "slack": 0}, False, Monomial((1,) * 7))
+    assert not ConjectureVerdict("els", (bad,)).all_hold
+    assert not ConjectureVerdict("els", (ok, bad)).all_hold
+    assert ConjectureVerdict("els", (ok,)).all_hold
+    assert ConjectureVerdict("els", (ok, bad)).to_dict()["all_hold"] is False
+
+
+def test_every_family_is_named_by_the_string_it_prints(fano_c):
+    verdicts = (
+        els_scan(fano_c, 1, 1),
+        stable_harbourne_scan(fano_c, 1, 1),
+        harbourne_huneke_scan(fano_c, 1, 1, 1),
+        harbourne_huneke_scan(fano_c, 1, 1, 2),
+        chudnovsky_check(fano_c, 2),
+        demailly_check(fano_c, 2, 2),
+    )
+    for verdict in verdicts:
+        assert type(verdict.name) is str
+        assert verdict.name == verdict.to_dict()["conjecture"]
+    assert [v.name for v in verdicts] == [
+        "els", "stable-harbourne", "harbourne-huneke-1", "harbourne-huneke-2", "chudnovsky", "demailly",
+    ]
+
+
 def test_stable_harbourne_scan_fano():
     verdict = stable_harbourne_scan(ContainmentEngine(complement_ideal(builtin_fano())), 1, 3)
     assert verdict.all_hold
     assert verdict.threshold == Fraction(7, 2)
     assert [inst.params["m"] for inst in verdict.instances] == [1, 4, 7]
-    assert verdict.name.value == "stable-harbourne"
+    assert verdict.name == "stable-harbourne"
     doc = verdict.to_dict()
     assert doc["threshold"] == "7/2"
     assert all(inst["holds"] for inst in doc["instances"])

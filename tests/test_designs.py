@@ -16,6 +16,7 @@ from steinerideals import (
     FormatError,
     Hypergraph,
     Monomial,
+    MonomialIdeal,
     Partition,
     PrimeDecomposition,
     ResourceLimit,
@@ -456,6 +457,12 @@ _BUILDERS = {
     ),
     "PrimeDecomposition": (lambda x, k: PrimeDecomposition(3, [(x, 3)]), ValueError, repr),
     "Partition": (lambda x, k: Partition(((x, 3), (3 - k,))), ValueError, repr),
+    "MonomialIdeal": (lambda x, k: MonomialIdeal(2, [[x, 0]]), TypeError, lambda x: type(x).__name__),
+    "MonomialIdeal.from_rows": (
+        lambda x, k: MonomialIdeal.from_rows(2, [[x, 0], [0, 3]]),
+        TypeError,
+        lambda x: type(x).__name__,
+    ),
 }
 
 

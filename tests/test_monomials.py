@@ -636,6 +636,11 @@ def test_budget_refuses_a_generator_cap_below_one(cap):
     assert Budget(generator_cap=1).generator_cap == 1
 
 
+def test_budget_keeps_a_numpy_cap_as_a_python_int():
+    cap = Budget(generator_cap=np.int64(3)).generator_cap
+    assert type(cap) is int and cap == 3
+
+
 def test_budget_refuses_a_nan_deadline():
     # time.monotonic() > nan is never true, so a NaN deadline would never
     # stop a loop
